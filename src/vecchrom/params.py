@@ -1,10 +1,10 @@
 """Graph parameters: theta-bar, vector chromatic number, spectral formulas,
 the combinatorial 1-homogeneity test, and exact chromatic number.
 
-The two SDP parameters are computed from the dual-form programs by
-default (simpler constraint structure); a primal-form solve is added on
-request when the Gram matrix is needed for coloring extraction, and the
-two forms must then agree within twice the configured gap tolerance.
+The two SDP parameters are computed from the dual-form programs.  On
+request the result also carries the primal certificate that the same
+solve produced with its dual bound: the Gram matrix from which a vector
+coloring is extracted.
 
 Edgeless graphs take the conventional value 1 for both parameters, with
 no SDP run.
@@ -27,6 +27,7 @@ from .graphs import Graph
 from .linalg import eig_sym
 from .sdp import (
     OPTIMAL,
+    SdpSolution,
     SolverConfig,
     build_chi_vec,
     build_theta_bar,
@@ -41,9 +42,10 @@ class ParamResult:
     """A parameter value with machine-checkable certificates.
 
     ``method`` is "sdp", "spectral" (1-homogeneous formula) or
-    "convention" (edgeless value 1, bipartite value 2).  ``residuals``
-    mirrors the solver's (affine, cone, entrywise) report when an SDP
-    ran.
+    "convention" (edgeless value 1, bipartite value 2).  When an SDP ran,
+    ``gap`` is its duality gap and ``residuals`` mirrors its (affine,
+    cone, entrywise) report; ``primal_certificate`` is PSD with constant
+    diagonal ``value + gap - 1``.
     """
 
     value: float
@@ -54,42 +56,32 @@ class ParamResult:
     residuals: tuple | None = None
 
 
+def _from_solution(sol: SdpSolution, want_primal: bool) -> ParamResult:
+    return ParamResult(
+        value=sol.objective,
+        gap=sol.gap,
+        method="sdp",
+        primal_certificate=sol.certificate if want_primal else None,
+        dual_certificate=sol.X,
+        residuals=sol.residuals,
+    )
+
+
 def _sdp_param(G: Graph, cfg, builder, want_primal: bool) -> ParamResult:
     if G.edge_count == 0:
         return ParamResult(value=1.0, gap=0.0, method="convention")
-    cfg = cfg or SolverConfig()
-    dual_sol = solve(builder(G, "dual"), cfg)
-    if dual_sol.status != OPTIMAL:
+    try:
+        sol = solve(builder(G), cfg or SolverConfig())
+    except ConvergenceError as exc:
+        partial = exc.partial and _from_solution(exc.partial, want_primal)
+        raise ConvergenceError(str(exc), exc.residual, partial) from exc
+    result = _from_solution(sol, want_primal)
+    if sol.status != OPTIMAL:
         raise ConvergenceError(
-            f"dual-form solve ended with status {dual_sol.status}",
-            residual=max(dual_sol.residuals),
-            partial=ParamResult(
-                value=dual_sol.objective,
-                gap=dual_sol.gap,
-                method="sdp",
-                dual_certificate=dual_sol.X,
-                residuals=dual_sol.residuals,
-            ),
+            f"dual-form solve ended with status {sol.status}",
+            residual=max(sol.residuals),
+            partial=result,
         )
-    result = ParamResult(
-        value=dual_sol.objective,
-        gap=dual_sol.gap,
-        method="sdp",
-        dual_certificate=dual_sol.X,
-        residuals=dual_sol.residuals,
-    )
-    if want_primal:
-        primal_sol = solve(builder(G, "primal"), cfg, reference_dual=dual_sol.objective)
-        agree = abs(primal_sol.objective - dual_sol.objective)
-        if primal_sol.status != OPTIMAL or agree > 2 * cfg.gap_tol:
-            raise ConvergenceError(
-                f"primal-form solve disagrees with dual value by {agree:.3e} "
-                f"(status {primal_sol.status})",
-                residual=agree,
-                partial=result,
-            )
-        result.primal_certificate = primal_sol.X[: G.n, : G.n]
-        result.gap = max(result.gap, agree)
     return result
 
 
@@ -209,7 +201,7 @@ def spectral_vector_chromatic(G: Graph) -> ParamResult:
     """Closed-form value 1 - k/tau for 1-homogeneous graphs with an edge.
 
     The certificate is the scaled projector onto the least eigenspace,
-    which is a feasible matrix for the primal-form SDP.
+    a feasible primal matrix: PSD, diagonal value - 1, edge entries -1.
     """
     if G.edge_count == 0:
         raise DomainError("spectral formula needs at least one edge")

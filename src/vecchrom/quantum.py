@@ -33,6 +33,20 @@ def _maxnorm(M: np.ndarray) -> float:
     return float(np.abs(M).max()) if M.size else 0.0
 
 
+def _nonfinite_witness(arr: np.ndarray) -> dict | None:
+    """Witness naming the first NaN or infinite entry, if there is one.
+
+    Residuals of such an array are meaningless (``max(0.0, nan)`` is 0.0),
+    so the verifiers reject it before computing any.
+    """
+    finite = np.isfinite(arr)
+    if finite.all():
+        return None
+    bad = np.argwhere(~finite)
+    return {"scope": "entries", "condition": "finite",
+            "index": [int(i) for i in bad[0]], "count": len(bad)}
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementTuple:
     """Projectors indexed by the vertices of the target graph."""
@@ -103,9 +117,12 @@ def verify_measurement(t: MeasurementTuple, tol: float = STRUCT_TOL) -> Measurem
     orthogonality of distinct parts (the latter at 10x tol, since
     products of two approximate projectors carry doubled error)."""
     parts = t.parts
+    witness = _nonfinite_witness(parts)
+    if witness is not None:
+        inf = float("inf")
+        return MeasurementReport(False, inf, inf, inf, inf, witness)
     count, d = parts.shape[0], t.d
     herm = idem = 0.0
-    witness = None
     for v in range(count):
         E = parts[v]
         h = _maxnorm(E - E.conj().T)
@@ -174,10 +191,14 @@ def measurement_adjacent(t1: MeasurementTuple, t2: MeasurementTuple, H: Graph,
 def verify_quantum_hom(q: QuantumHomomorphism, tol: float = ADJ_TOL) -> QuantumHomReport:
     """Full certificate check: every tuple is a valid measurement
     (structural tolerance tol/10) and every source edge maps to adjacent
-    tuples (tolerance tol)."""
+    tuples (tolerance tol).  A NaN or infinite entry fails the check with
+    infinite residuals."""
+    witness = _nonfinite_witness(q.assignment)
+    if witness is not None:
+        inf = float("inf")
+        return QuantumHomReport(False, inf, inf, inf, inf, inf, witness)
     struct_tol = tol / 10.0
     herm = idem = sums = ortho = adjacency = 0.0
-    witness = None
     for u in range(q.source.n):
         rep = verify_measurement(q.tuple_at(u), struct_tol)
         herm = max(herm, rep.hermitian)

@@ -3,16 +3,12 @@
 A problem here is a single symmetric matrix variable X: minimize or
 maximize <C, X> subject to equality constraints <A_i, X> = b_i,
 entrywise conditions (fixed entries, upper bounds, lower bounds) and
-X positive semidefinite.  Four builders produce the two coloring
-relaxations in both forms:
+X positive semidefinite.  Two builders produce the coloring
+relaxations, both in dual form:
 
-* theta-bar dual: maximize the total entry sum of P with tr(P) = 1,
-  P zero on non-edges, P PSD.
-* theta-bar primal: minimize the common diagonal value (plus one) of a
-  PSD matrix with -1 on every edge; the free scalar objective is
-  carried by one extra affine-linked diagonal slot ("bordered" trick).
-* vector-chromatic dual/primal: same with P >= 0 entrywise added, or
-  with edge entries relaxed to <= -1.
+* theta-bar: maximize the total entry sum of P with tr(P) = 1, P zero
+  on non-edges, P PSD.
+* vector-chromatic: the same with P >= 0 entrywise added.
 
 The solver is a first-order operator-splitting (consensus) iteration:
 each pass projects a copy onto the affine set (through a pre-factored
@@ -23,9 +19,11 @@ order-scaled value; runtime residual re-balancing destabilized several
 degenerate product instances into limit cycles and was dropped.  The
 reported duality gap compares the objective at a feasibility-rounded
 iterate against a dual bound reconstructed from the splitting
-multipliers; for the built coloring problems both sides are rigorous
-(any multiplier estimate feasibilizes into the matching primal form in
-closed form, and the rounded iterate is exactly feasible).
+multipliers; for the built coloring problems both sides are rigorous.
+The bound comes with its witness, a feasible matrix of the primal
+program (PSD, constant diagonal bound - 1, edge entries -1, resp. at
+most -1), which the solution returns as its ``certificate``: its Gram
+vectors are the vector coloring.
 
 Everything is deterministic: identical problems and configurations
 produce identical iterate sequences.
@@ -37,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .graphs import Graph
 from .linalg import eig_sym
 
@@ -84,7 +82,6 @@ class SdpProblem:
     upper_values: np.ndarray | None = None
     lower_mask: np.ndarray | None = None
     lower_values: np.ndarray | None = None
-    offset: float = 0.0
     kind: str = "custom"
     edge_mask: np.ndarray | None = None
     label: str = ""
@@ -127,6 +124,7 @@ class SdpSolution:
     residuals: tuple  # (affine, cone, entrywise)
     iterations: int
     status: str
+    certificate: np.ndarray | None = None  # primal witness of dual_objective
 
 
 @dataclass
@@ -144,92 +142,34 @@ def _sym(M, n):
     return (M + M.T) / 2.0
 
 
-def _check_graph(G: Graph):
+def build_theta_bar(G: Graph) -> SdpProblem:
+    """SDP whose optimum is theta-bar of G (Lovasz theta of the complement)."""
     if G.n == 0:
         raise DomainError("graph has no vertices")
-
-
-def build_theta_bar(G: Graph, form: str = "dual") -> SdpProblem:
-    """SDP whose optimum is theta-bar of G (Lovasz theta of the complement)."""
-    _check_graph(G)
     n = G.n
     adj = G.adj
-    if form == "dual":
-        return SdpProblem(
-            order=n,
-            objective=np.ones((n, n)),
-            maximize=True,
-            constraints=[(np.eye(n), 1.0)],
-            fixed_mask=(~adj & ~np.eye(n, dtype=bool)),
-            fixed_values=np.zeros((n, n)),
-            kind="theta_dual",
-            edge_mask=adj.copy(),
-            label=f"theta-bar dual ({G.label or G.n})",
-        )
-    if form == "primal":
-        return _bordered_primal(G, strict_edges=True)
-    raise DomainError(f"unknown form {form!r}")
-
-
-def build_chi_vec(G: Graph, form: str = "dual") -> SdpProblem:
-    """SDP whose optimum is the vector chromatic number of G."""
-    _check_graph(G)
-    n = G.n
-    if form == "dual":
-        base = build_theta_bar(G, "dual")
-        base.lower_mask = np.ones((n, n), dtype=bool)
-        base.lower_values = np.zeros((n, n))
-        base.kind = "chivec_dual"
-        base.label = f"chi-vec dual ({G.label or G.n})"
-        return base
-    if form == "primal":
-        return _bordered_primal(G, strict_edges=False)
-    raise DomainError(f"unknown form {form!r}")
-
-
-def _bordered_primal(G: Graph, strict_edges: bool) -> SdpProblem:
-    n = G.n
-    m = n + 1
-    C = np.zeros((m, m))
-    C[n, n] = 1.0
-    constraints = []
-    for i in range(n):
-        A = np.zeros((m, m))
-        A[i, i] = 1.0
-        A[n, n] = -1.0
-        constraints.append((A, 0.0))
-    border = np.zeros((m, m), dtype=bool)
-    border[:n, n] = True
-    border[n, :n] = True
-    fixed_mask = border.copy()
-    fixed_values = np.zeros((m, m))
-    edge_pad = np.zeros((m, m), dtype=bool)
-    edge_pad[:n, :n] = G.adj
-    upper_mask = upper_values = None
-    if strict_edges:
-        fixed_mask |= edge_pad
-        fixed_values[edge_pad] = -1.0
-        kind = "theta_primal"
-        what = "theta-bar"
-    else:
-        upper_mask = edge_pad
-        upper_values = np.where(edge_pad, -1.0, 0.0)
-        kind = "chivec_primal"
-        what = "chi-vec"
     return SdpProblem(
-        order=m,
-        objective=C,
-        maximize=False,
-        constraints=constraints,
-        fixed_mask=fixed_mask,
-        fixed_values=fixed_values,
-        upper_mask=upper_mask,
-        upper_values=upper_values,
-        offset=1.0,
-        kind=kind,
-        edge_mask=G.adj.copy(),
-        label=f"{what} primal ({G.label or G.n})",
+        order=n,
+        objective=np.ones((n, n)),
+        maximize=True,
+        constraints=[(np.eye(n), 1.0)],
+        fixed_mask=(~adj & ~np.eye(n, dtype=bool)),
+        fixed_values=np.zeros((n, n)),
+        kind="theta_dual",
+        edge_mask=adj.copy(),
+        label=f"theta-bar dual ({G.label or G.n})",
     )
+
+
+def build_chi_vec(G: Graph) -> SdpProblem:
+    """SDP whose optimum is the vector chromatic number of G."""
+    base = build_theta_bar(G)
+    n = G.n
+    base.lower_mask = np.ones((n, n), dtype=bool)
+    base.lower_values = np.zeros((n, n))
+    base.kind = "chivec_dual"
+    base.label = f"chi-vec dual ({G.label or G.n})"
+    return base
 
 
 class _AffineSet:
@@ -341,39 +281,31 @@ def _clip_psd(Y: np.ndarray) -> np.ndarray:
 def _feasible_point(problem: SdpProblem, X: np.ndarray):
     """Round the affine-exact iterate to an exactly feasible point.
 
-    Only the four built problem kinds have enough structure for a
+    Only the two built problem kinds have enough structure for a
     closed-form rounding; custom problems return None and keep the raw
-    iterate.  Dual forms: clip to the entrywise bounds (pattern zeros
-    are already exact), add -min_eig times the identity, rescale to unit
-    trace.  Primal forms: clamp edge entries at -1 where they are only
-    bounded, then add -min_eig times the identity, which raises every
-    (equal) diagonal entry together.  The rounded objective therefore
-    sits on the certified side of the optimum.
+    iterate.  Clip to the entrywise bounds (pattern zeros are already
+    exact), add -min_eig times the identity, rescale to unit trace.  The
+    rounded objective therefore sits on the certified side of the
+    optimum.
     """
     kind = problem.kind
-    if kind not in ("theta_dual", "chivec_dual", "theta_primal", "chivec_primal"):
+    if kind not in ("theta_dual", "chivec_dual"):
         return None
-    Y = X.copy()
-    if kind == "chivec_dual":
-        Y = np.maximum(Y, 0.0)
-    elif kind == "chivec_primal" and problem.upper_mask is not None:
-        Y = np.where(problem.upper_mask, np.minimum(Y, problem.upper_values), Y)
+    Y = np.maximum(X, 0.0) if kind == "chivec_dual" else X.copy()
     w = np.linalg.eigvalsh(Y)
     eps = max(0.0, -float(w[0]))
     if eps > 0.0:
         Y = Y + eps * np.eye(problem.order)
-    if kind in ("theta_dual", "chivec_dual"):
-        Y = Y / np.trace(Y)
-    return Y
+    return Y / np.trace(Y)
 
 
-def _structural_dual_bound(problem: SdpProblem, S_est: np.ndarray) -> float:
-    """Rigorous optimum bound for the dual-form coloring problems.
+def _structural_dual_bound(problem: SdpProblem, S_est: np.ndarray):
+    """Rigorous optimum bound for the coloring problems, and its witness.
 
     Any symmetric B with zero diagonal whose edge entries equal -1 (resp.
-    are at most -1) yields the feasible primal matrix B - min_eig(B) I,
+    are at most -1) yields the feasible primal matrix M = B - min_eig(B) I,
     so 1 - min_eig(B) upper-bounds theta-bar (resp. chi-vec).  B is read
-    off the PSD-block multiplier estimate.
+    off the PSD-block multiplier estimate.  Returns (bound, M).
     """
     B = (S_est + S_est.T) / 2.0
     B = B - np.diag(np.diag(B))
@@ -383,16 +315,16 @@ def _structural_dual_bound(problem: SdpProblem, S_est: np.ndarray) -> float:
     else:
         B = np.where(E, np.minimum(B, -1.0), B)
     w = np.linalg.eigvalsh(B)
-    return 1.0 - float(w[0])
+    np.fill_diagonal(B, -w[0])
+    return 1.0 - float(w[0]), B
 
 
-def solve(problem: SdpProblem, cfg: SolverConfig | None = None,
-          reference_dual: float | None = None) -> SdpSolution:
+def solve(problem: SdpProblem, cfg: SolverConfig | None = None) -> SdpSolution:
     """Run the splitting iteration on one problem instance.
 
-    ``reference_dual`` substitutes an externally known optimum for the
-    reconstructed dual bound (used when re-solving the other form of a
-    parameter whose value is already certified).
+    A LAPACK failure inside the iteration raises :class:`ConvergenceError`
+    whose ``partial`` is the best solution so far (None before the first
+    convergence check).
     """
     cfg = cfg or SolverConfig()
     n = problem.order
@@ -414,75 +346,86 @@ def solve(problem: SdpProblem, cfg: SolverConfig | None = None,
     structural = (
         problem.kind in ("theta_dual", "chivec_dual")
         and problem.edge_mask is not None
-        and reference_dual is None
     )
 
-    best = None  # (score, X, obj, dual, gap, residuals, iteration)
+    best = None  # (score, X, obj, dual, gap, residuals, iteration, certificate)
     status = MAX_ITER
     history = []
     it = 0
-    for it in range(1, cfg.max_iter + 1):
-        X_aff = aff.project(Z - Us[0])
-        X_psd = _clip_psd(Z - Us[1])
-        Xs = [X_aff, X_psd]
-        if box is not None:
-            Xs.append(box.project(Z - Us[2]))
-        Z_old = Z
-        hats = [alpha * Xk + (1.0 - alpha) * Z_old for Xk in Xs]
-        Z = sum(h + U for h, U in zip(hats, Us)) / K - C_min / (K * rho)
-        for k in range(K):
-            Us[k] += hats[k] - Z
-
-        if it % cfg.check_every and it != cfg.max_iter:
-            continue
-
-        X_rep = _feasible_point(problem, X_aff)
-        if X_rep is None:
-            X_rep = X_aff
-            cone_res = max(0.0, -float(np.linalg.eigvalsh(X_rep)[0]))
-        else:
-            cone_res = 0.0  # exact by construction; re-measured at return
-        aff_res = aff.residual(X_rep)
-        box_res = box.violation(X_rep) if box is not None else 0.0
-        obj = float((C_user * X_rep).sum()) + problem.offset
-        if reference_dual is not None:
-            dual = reference_dual
-        elif structural:
-            dual = _structural_dual_bound(problem, rho * Us[1]) + problem.offset
-        else:
-            g_min = -aff.support(-rho * Us[0])
+    try:
+        for it in range(1, cfg.max_iter + 1):
+            X_aff = aff.project(Z - Us[0])
+            X_psd = _clip_psd(Z - Us[1])
+            Xs = [X_aff, X_psd]
             if box is not None:
-                g_min -= box.support(-rho * Us[2])
-            dual = (-g_min if problem.maximize else g_min) + problem.offset
-        gap = abs(obj - dual)
+                Xs.append(box.project(Z - Us[2]))
+            Z_old = Z
+            hats = [alpha * Xk + (1.0 - alpha) * Z_old for Xk in Xs]
+            Z = sum(h + U for h, U in zip(hats, Us)) / K - C_min / (K * rho)
+            for k in range(K):
+                Us[k] += hats[k] - Z
 
-        score = max(aff_res, cone_res, box_res) + gap
-        if best is None or score < best[0]:
-            best = (score, X_rep.copy(), obj, dual, gap,
-                    (aff_res, cone_res, box_res), it)
-        if (
-            aff_res <= cfg.tol
-            and cone_res <= cfg.tol
-            and box_res <= cfg.tol
-            and gap <= cfg.gap_tol
-        ):
-            status = OPTIMAL
-            best = (score, X_rep, obj, dual, gap, (aff_res, cone_res, box_res), it)
-            break
+            if it % cfg.check_every and it != cfg.max_iter:
+                continue
 
-        # the four built families are feasible by construction, so
-        # stagnation there is only slowness; suspect infeasibility for
-        # custom problems alone
-        if problem.kind == "custom":
-            history.append(score)
-            if len(history) >= 600 and score > 1e4 * cfg.tol:
-                if score > 0.998 * history[-600]:
-                    status = INFEASIBLE_SUSPECTED
-                    break
+            X_rep = _feasible_point(problem, X_aff)
+            if X_rep is None:
+                X_rep = X_aff
+                cone_res = max(0.0, -float(np.linalg.eigvalsh(X_rep)[0]))
+            else:
+                cone_res = 0.0  # exact by construction; re-measured at return
+            aff_res = aff.residual(X_rep)
+            box_res = box.violation(X_rep) if box is not None else 0.0
+            obj = float((C_user * X_rep).sum())
+            certificate = None
+            if structural:
+                dual, certificate = _structural_dual_bound(problem, rho * Us[1])
+            else:
+                g_min = -aff.support(-rho * Us[0])
+                if box is not None:
+                    g_min -= box.support(-rho * Us[2])
+                dual = -g_min if problem.maximize else g_min
+            gap = abs(obj - dual)
 
-    _, X, obj, dual, gap, residuals, at_iter = best
-    cone_final = max(0.0, -float(np.linalg.eigvalsh(X)[0]))
-    residuals = (residuals[0], cone_final, residuals[2])
+            score = max(aff_res, cone_res, box_res) + gap
+            current = (score, X_rep, obj, dual, gap,
+                       (aff_res, cone_res, box_res), it, certificate)
+            if (
+                aff_res <= cfg.tol
+                and cone_res <= cfg.tol
+                and box_res <= cfg.tol
+                and gap <= cfg.gap_tol
+            ):
+                status = OPTIMAL
+                best = current
+                break
+            if best is None or score < best[0]:
+                best = current
+
+            # the two built families are feasible by construction, so
+            # stagnation there is only slowness; suspect infeasibility for
+            # custom problems alone
+            if problem.kind == "custom":
+                history.append(score)
+                if len(history) >= 600 and score > 1e4 * cfg.tol:
+                    if score > 0.998 * history[-600]:
+                        status = INFEASIBLE_SUSPECTED
+                        break
+        cone_final = max(0.0, -float(np.linalg.eigvalsh(best[1])[0]))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"eigensolver failed at iteration {it}: {exc}",
+            residual=None if best is None else best[0],
+            partial=None if best is None else _solution(best, it, MAX_ITER),
+        ) from exc
+    return _solution(best, it, status, cone_final)
+
+
+def _solution(best, it: int, status: str, cone: float | None = None) -> SdpSolution:
+    """The recorded best iterate; ``cone`` replaces its cone residual."""
+    _, X, obj, dual, gap, residuals, at_iter, certificate = best
+    if cone is not None:
+        residuals = (residuals[0], cone, residuals[2])
     return SdpSolution(
         X=X,
         objective=obj,
@@ -491,6 +434,7 @@ def solve(problem: SdpProblem, cfg: SolverConfig | None = None,
         residuals=residuals,
         iterations=it if status != OPTIMAL else at_iter,
         status=status,
+        certificate=certificate,
     )
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vecchrom import graphs
+from vecchrom import graphs, sdp
 from vecchrom.cli import main, parse_graph_file, resolve_graph
 from vecchrom.errors import ParseError, ValidationError
 from vecchrom.quantum import (
@@ -100,6 +100,17 @@ def test_param_solver_failure_exit_code(capsys):
     assert record["result"] is not None  # partial values still reported
 
 
+def test_param_lapack_failure_exits_as_solver_failure(capsys, monkeypatch):
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(sdp.np.linalg, "eigh", failing_eigh)
+    code, record, _ = run_cli(capsys, "param", "petersen", "--which", "chi-vec")
+    assert code == 2
+    assert record["status"] == "solver_failure"
+    assert record["result"] is None  # failed before the first check
+
+
 def test_param_capacity_error(capsys):
     code, record, err = run_cli(
         capsys, "param", "omega:6", "--which", "theta-bar", "--cap", "10"
@@ -191,6 +202,25 @@ def test_qverify_generated_certificate_roundtrip(tmp_path, capsys):
     assert code == 0
     assert record["report"]["ok"] is True
     assert record["graphs"][0]["n"] == 35
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_qverify_nonfinite_certificate_is_rejected(capsys, tmp_path, value):
+    q = classical_embedding(graphs.generate("cycle", 5), graphs.generate("complete", 3),
+                            [0, 1, 0, 1, 2])
+    path = tmp_path / "cert.json"
+    save_certificate(path, q)
+    data = json.loads(path.read_text())
+    if np.isnan(value):
+        data["assignment"] = np.full(np.shape(data["assignment"]), np.nan).tolist()
+    else:
+        data["assignment"][4][2][0][0][0] = value
+    path.write_text(json.dumps(data))
+    code, record, _ = run_cli(capsys, "qverify", str(path))
+    assert code == 3
+    assert record["report"]["ok"] is False
+    assert record["report"]["witness"]["condition"] == "finite"
+    assert record["status"] == "failed"
 
 
 def test_qverify_malformed_json(tmp_path, capsys):

@@ -61,6 +61,7 @@ def test_want_primal_attaches_certificate(cfg):
     A = graphs.generate("cycle", 5).adjacency()
     assert np.abs(M * A + A).max() <= 1e-6
     assert res.gap <= 2 * cfg.gap_tol
+    assert theta_bar(graphs.generate("cycle", 5), cfg).primal_certificate is None
 
 
 # --- spectral bounds ----------------------------------------------------------

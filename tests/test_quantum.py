@@ -156,6 +156,23 @@ def test_mutated_projector_fails_with_witness():
     assert rep.witness["vertex"] == 3
 
 
+@pytest.mark.parametrize("value, where", [(np.nan, ...), (np.inf, (2, 1, 0, 0))])
+def test_nonfinite_certificate_fails_with_finite_witness(value, where):
+    q = classical_embedding(C5, K3, COL5)
+    arr = q.assignment.copy()
+    arr[where] = value
+    bad = QuantumHomomorphism(q.source, q.target, q.d, arr)
+    rep = verify_quantum_hom(bad)
+    assert not rep.ok
+    assert (rep.witness["scope"], rep.witness["condition"]) == ("entries", "finite")
+    assert rep.witness["count"] == np.count_nonzero(~np.isfinite(arr))
+    assert not np.isfinite(arr[tuple(rep.witness["index"])])
+    residuals = (rep.hermitian, rep.idempotent, rep.sum_to_identity,
+                 rep.orthogonality, rep.adjacency)
+    assert not any(np.isfinite(residuals))
+    assert not verify_measurement(bad.tuple_at(rep.witness["index"][0])).ok
+
+
 def test_random_rank_one_replacement_fails_on_edge():
     rng = np.random.default_rng(3)
     q = tensor_with_identity(classical_embedding(C5, K3, COL5), 2)
