@@ -31,7 +31,7 @@ from .graphs import (
     union,
     write_edge_list,
 )
-from .linalg import Spectrum, eig_sym, gram_factor, kron, msum, project_psd, schur
+from .linalg import Spectrum, eig_sym, gram_factor, project_psd
 from .sdp import (
     SdpProblem,
     SdpSolution,

@@ -11,8 +11,8 @@ Subcommands:
 
 Graphs are named generator specs like ``cycle:5``, ``petersen`` or
 ``omega:4``, or paths to edge-list files.  Records are JSON, printed to
-stdout or written with ``--out``.  Exit codes: 0 success, 1 usage or
-parse error, 2 solver non-convergence, 3 validation failure (including
+stdout or written with ``--out``.  Exit codes: 0 success, 1 usage, parse
+or file error, 2 solver non-convergence, 3 validation failure (including
 failed identity or certificate checks).
 """
 
@@ -47,13 +47,13 @@ from .graphs import (
     generate,
     is_bipartite,
     load_graph,
-    parse_edge_list,
 )
 from .identities import (
     IDENTITY_TOL_DEFAULT,
     SDP_CAP_DEFAULT,
     SUITES,
     chain_checks,
+    check_sdp_cap,
     run_suite,
 )
 from .params import (
@@ -81,13 +81,6 @@ class UsageError(VecchromError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from sys.exit(2)
         raise UsageError(message)
-
-
-def parse_graph_file(path_or_text: str, label: str = "") -> Graph:
-    """Accept either a path to an edge-list file or the text itself."""
-    if os.path.exists(path_or_text):
-        return load_graph(path_or_text, label=label)
-    return parse_edge_list(path_or_text, label=label)
 
 
 def resolve_graph(spec: str, *, omega_cap: int = 10) -> Graph:
@@ -144,29 +137,16 @@ def _param_payload(res) -> dict:
     return out
 
 
-def _cap_check(G: Graph, cap: int):
-    if G.n > cap:
-        raise CapacityError(f"graph order {G.n} exceeds the SDP cap {cap}")
-
-
 def cmd_param(args) -> tuple[dict, int]:
     G = resolve_graph(args.graph)
     cfg = _solver_config(args)
     record = _base_record("param", args, [G])
     record["which"] = args.which
-    code = EXIT_OK
-    if args.which == "theta-bar":
-        _cap_check(G, args.cap)
+    if args.which in ("theta-bar", "chi-vec"):
+        check_sdp_cap(G, args.cap)
+        param = theta_bar if args.which == "theta-bar" else chi_vec
         try:
-            record["result"] = _param_payload(theta_bar(G, cfg))
-        except ConvergenceError as exc:
-            record["result"] = _param_payload(exc.partial) if exc.partial else None
-            record["status"] = "solver_failure"
-            return record, EXIT_SOLVER
-    elif args.which == "chi-vec":
-        _cap_check(G, args.cap)
-        try:
-            record["result"] = _param_payload(chi_vec(G, cfg))
+            record["result"] = _param_payload(param(G, cfg))
         except ConvergenceError as exc:
             record["result"] = _param_payload(exc.partial) if exc.partial else None
             record["status"] = "solver_failure"
@@ -203,7 +183,7 @@ def cmd_param(args) -> tuple[dict, int]:
             "failing_witness": list(rep.failing_witness) if rep.failing_witness else None,
         }
     record["status"] = "ok"
-    return record, code
+    return record, EXIT_OK
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -262,7 +242,7 @@ def cmd_qverify(args) -> tuple[dict, int]:
 
 def cmd_report(args) -> tuple[dict, int]:
     G = resolve_graph(args.graph)
-    _cap_check(G, args.cap)
+    check_sdp_cap(G, args.cap)
     cfg = _solver_config(args)
     record = _base_record("report", args, [G])
     params: dict = {}
@@ -359,7 +339,7 @@ def main(argv=None) -> int:
         record, code = args.func(args)
         _emit(record, args.out)
         return code
-    except (UsageError, ParseError) as exc:
+    except (UsageError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FeasibilityError
+from .errors import DimensionError, DomainError, FeasibilityError, ParseError
 from .graphs import Graph
-from .linalg import eig_sym, kron
+from .linalg import eig_sym
 
 UNIT_NORM_TOL = 1e-8
 
@@ -33,8 +33,10 @@ class VectorColoring:
         vectors = np.asarray(self.vectors, dtype=float)
         if vectors.ndim != 2:
             raise DomainError("vectors must form a 2-d array (one row per vertex)")
-        if self.k <= 1.0:
+        if not self.k > 1.0:
             raise DomainError(f"target value k must exceed 1, got {self.k}")
+        if not np.isfinite(vectors).all():
+            raise DomainError("vector entries must be finite")
         if vectors.shape[0]:
             norms = np.linalg.norm(vectors, axis=1)
             worst = float(np.abs(norms - 1.0).max())
@@ -195,7 +197,7 @@ def cartesian_tensor_coloring(cG: VectorColoring, cH: VectorColoring) -> VectorC
     vectors = np.zeros((cG.n * cH.n, cG.dim * cH.dim))
     for u in range(cG.n):
         for v in range(cH.n):
-            vectors[u * cH.n + v] = kron(cG.vectors[u], cH.vectors[v])
+            vectors[u * cH.n + v] = np.kron(cG.vectors[u], cH.vectors[v])
     return VectorColoring(vectors, cG.k, strict=True)
 
 
@@ -234,10 +236,16 @@ def coloring_to_json(c: VectorColoring) -> dict:
 
 
 def coloring_from_json(data: dict) -> VectorColoring:
-    vectors = np.array(data["vectors"], dtype=float)
-    if vectors.ndim != 2 or vectors.shape[1] != int(data["dim"]):
+    try:
+        vectors = np.array(data["vectors"], dtype=float)
+        dim = int(data["dim"])
+        k = float(data["k"])
+        strict = bool(data["strict"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed vector coloring: {exc}")
+    if vectors.ndim != 2 or vectors.shape[1] != dim:
         raise DomainError("vector dimensions disagree with the declared dim")
-    return VectorColoring(vectors, float(data["k"]), bool(data["strict"]))
+    return VectorColoring(vectors, k, strict)
 
 
 def save_coloring(path, c: VectorColoring) -> None:

@@ -75,7 +75,8 @@ def cached_param(G: Graph, which: str, cfg: SolverConfig | None = None,
     return result
 
 
-def _check_cap(G: Graph, cap: int, context: str):
+def check_sdp_cap(G: Graph, cap: int, context: str = "graph"):
+    """Refuse an SDP solve on more than ``cap`` vertices."""
     if G.n > cap:
         raise CapacityError(f"{context} has {G.n} vertices, above the SDP cap {cap}")
 
@@ -121,7 +122,7 @@ def sabidussi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
     """Cartesian product equals the factor maximum, for theta-bar,
     chi-vec, and the chromatic number."""
     P = product("cartesian", G, H)
-    _check_cap(P, sdp_cap, "Cartesian product")
+    check_sdp_cap(P, sdp_cap, "Cartesian product")
     checks = []
     for which, label in (("theta_bar", "theta_bar"), ("chi_vec", "chi_vec")):
         lhs = cached_param(P, which, cfg, cache).value
@@ -142,7 +143,7 @@ def hedetniemi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
                       sdp_cap: int = SDP_CAP_DEFAULT) -> list[IdentityCheck]:
     """Categorical product equals the factor minimum for theta-bar."""
     P = product("categorical", G, H)
-    _check_cap(P, sdp_cap, "categorical product")
+    check_sdp_cap(P, sdp_cap, "categorical product")
     lhs = cached_param(P, "theta_bar", cfg, cache).value
     rg = cached_param(G, "theta_bar", cfg, cache).value
     rh = cached_param(H, "theta_bar", cfg, cache).value
@@ -159,7 +160,7 @@ def product_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
     checks = []
     for kind, sym in (("strong", "<>"), ("disjunctive", "*")):
         P = product(kind, G, H)
-        _check_cap(P, sdp_cap, f"{kind} product")
+        check_sdp_cap(P, sdp_cap, f"{kind} product")
         lhs = cached_param(P, "theta_bar", cfg, cache).value
         checks.append(_eq_check(f"theta_bar(G{sym}H) = product", lhs, rg * rh, tol,
                                 {"factors": [rg, rh]}))
@@ -173,7 +174,7 @@ def union_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
     if G.n != H.n:
         raise DimensionError("union suite needs graphs on the same vertex count")
     U = union(G, H)
-    _check_cap(U, sdp_cap, "union")
+    check_sdp_cap(U, sdp_cap, "union")
     lhs = cached_param(U, "theta_bar", cfg, cache).value
     rg = cached_param(G, "theta_bar", cfg, cache).value
     rh = cached_param(H, "theta_bar", cfg, cache).value

@@ -1,8 +1,7 @@
-"""Dense symmetric matrix kernels: eigendecomposition, Gram factors, products.
+"""Dense symmetric matrix kernels: eigendecomposition, Gram factors, PSD projection.
 
-The eigensolver is a cyclic Jacobi sweep, which is simple, deterministic
-and accurate at the orders this package works with (a few hundred at
-most).  Eigenvalues come back sorted in descending order together with
+Every eigendecomposition goes through LAPACK (``numpy.linalg.eigh``).
+Eigenvalues come back sorted in descending order together with
 orthonormal eigenvectors and one projector per distinct eigenvalue.
 """
 
@@ -14,8 +13,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, NotPsdError
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFF_TOL = 1e-12  # relative to the Frobenius norm
 SYMMETRY_TOL = 1e-12
 
 
@@ -62,67 +59,11 @@ class Spectrum:
         return [int(round(np.trace(P))) for P in self.projectors]
 
 
-def _jacobi(M: np.ndarray, max_sweeps: int):
-    """Cyclic Jacobi rotations; returns (diagonal values, rotation matrix)."""
-    n = M.shape[0]
-    A = M.copy()
-    V = np.eye(n)
-    fro = float(np.linalg.norm(A))
-    if n < 2 or fro == 0.0:
-        return np.diag(A).copy(), V
-    target = JACOBI_OFF_TOL * fro
-    skip = target / (2.0 * n)
-    iu = np.triu_indices(n, k=1)
-    for _ in range(max_sweeps):
-        # gathered directly from the strict triangle; the textbook
-        # ||A||^2 - ||diag||^2 form cancels catastrophically near the end
-        off = float(np.sqrt(2.0) * np.linalg.norm(A[iu]))
-        if off <= target:
-            return np.diag(A).copy(), V
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = A[p, p], A[q, q]
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    off = float(np.sqrt(2.0) * np.linalg.norm(A[iu]))
-    if off > target:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge: off-diagonal norm {off:.3e} "
-            f"above target {target:.3e} after {max_sweeps} sweeps",
-            residual=off,
-        )
-    return np.diag(A).copy(), V
-
-
-def eig_sym(M, tol: float = 1e-6, max_sweeps: int = JACOBI_MAX_SWEEPS) -> Spectrum:
-    """Full spectrum of a symmetric matrix via cyclic Jacobi rotations.
+def eig_sym(M, tol: float = 1e-6) -> Spectrum:
+    """Full spectrum of a symmetric matrix via LAPACK ``eigh``.
 
     ``tol`` controls only the grouping of nearby eigenvalues into shared
-    eigenprojectors; the rotation sweep itself runs to a fixed relative
-    off-diagonal threshold.
+    eigenprojectors.  A LAPACK failure raises :class:`ConvergenceError`.
     """
     M = symmetrize(M)
     n = M.shape[0]
@@ -130,10 +71,12 @@ def eig_sym(M, tol: float = 1e-6, max_sweeps: int = JACOBI_MAX_SWEEPS) -> Spectr
         return Spectrum(np.array([]), np.zeros((0, 0)), np.array([]), [])
     if not np.isfinite(M).all():
         raise DomainError("matrix entries must be finite")
-    vals, vecs = _jacobi(M, max_sweeps)
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
+    try:
+        vals, vecs = np.linalg.eigh(M)  # ascending
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
+    vals = vals[::-1]
+    vecs = vecs[:, ::-1]
 
     spread = float(vals[0] - vals[-1])
     gap = tol * (1.0 + spread)
@@ -181,18 +124,3 @@ def project_psd(M) -> np.ndarray:
     V = spec.eigenvectors
     out = (V * vals) @ V.T
     return (out + out.T) / 2.0
-
-
-def kron(A, B) -> np.ndarray:
-    """Kronecker product in the standard block layout."""
-    return np.kron(np.asarray(A), np.asarray(B))
-
-
-def schur(A, B) -> np.ndarray:
-    """Entrywise (Schur) product."""
-    return np.multiply(np.asarray(A), np.asarray(B))
-
-
-def msum(A) -> float:
-    """Sum of all matrix entries; tr(A^T B) == msum(A o B)."""
-    return float(np.asarray(A).sum())

@@ -387,22 +387,44 @@ def certificate_to_json(q: QuantumHomomorphism) -> dict:
     }
 
 
-def certificate_from_json(data: dict, base_dir: str | None = None) -> QuantumHomomorphism:
-    try:
-        d = int(data["d"])
-        n_colors = int(data["n_colors"])
-        graph_spec = data["graph"]
-        raw = data["assignment"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed certificate: {exc}")
-    if isinstance(graph_spec, str):
-        path = graph_spec
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"malformed certificate: {what} must be an integer, got {value!r}")
+    return value
+
+
+def _source_graph(spec, base_dir: str | None) -> Graph:
+    if isinstance(spec, str):
+        path = spec
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        source = load_graph(path)
-    else:
-        source = graph_from_edges(int(graph_spec["n"]), graph_spec.get("edges", []))
-    arr = np.asarray(raw, dtype=float)
+        return load_graph(path)
+    if not isinstance(spec, dict) or "n" not in spec:
+        raise ParseError('malformed certificate: graph must be a path or an {"n", "edges"} object')
+    edges = spec.get("edges", [])
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise ParseError("malformed certificate: graph edges must be [u, v] pairs")
+    return graph_from_edges(_json_int(spec["n"], "graph.n"),
+                            [(_json_int(u, "edge endpoint"), _json_int(v, "edge endpoint"))
+                             for u, v in edges])
+
+
+def certificate_from_json(data: dict, base_dir: str | None = None) -> QuantumHomomorphism:
+    try:
+        d = _json_int(data["d"], "d")
+        n_colors = _json_int(data["n_colors"], "n_colors")
+        graph_spec = data["graph"]
+        raw = data["assignment"]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed certificate: {exc}")
+    source = _source_graph(graph_spec, base_dir)
+    try:
+        arr = np.asarray(raw)
+    except ValueError as exc:  # ragged nesting
+        raise ParseError(f"malformed certificate: assignment is not an array ({exc})")
+    if arr.dtype.kind not in "iuf":
+        raise ParseError("malformed certificate: assignment entries must be numbers")
+    arr = arr.astype(float)
     expected = (source.n, n_colors, d, d, 2)
     if arr.shape != expected:
         raise ValidationError(

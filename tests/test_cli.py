@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from vecchrom import graphs, sdp
-from vecchrom.cli import main, parse_graph_file, resolve_graph
+from vecchrom.cli import main, resolve_graph
+from vecchrom.graphs import parse_edge_list
 from vecchrom.errors import ParseError, ValidationError
 from vecchrom.quantum import (
     certificate_to_json,
@@ -24,19 +25,25 @@ def run_cli(capsys, *argv):
 # --- graph argument handling ---------------------------------------------------
 
 def test_parse_graph_file_text_and_path(tmp_path):
-    assert parse_graph_file("2 1\n0 1").edge_count == 1
-    assert parse_graph_file("3 3\n0 1\n1 2\n0 2").edge_count == 3
+    assert parse_edge_list("2 1\n0 1").edge_count == 1
+    assert parse_edge_list("3 3\n0 1\n1 2\n0 2").edge_count == 3
     path = tmp_path / "g.txt"
     graphs.save_graph(path, graphs.generate("cycle", 6))
-    assert parse_graph_file(str(path)).edge_count == 6
+    assert graphs.load_graph(path).edge_count == 6
+    G = resolve_graph(str(path))
+    assert (G.edge_count, G.label) == (6, "g.txt")
 
 
-def test_parse_graph_file_errors():
+def test_parse_graph_file_errors(tmp_path):
     with pytest.raises(ValidationError) as err:
-        parse_graph_file("2 1\n0 0")
+        parse_edge_list("2 1\n0 0")
     assert err.value.line == 2
     with pytest.raises(ParseError):
-        parse_graph_file("not a graph")
+        parse_edge_list("not a graph")
+    path = tmp_path / "bad.txt"
+    path.write_text("2 1\n0 0\n")
+    with pytest.raises(ValidationError):
+        graphs.load_graph(path)
 
 
 def test_resolve_graph_specs():
@@ -109,6 +116,18 @@ def test_param_lapack_failure_exits_as_solver_failure(capsys, monkeypatch):
     assert code == 2
     assert record["status"] == "solver_failure"
     assert record["result"] is None  # failed before the first check
+
+
+def test_param_spectral_lapack_failure_exits_as_solver_failure(capsys, monkeypatch):
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    code, record, err = run_cli(capsys, "param", "petersen", "--which", "spectral")
+    assert code == 2
+    assert record is None
+    assert err.startswith("solver failure: eigensolver failed")
+    assert "Traceback" not in err
 
 
 def test_param_capacity_error(capsys):
@@ -221,6 +240,52 @@ def test_qverify_nonfinite_certificate_is_rejected(capsys, tmp_path, value):
     assert record["report"]["ok"] is False
     assert record["report"]["witness"]["condition"] == "finite"
     assert record["status"] == "failed"
+
+
+def _malformed(mutate):
+    data = certificate_to_json(_c5_certificate())
+    mutate(data)
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param([1, 2], id="top-level-list"),
+    pytest.param(_malformed(lambda d: d.update(graph=[1, 2])), id="graph-list"),
+    pytest.param(_malformed(lambda d: d.update(graph=5)), id="graph-number"),
+    pytest.param(_malformed(lambda d: d["graph"].pop("n")), id="graph-without-n"),
+    pytest.param(_malformed(lambda d: d["graph"].update(n="5")), id="n-string"),
+    pytest.param(_malformed(lambda d: d["graph"].update(n=5.5)), id="n-float"),
+    pytest.param(_malformed(lambda d: d["graph"]["edges"].__setitem__(0, ["x", 1])),
+                 id="edge-string"),
+    pytest.param(_malformed(lambda d: d["graph"]["edges"].__setitem__(0, [0.5, 1])),
+                 id="edge-float"),
+    pytest.param(_malformed(lambda d: d["graph"]["edges"].__setitem__(0, 3)), id="edge-scalar"),
+    pytest.param(_malformed(lambda d: d["assignment"][0][0][0].__setitem__(0, ["x", 0])),
+                 id="entry-string"),
+    pytest.param(_malformed(lambda d: d["assignment"][0][0][0].__setitem__(0, [None, 0])),
+                 id="entry-null"),
+    pytest.param(_malformed(lambda d: d["assignment"][0][0][0].__setitem__(0, [1.0])),
+                 id="entry-ragged"),
+    pytest.param(_malformed(lambda d: d.update(d=1.5)), id="d-float"),
+])
+def test_qverify_malformed_certificate_is_a_parse_error(tmp_path, capsys, data):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code, record, err = run_cli(capsys, "qverify", str(path))
+    assert code == 1
+    assert record is None
+    assert err.startswith("error: malformed certificate")
+
+
+def test_qverify_missing_files_exit_as_usage_errors(tmp_path, capsys):
+    code, record, err = run_cli(capsys, "qverify", str(tmp_path / "absent.json"))
+    assert (code, record) == (1, None) and err.startswith("error:")
+    data = certificate_to_json(_c5_certificate())
+    data["graph"] = "absent.txt"
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code, record, err = run_cli(capsys, "qverify", str(path))
+    assert (code, record) == (1, None) and "absent.txt" in err
 
 
 def test_qverify_malformed_json(tmp_path, capsys):

@@ -19,7 +19,7 @@ from vecchrom.colorings import (
     simplex_coloring,
     verify_coloring,
 )
-from vecchrom.errors import DomainError, FeasibilityError
+from vecchrom.errors import DomainError, FeasibilityError, ParseError
 from vecchrom.params import chi_vec, chromatic_number, proper_coloring, theta_bar
 from vecchrom.sdp import SolverConfig
 
@@ -98,6 +98,21 @@ def test_unit_norm_enforced():
         VectorColoring(np.array([[2.0, 0.0]]), 2.0, True)
     with pytest.raises(DomainError):
         VectorColoring(np.array([[1.0, 0.0]]), 1.0, True)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nonfinite_vectors_rejected(value):
+    # all-NaN rows once passed, since the norm check compared NaN
+    with pytest.raises(DomainError, match="finite"):
+        VectorColoring(np.full((3, 2), value), 3.0, True)
+    vectors = simplex_coloring(3).vectors.copy()
+    vectors[1, 0] = value
+    with pytest.raises(DomainError, match="finite"):
+        VectorColoring(vectors, 3.0, True)
+    data = coloring_to_json(simplex_coloring(3))
+    data["vectors"][2][1] = float(value)
+    with pytest.raises(DomainError, match="finite"):
+        coloring_from_json(data)
 
 
 # --- extraction -----------------------------------------------------------------
@@ -321,3 +336,19 @@ def test_coloring_json_roundtrip(tmp_path):
     assert set(data) == {"k", "strict", "dim", "vectors"}
     again = coloring_from_json(data)
     assert np.array_equal(again.vectors, c.vectors)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.pop("k"),
+    lambda d: d.update(k="three"),
+    lambda d: d.update(dim=None),
+    lambda d: d["vectors"][0].__setitem__(0, "x"),
+    lambda d: d["vectors"].__setitem__(0, [1.0]),  # ragged rows
+])
+def test_coloring_from_json_malformed_is_a_parse_error(mutate):
+    data = coloring_to_json(simplex_coloring(3))
+    mutate(data)
+    with pytest.raises(ParseError):
+        coloring_from_json(data)
+    with pytest.raises(ParseError):
+        coloring_from_json([1, 2])

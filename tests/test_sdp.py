@@ -126,11 +126,41 @@ def test_dual_certificate_satisfies_primal_constraints(monkeypatch, which, graph
 
 def test_returned_solutions_pass_independent_recheck():
     for G in (graphs.generate("complete", 5), graphs.generate("cycle", 7)):
-        prob = build_theta_bar(G)
-        sol = solve(prob, CFG)
-        assert sol.status == OPTIMAL
-        report = check_feasibility(prob, sol.X, 10 * CFG.tol)
-        assert report.ok, report
+        for builder in (build_theta_bar, build_chi_vec):
+            prob = builder(G)
+            sol = solve(prob, CFG)
+            assert sol.status == OPTIMAL
+            report = check_feasibility(prob, sol.X, 10 * CFG.tol)
+            assert report.ok, report
+
+
+def test_independent_recheck_names_each_violation():
+    C5 = graphs.generate("cycle", 5)
+    theta, chivec = build_theta_bar(C5), build_chi_vec(C5)
+    good = np.eye(5) / 5
+    assert check_feasibility(chivec, good, 1e-9).ok
+    # trace 2: affine
+    report = check_feasibility(theta, 2 * good, 1e-9)
+    assert not report.ok and report.affine == pytest.approx(1.0)
+    # weight on the non-edge {0, 2}: affine
+    bad = good.copy()
+    bad[0, 2] = bad[2, 0] = 0.01
+    assert check_feasibility(theta, bad, 1e-9).affine == pytest.approx(0.01)
+    # a negative edge entry: entrywise for chi-vec only, and still PSD
+    neg = good.copy()
+    neg[0, 1] = neg[1, 0] = -0.05
+    assert check_feasibility(theta, neg, 1e-9).ok
+    report = check_feasibility(chivec, neg, 1e-9)
+    assert not report.ok and report.entrywise == pytest.approx(0.05)
+    # an indefinite unit-trace matrix on the edge pattern: cone
+    indef = good.copy()
+    indef[0, 1] = indef[1, 0] = 0.5
+    report = check_feasibility(theta, indef, 1e-9)
+    assert not report.ok and report.affine <= 1e-15 and report.cone == float("inf")
+    # non-finite entries fail everything
+    nan = good.copy()
+    nan[3, 3] = np.nan
+    assert not check_feasibility(theta, nan, 1e-9).ok
 
 
 def test_gap_certificate_on_every_solve():
@@ -209,37 +239,24 @@ def test_solver_config_validation():
     with pytest.raises(DomainError):
         SolverConfig(tol=-1.0)
     with pytest.raises(DomainError):
-        SolverConfig(over_relaxation=2.0)
+        SolverConfig(gap_tol=0.0)
+    with pytest.raises(DomainError):
+        SolverConfig(check_every=0)
     with pytest.raises(DomainError):
         SolverConfig(max_iter=0)
 
 
 def test_problem_validation():
     with pytest.raises(DomainError):
-        SdpProblem(order=0, objective=np.zeros((0, 0)))
+        SdpProblem(np.zeros((0, 0), dtype=bool))
     with pytest.raises(DomainError):
-        SdpProblem(order=2, objective=np.zeros((3, 3)))
-    mask = np.zeros((2, 2), dtype=bool)
-    mask[0, 1] = True  # not symmetric
+        SdpProblem(np.zeros((2, 3), dtype=bool))
+    adj = np.zeros((2, 2), dtype=bool)
+    adj[0, 1] = True  # not symmetric
     with pytest.raises(DomainError):
-        SdpProblem(order=2, objective=np.zeros((2, 2)), fixed_mask=mask)
-
-
-def test_custom_problem_generic_dual_estimate():
-    # min <I, X> with X11 fixed at 3 and X PSD: optimum 3 at X = diag(3, 0)
-    fixed = np.zeros((2, 2), dtype=bool)
-    fixed[0, 0] = True
-    vals = np.zeros((2, 2))
-    vals[0, 0] = 3.0
-    prob = SdpProblem(
-        order=2,
-        objective=np.eye(2),
-        maximize=False,
-        fixed_mask=fixed,
-        fixed_values=vals,
-    )
-    sol = solve(prob, CFG)
-    assert sol.status == OPTIMAL
-    assert abs(sol.objective - 3.0) <= 1e-5
-    assert abs(sol.dual_objective - 3.0) <= 1e-4
-    assert sol.certificate is None
+        SdpProblem(adj)
+    with pytest.raises(DomainError):
+        SdpProblem(np.eye(2, dtype=bool))  # self-loops
+    prob = build_chi_vec(graphs.generate("cycle", 5))
+    assert (prob.order, prob.kind, prob.nonneg) == (5, "chivec_dual", True)
+    assert build_theta_bar(graphs.generate("cycle", 5)).kind == "theta_dual"
