@@ -236,16 +236,22 @@ def coloring_to_json(c: VectorColoring) -> dict:
 
 
 def coloring_from_json(data: dict) -> VectorColoring:
+    """Load a coloring, taking ``dim``, ``k`` and ``strict`` only as the
+    JSON types they are written as: no string, bool or null coerces."""
     try:
         vectors = np.array(data["vectors"], dtype=float)
-        dim = int(data["dim"])
-        k = float(data["k"])
-        strict = bool(data["strict"])
+        dim, k, strict = data["dim"], data["k"], data["strict"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed vector coloring: {exc}")
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ParseError(f"malformed vector coloring: dim must be an integer, got {dim!r}")
+    if isinstance(k, bool) or not isinstance(k, (int, float)):
+        raise ParseError(f"malformed vector coloring: k must be a number, got {k!r}")
+    if not isinstance(strict, bool):
+        raise ParseError(f"malformed vector coloring: strict must be true or false, got {strict!r}")
     if vectors.ndim != 2 or vectors.shape[1] != dim:
         raise DomainError("vector dimensions disagree with the declared dim")
-    return VectorColoring(vectors, k, strict)
+    return VectorColoring(vectors, float(k), strict)
 
 
 def save_coloring(path, c: VectorColoring) -> None:

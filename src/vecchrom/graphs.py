@@ -30,6 +30,11 @@ from .errors import (
 #: Largest n accepted by the omega family by default (2**n vertices).
 OMEGA_CAP_DEFAULT = 10
 
+#: Largest vertex count a graph is built with from a declared order (an
+#: edge-list header, a certificate's ``graph.n``, a generator size),
+#: checked before the dense n x n adjacency is allocated.
+MAX_ORDER = 4096
+
 GENERATOR_FAMILIES = ("complete", "cycle", "path", "empty", "petersen", "omega")
 
 
@@ -105,6 +110,8 @@ def graph_from_edges(n: int, edges, label: str = "") -> Graph:
     """
     if n < 0:
         raise DomainError("vertex count must be nonnegative")
+    if n > MAX_ORDER:
+        raise DomainError(f"vertex count {n} exceeds the order cap {MAX_ORDER}")
     adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         if u == v:
@@ -128,6 +135,8 @@ def generate(family: str, size: int = 0, *, omega_cap: int = OMEGA_CAP_DEFAULT) 
         raise DomainError(f"unknown graph family {family!r}")
     if size < 0:
         raise DomainError("size must be nonnegative")
+    if family in ("complete", "cycle", "path", "empty") and size > MAX_ORDER:
+        raise DomainError(f"{family} size {size} exceeds the order cap {MAX_ORDER}")
 
     if family == "complete":
         adj = ~np.eye(size, dtype=bool)
@@ -293,6 +302,11 @@ def parse_edge_list(text: str, label: str = "") -> Graph:
                 raise ParseError(f"line {lineno}: header entries must be integers", line=lineno)
             if n < 0 or m < 0:
                 raise ParseError(f"line {lineno}: negative header entry", line=lineno)
+            if n > MAX_ORDER:
+                raise ParseError(
+                    f"line {lineno}: vertex count {n} exceeds the order cap {MAX_ORDER}",
+                    line=lineno,
+                )
             header = (n, m)
             adj = np.zeros((n, n), dtype=bool)
             continue

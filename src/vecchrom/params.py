@@ -12,6 +12,7 @@ no SDP run.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,6 +110,14 @@ def spectral_lower_bound(G: Graph) -> float:
 # A^k o A = c_k A, checked in exact integer arithmetic for k up to the
 # degree of the minimal polynomial of A (higher powers are combinations
 # of the checked ones).
+#
+# That degree is the first k at which the flattened A^k lies in the
+# rational span of I, A, ..., A^(k-1).  The test runs on coordinate
+# classes, not on all n^2 coordinates: two coordinates (i, j) whose value
+# tuples (I[i,j], A[i,j], ..., A^k[i,j]) agree are equal columns of the
+# matrix whose rows are the powers, and deleting duplicate columns keeps
+# the rank of every set of its rows.  The classes are refined at each
+# power, and one representative column per class is reduced exactly.
 
 
 @dataclass
@@ -123,6 +132,20 @@ class _ExactEchelon:
 
     def __init__(self):
         self.rows = []  # (pivot index, vector of Fractions with 1 at pivot)
+
+    def split(self, parent) -> None:
+        """Re-index the basis after columns were duplicated.
+
+        New column j is a copy of old column ``parent[j]``, with ``parent``
+        sorted ascending.  Copying a column commutes with the row
+        operations, so each row stays reduced and keeps its pivot at the
+        first copy of its old pivot column.
+        """
+        parent = parent.tolist()
+        self.rows = [
+            (bisect_left(parent, pivot), [row[p] for p in parent])
+            for pivot, row in self.rows
+        ]
 
     def contains(self, vec) -> bool:
         """Reduce vec against the basis; absorb it if independent.
@@ -167,13 +190,20 @@ def _integer_power_iter(A_bool: np.ndarray):
 
 
 def one_homogeneous_check(G: Graph) -> OneHomReport:
-    """Exact combinatorial test of the two walk-count conditions."""
+    """Exact combinatorial test of the two walk-count conditions.
+
+    Powers are checked up to the degree of the minimal polynomial.  That
+    degree is decided by an exact rational rank test on one column per
+    class of coordinates with equal walk counts so far, which gives the
+    same answer as the test on all n^2 coordinates.
+    """
     n = G.n
     if n == 0:
         return OneHomReport(True, [(0, 1, 0)])
     adj = G.adj
     edge_idx = np.argwhere(np.triu(adj))
     echelon = _ExactEchelon()
+    labels = np.zeros(n * n, dtype=np.int64)  # coordinate class so far
     constants = []
     for k, P in enumerate(_integer_power_iter(adj)):
         diag = P.diagonal()
@@ -191,7 +221,13 @@ def one_homogeneous_check(G: Graph) -> OneHomReport:
         else:
             c_k = 0
         constants.append((k, b_k, c_k))
-        if echelon.contains(P.ravel()):
+        flat = P.ravel()
+        vals, inv = np.unique(flat, return_inverse=True)
+        keys, reps, labels = np.unique(
+            labels * len(vals) + inv, return_index=True, return_inverse=True
+        )
+        echelon.split(keys // len(vals))
+        if echelon.contains(flat[reps]):
             # k is the minimal-polynomial degree; all higher powers are
             # combinations of the checked ones
             return OneHomReport(True, constants)

@@ -288,6 +288,19 @@ def test_qverify_missing_files_exit_as_usage_errors(tmp_path, capsys):
     assert (code, record) == (1, None) and "absent.txt" in err
 
 
+def test_declared_order_above_cap_is_refused(tmp_path, capsys):
+    graph = tmp_path / "huge.txt"
+    graph.write_text("1000000 0\n")
+    code, record, err = run_cli(capsys, "param", str(graph), "--which", "spectral")
+    assert (code, record) == (1, None) and "order cap" in err
+    data = certificate_to_json(_c5_certificate())
+    data["graph"] = {"n": 10**6, "edges": []}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code, record, err = run_cli(capsys, "qverify", str(path))
+    assert (code, record) == (3, None) and "order cap" in err
+
+
 def test_qverify_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ nope")

@@ -344,6 +344,14 @@ def test_coloring_json_roundtrip(tmp_path):
     lambda d: d.update(dim=None),
     lambda d: d["vectors"][0].__setitem__(0, "x"),
     lambda d: d["vectors"].__setitem__(0, [1.0]),  # ragged rows
+    lambda d: d.update(strict="false"),
+    lambda d: d.update(strict=0),
+    lambda d: d.update(strict=None),
+    lambda d: d.update(k="3"),
+    lambda d: d.update(k=True),
+    lambda d: d.update(k=None),
+    lambda d: d.update(dim="2"),
+    lambda d: d.update(dim=2.0),
 ])
 def test_coloring_from_json_malformed_is_a_parse_error(mutate):
     data = coloring_to_json(simplex_coloring(3))
@@ -352,3 +360,10 @@ def test_coloring_from_json_malformed_is_a_parse_error(mutate):
         coloring_from_json(data)
     with pytest.raises(ParseError):
         coloring_from_json([1, 2])
+
+
+def test_coloring_from_json_takes_integer_k_and_keeps_strict_false():
+    data = coloring_to_json(simplex_coloring(3))
+    data.update(k=3, strict=False)
+    c = coloring_from_json(data)
+    assert c.k == 3.0 and isinstance(c.k, float) and c.strict is False

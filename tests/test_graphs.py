@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,30 @@ def test_parse_simple_graphs():
     assert parse_edge_list("2 1\n0 1").edge_count == 1
     K3 = parse_edge_list("3 3\n0 1\n1 2\n0 2")
     assert K3.edge_count == 3 and K3.n == 3
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    return peak
+
+
+def test_order_cap_applies_before_allocation():
+    def expect(error, build):
+        def run():
+            with pytest.raises(error, match="order cap"):
+                build()
+        assert _peak_bytes(run) < 1_000_000
+
+    expect(ParseError, lambda: parse_edge_list("1000000 0\n"))
+    expect(ParseError, lambda: parse_edge_list(f"{graphs.MAX_ORDER + 1} 0\n"))
+    expect(DomainError, lambda: graph_from_edges(10**6, []))
+    for family in ("complete", "cycle", "path", "empty"):
+        expect(DomainError, lambda: generate(family, 10**6))
 
 
 def test_parse_self_loop_line_number():

@@ -1,8 +1,13 @@
+from fractions import Fraction
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
+from hypothesis import given
 
-from conftest import random_graph, star
-from vecchrom import graphs
+from conftest import random_graph, small_graph, star
+from vecchrom import graphs, params
+from vecchrom.graphs import graph_from_edges
 from vecchrom.errors import CapacityError, DomainError, LimitExceededError
 from vecchrom.identities import chi_cartesian_exact
 from vecchrom.linalg import eig_sym
@@ -137,13 +142,126 @@ def test_one_homogeneous_closed_under_categorical():
             assert one_homogeneous_check(P).is_one_homogeneous
 
 
-def test_one_homogeneous_big_integer_fallback():
-    # K_12 walk counts overflow int64 around k = 17; minimal polynomial
-    # degree is 2, so force a deeper power walk via a long cycle instead
-    G = graphs.generate("cycle", 24)
+def test_integer_power_iter_past_int64_switch():
+    # A(K_12)^k = ((11^k - (-1)^k) / 12) J + (-1)^k I; 11^20 > 2^63, so
+    # the iterator has moved to Python integers well before k = 20
+    n = 12
+    J = np.ones((n, n), dtype=object)
+    I = np.eye(n, dtype=int).astype(object)
+    powers = params._integer_power_iter(graphs.generate("complete", n).adj)
+    for k, P in zip(range(21), powers):
+        sign = (-1) ** k
+        assert np.array_equal(P, (11**k - sign) // 12 * J + sign * I), k
+    assert P.dtype == object
+
+
+def _report(rep):
+    return rep.is_one_homogeneous, rep.constants, rep.failing_witness
+
+
+# triangular prism: 3-regular with one triangle per vertex, but triangle
+# edges have a common neighbour and the rungs have none
+_PRISM = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                              (0, 3), (1, 4), (2, 5)], "prism")
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        graphs.generate("petersen"),
+        graphs.product("categorical", graphs.generate("cycle", 5), graphs.generate("cycle", 7)),
+        _PRISM,
+    ],
+    ids=lambda G: G.label,
+)
+def test_one_homogeneous_object_dtype_path(G, monkeypatch):
+    expected = _report(one_homogeneous_check(G))
+    int_powers = params._integer_power_iter
+
+    def object_powers(A_bool):
+        for P in int_powers(A_bool):
+            yield P.astype(object)
+
+    monkeypatch.setattr(params, "_integer_power_iter", object_powers)
+    assert _report(one_homogeneous_check(G)) == expected
+
+
+class _FullEchelon:
+    """Reference rank test on whole flattened powers (all n^2 entries)."""
+
+    def __init__(self):
+        self.rows = []
+
+    def contains(self, vec) -> bool:
+        v = [Fraction(int(x)) for x in vec]
+        for pivot, row in self.rows:
+            coeff = v[pivot]
+            if coeff:
+                v = [a - coeff * b for a, b in zip(v, row)]
+        for idx, a in enumerate(v):
+            if a:
+                v = [x / a for x in v]
+                self.rows.append((idx, v))
+                return False
+        return True
+
+
+def _reference_one_homogeneous(G):
+    if G.n == 0:
+        return True, [(0, 1, 0)], None
+    edge_idx = np.argwhere(np.triu(G.adj))
+    echelon = _FullEchelon()
+    constants = []
+    for k, P in enumerate(params._integer_power_iter(G.adj)):
+        diag = P.diagonal()
+        mism = np.nonzero(diag != diag[0])[0]
+        if mism.size:
+            return False, constants, (k, "vertex", int(mism[0]))
+        c_k = 0
+        if len(edge_idx):
+            vals = P[edge_idx[:, 0], edge_idx[:, 1]]
+            c_k = int(vals[0])
+            mism = np.nonzero(vals != vals[0])[0]
+            if mism.size:
+                u, v = edge_idx[int(mism[0])]
+                return False, constants, (k, "edge", (int(u), int(v)))
+        constants.append((k, int(diag[0]), c_k))
+        if echelon.contains(P.ravel()):
+            return True, constants, None
+
+
+_FAMILY = [
+    graphs.generate("cycle", 5),
+    graphs.generate("cycle", 7),
+    graphs.generate("petersen"),
+    graphs.generate("complete", 4),
+]
+
+
+@pytest.mark.parametrize(
+    "G",
+    [graphs.product("categorical", G, H) for G, H in combinations_with_replacement(_FAMILY, 2)]
+    + [graphs.generate("omega", 4), graphs.generate("omega", 6)],
+    ids=lambda G: G.label,
+)
+def test_one_homogeneous_matches_full_reference(G):
+    assert _report(one_homogeneous_check(G)) == _reference_one_homogeneous(G)
+
+
+@pytest.mark.parametrize(
+    "G, kind",
+    [(graphs.generate("path", 3), "vertex"), (_PRISM, "edge")],
+    ids=lambda x: getattr(x, "label", x),
+)
+def test_one_homogeneous_witness_matches_reference(G, kind):
     rep = one_homogeneous_check(G)
-    assert rep.is_one_homogeneous
-    assert len(rep.constants) == 14  # m = 13 distinct eigenvalues, k = 0..13
+    assert rep.failing_witness[1] == kind
+    assert _report(rep) == _reference_one_homogeneous(G)
+
+
+@given(small_graph(min_n=1, max_n=10))
+def test_one_homogeneous_matches_reference_random(G):
+    assert _report(one_homogeneous_check(G)) == _reference_one_homogeneous(G)
 
 
 # --- spectral formula ----------------------------------------------------------
