@@ -134,6 +134,8 @@ def _param_payload(res) -> dict:
     out = {"value": res.value, "gap": res.gap, "method": res.method}
     if res.residuals is not None:
         out["residuals"] = list(res.residuals)
+    if res.method == "sdp":
+        out["iterations"] = res.iterations
     return out
 
 
@@ -143,7 +145,7 @@ def cmd_param(args) -> tuple[dict, int]:
     record = _base_record("param", args, [G])
     record["which"] = args.which
     if args.which in ("theta-bar", "chi-vec"):
-        check_sdp_cap(G, args.cap)
+        check_sdp_cap(G.n, args.cap)
         param = theta_bar if args.which == "theta-bar" else chi_vec
         try:
             record["result"] = _param_payload(param(G, cfg))
@@ -242,7 +244,7 @@ def cmd_qverify(args) -> tuple[dict, int]:
 
 def cmd_report(args) -> tuple[dict, int]:
     G = resolve_graph(args.graph)
-    check_sdp_cap(G, args.cap)
+    check_sdp_cap(G.n, args.cap)
     cfg = _solver_config(args)
     record = _base_record("report", args, [G])
     params: dict = {}

@@ -31,8 +31,9 @@ from .errors import (
 OMEGA_CAP_DEFAULT = 10
 
 #: Largest vertex count a graph is built with from a declared order (an
-#: edge-list header, a certificate's ``graph.n``, a generator size),
-#: checked before the dense n x n adjacency is allocated.
+#: edge-list header, a certificate's ``graph.n``, a generator size, the
+#: order of a product or union), checked before the dense n x n
+#: adjacency is allocated.
 MAX_ORDER = 4096
 
 GENERATOR_FAMILIES = ("complete", "cycle", "path", "empty", "petersen", "omega")
@@ -182,6 +183,10 @@ def complement(G: Graph) -> Graph:
 def product(kind: ProductKind | str, G: Graph, H: Graph) -> Graph:
     """One of the five products of G and H, on |V(G)|*|V(H)| vertices."""
     kind = ProductKind(kind)
+    if G.n * H.n > MAX_ORDER:
+        raise DomainError(
+            f"{kind.value} product order {G.n * H.n} exceeds the order cap {MAX_ORDER}"
+        )
     a = G.adj.astype(np.uint8)
     b = H.adj.astype(np.uint8)
     ig = np.eye(G.n, dtype=np.uint8)
@@ -214,6 +219,8 @@ def union(G: Graph, H: Graph) -> Graph:
     """Edge union of two graphs on the same indexed vertex set."""
     if G.n != H.n:
         raise DimensionError(f"union needs equal vertex counts, got {G.n} and {H.n}")
+    if G.n > MAX_ORDER:
+        raise DomainError(f"union order {G.n} exceeds the order cap {MAX_ORDER}")
     label = f"({G.label})u({H.label})" if G.label and H.label else ""
     return Graph(G.n, G.adj | H.adj, label)
 

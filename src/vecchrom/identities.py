@@ -75,10 +75,11 @@ def cached_param(G: Graph, which: str, cfg: SolverConfig | None = None,
     return result
 
 
-def check_sdp_cap(G: Graph, cap: int, context: str = "graph"):
-    """Refuse an SDP solve on more than ``cap`` vertices."""
-    if G.n > cap:
-        raise CapacityError(f"{context} has {G.n} vertices, above the SDP cap {cap}")
+def check_sdp_cap(order: int, cap: int, context: str = "graph"):
+    """Refuse an SDP solve on more than ``cap`` vertices; products call it
+    with the product order before building the product."""
+    if order > cap:
+        raise CapacityError(f"{context} has {order} vertices, above the SDP cap {cap}")
 
 
 def _eq_check(name, lhs, rhs, tol, detail=None) -> IdentityCheck:
@@ -121,8 +122,8 @@ def sabidussi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
                      chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> list[IdentityCheck]:
     """Cartesian product equals the factor maximum, for theta-bar,
     chi-vec, and the chromatic number."""
+    check_sdp_cap(G.n * H.n, sdp_cap, "Cartesian product")
     P = product("cartesian", G, H)
-    check_sdp_cap(P, sdp_cap, "Cartesian product")
     checks = []
     for which, label in (("theta_bar", "theta_bar"), ("chi_vec", "chi_vec")):
         lhs = cached_param(P, which, cfg, cache).value
@@ -142,8 +143,8 @@ def hedetniemi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
                       tol: float = IDENTITY_TOL_DEFAULT, cache: dict | None = None,
                       sdp_cap: int = SDP_CAP_DEFAULT) -> list[IdentityCheck]:
     """Categorical product equals the factor minimum for theta-bar."""
+    check_sdp_cap(G.n * H.n, sdp_cap, "categorical product")
     P = product("categorical", G, H)
-    check_sdp_cap(P, sdp_cap, "categorical product")
     lhs = cached_param(P, "theta_bar", cfg, cache).value
     rg = cached_param(G, "theta_bar", cfg, cache).value
     rh = cached_param(H, "theta_bar", cfg, cache).value
@@ -155,12 +156,13 @@ def product_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
                    tol: float = IDENTITY_TOL_DEFAULT, cache: dict | None = None,
                    sdp_cap: int = SDP_CAP_DEFAULT) -> list[IdentityCheck]:
     """Strong and disjunctive products are multiplicative for theta-bar."""
+    # both products have order G.n * H.n
+    check_sdp_cap(G.n * H.n, sdp_cap, "strong product")
     rg = cached_param(G, "theta_bar", cfg, cache).value
     rh = cached_param(H, "theta_bar", cfg, cache).value
     checks = []
     for kind, sym in (("strong", "<>"), ("disjunctive", "*")):
         P = product(kind, G, H)
-        check_sdp_cap(P, sdp_cap, f"{kind} product")
         lhs = cached_param(P, "theta_bar", cfg, cache).value
         checks.append(_eq_check(f"theta_bar(G{sym}H) = product", lhs, rg * rh, tol,
                                 {"factors": [rg, rh]}))
@@ -173,8 +175,8 @@ def union_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
     """Edge union is submultiplicative for theta-bar (same vertex set)."""
     if G.n != H.n:
         raise DimensionError("union suite needs graphs on the same vertex count")
+    check_sdp_cap(G.n, sdp_cap, "union")
     U = union(G, H)
-    check_sdp_cap(U, sdp_cap, "union")
     lhs = cached_param(U, "theta_bar", cfg, cache).value
     rg = cached_param(G, "theta_bar", cfg, cache).value
     rh = cached_param(H, "theta_bar", cfg, cache).value

@@ -44,8 +44,9 @@ class ParamResult:
 
     ``method`` is "sdp", "spectral" (1-homogeneous formula) or
     "convention" (edgeless value 1, bipartite value 2).  When an SDP ran,
-    ``gap`` is its duality gap and ``residuals`` mirrors its (affine,
-    cone, entrywise) report; ``primal_certificate`` is PSD with constant
+    ``gap`` is its duality gap, ``residuals`` mirrors its (affine,
+    cone, entrywise) report and ``iterations`` its iteration count (0
+    when no SDP ran); ``primal_certificate`` is PSD with constant
     diagonal ``value + gap - 1``.
     """
 
@@ -55,6 +56,7 @@ class ParamResult:
     primal_certificate: np.ndarray | None = None
     dual_certificate: np.ndarray | None = None
     residuals: tuple | None = None
+    iterations: int = 0
 
 
 def _from_solution(sol: SdpSolution, want_primal: bool) -> ParamResult:
@@ -65,6 +67,7 @@ def _from_solution(sol: SdpSolution, want_primal: bool) -> ParamResult:
         primal_certificate=sol.certificate if want_primal else None,
         dual_certificate=sol.X,
         residuals=sol.residuals,
+        iterations=sol.iterations,
     )
 
 
@@ -168,25 +171,29 @@ class _ExactEchelon:
 
 def _integer_power_iter(A_bool: np.ndarray):
     """Yields exact integer powers I, A, A^2, ...; falls back to Python
-    big integers when an int64 product could overflow."""
+    big integers when an int64 product could overflow.
+
+    With big integers, column j of P A is the sum of the columns of P at
+    the neighbours of j: n * 2|E| additions in place of n^3
+    multiply-adds.
+    """
     n = A_bool.shape[0]
     A64 = A_bool.astype(np.int64)
     row_sum = int(A64.sum(axis=1).max()) if n else 0
     P = np.eye(n, dtype=np.int64)
-    exact = False
-    A_obj = None
+    neighbours = None
     while True:
         yield P
-        if not exact:
-            peak = int(np.abs(P).max())
-            if row_sum and peak > (2**62) // max(row_sum, 1):
-                exact = True
-                A_obj = A64.astype(object)
-                P = P.astype(object)
-        if exact:
-            P = P @ A_obj
-        else:
+        if neighbours is None and row_sum and int(np.abs(P).max()) > (2**62) // row_sum:
+            neighbours = [np.flatnonzero(A_bool[:, j]) for j in range(n)]
+            P = P.astype(object)
+        if neighbours is None:
             P = P @ A64
+        else:
+            Q = np.empty((n, n), dtype=object)
+            for j, nb in enumerate(neighbours):
+                Q[:, j] = P[:, nb].sum(axis=1) if len(nb) else 0
+            P = Q
 
 
 def one_homogeneous_check(G: Graph) -> OneHomReport:

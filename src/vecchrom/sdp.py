@@ -16,13 +16,26 @@ orthant, then applies an over-relaxed dual update.  The affine
 projection is closed-form: zero the non-edges, then shift the diagonal
 by (1 - tr)/n.  The consensus penalty is fixed at an order-scaled
 value; runtime residual re-balancing destabilized several degenerate
-product instances into limit cycles and was dropped.  The reported
-duality gap compares the objective at a feasibility-rounded iterate
-against a dual bound reconstructed from the PSD-block multipliers; both
-sides are rigorous.  The bound comes with its witness, a feasible
-matrix of the primal program (PSD, constant diagonal bound - 1, edge
-entries -1, resp. at most -1), which the solution returns as its
-``certificate``: its Gram vectors are the vector coloring.
+product instances into limit cycles and was dropped.
+
+From the first convergence check on, the pass is treated as a
+fixed-point map on the splitting state and accelerated by type-II
+Anderson extrapolation over the last ``ANDERSON_MEMORY`` steps (Walker
+and Ni 2011; Zhang, O'Donoghue and Boyd 2020).  A safeguard keeps it
+from doing harm: an extrapolated point whose fixed-point residual
+exceeds that of the point it came from is replaced by that point's
+plain step, and the memory is cleared.  Every counted iteration is one
+pass with one eigendecomposition, whether or not its point was
+extrapolated, and solves that stop at the first check run the plain
+iteration.
+
+The reported duality gap compares the objective at a feasibility-rounded
+iterate against a dual bound reconstructed from the PSD-block
+multipliers; both sides are rigorous whatever the iterates.  The bound
+comes with its witness, a feasible matrix of the primal program (PSD,
+constant diagonal bound - 1, edge entries -1, resp. at most -1), which
+the solution returns as its ``certificate``: its Gram vectors are the
+vector coloring.
 
 Everything is deterministic: identical problems and configurations
 produce identical iterate sequences.
@@ -42,6 +55,8 @@ MAX_ITER = "max_iter"
 
 PENALTY = 1.0  # consensus stiffness per unit of problem order
 OVER_RELAXATION = 1.6
+ANDERSON_MEMORY = 10  # residual differences kept by the acceleration
+ANDERSON_REGULARIZATION = 1e-10  # Tikhonov weight relative to the Gram norm
 
 
 @dataclass(frozen=True)
@@ -187,6 +202,97 @@ def _structural_dual_bound(problem: SdpProblem, S_est: np.ndarray):
     return 1.0 - float(w[0]), B
 
 
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration of the splitting pass.
+
+    One pass is a fixed-point map x -> T(x) on the state (Z, U_1..U_K).
+    The state is accelerated as the upper triangles of Z and of every U
+    but the last: the iterates stay symmetric, and after the first pass
+    the U blocks sum to the constant -J / rho, which fixes the last one.
+
+    The last ``ANDERSON_MEMORY`` differences of residuals g = T(x) - x
+    and of images T(x) sit in preallocated rows, their Gram matrix is
+    updated one row at a time, and the next point is the newest image
+    minus the image differences weighted by the Tikhonov-regularized
+    least-squares fit of the newest residual.  An extrapolated point whose
+    residual exceeds that of the point it came from is dropped for that
+    point's plain image, and the memory is cleared; so is a fit that
+    fails.
+    """
+
+    def __init__(self, n: int, blocks: int):
+        rows, cols = np.triu_indices(n)
+        self.blocks, self.n = blocks, n
+        self.upper = np.concatenate([k * n * n + rows * n + cols for k in range(blocks)])
+        self.lower = np.concatenate([k * n * n + cols * n + rows for k in range(blocks)])
+        dim = len(self.upper)
+        self.dG = np.empty((ANDERSON_MEMORY, dim))
+        self.dF = np.empty((ANDERSON_MEMORY, dim))
+        self.gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
+        self.x = None  # the current point, packed
+        self.base = None  # (image, packed image, residual) extrapolated from
+        self._clear()
+
+    def _clear(self):
+        self.count = self.slot = 0
+        self.f = self.g = None
+
+    def next_point(self, Z, Us):
+        """The point to evaluate next, given the image (Z, Us) = T(x) of
+        the current point x."""
+        f = np.concatenate([M.ravel() for M in (Z, *Us[:-1])]).take(self.upper)
+        if self.x is None:
+            self.x = f
+            return Z, Us
+        g = f - self.x
+        res = float(np.sqrt(g @ g))
+        if self.base is not None and not res <= self.base[2]:
+            (Z, Us), self.x, _ = self.base
+            self.base = None
+            self._clear()
+            return Z, Us
+        x = self._extrapolate(f, g)
+        if x is None:
+            self.x, self.base = f, None
+            return Z, Us
+        self.x, self.base = x, ((Z, Us), f, res)
+        full = np.empty(self.blocks * self.n * self.n)
+        full[self.upper] = x
+        full[self.lower] = x
+        Z_x, *Us_x = full.reshape(self.blocks, self.n, self.n)
+        Us_x.append(Us[-1] + sum(Us[:-1]) - sum(Us_x))
+        return Z_x, Us_x
+
+    def _extrapolate(self, f: np.ndarray, g: np.ndarray):
+        """Record the image f and residual g; the extrapolated point, or
+        None for the plain step f."""
+        if self.f is not None:
+            s = self.slot
+            np.subtract(g, self.g, out=self.dG[s])
+            np.subtract(f, self.f, out=self.dF[s])
+            self.count = min(self.count + 1, ANDERSON_MEMORY)
+            self.slot = (s + 1) % ANDERSON_MEMORY
+            row = self.dG[: self.count] @ self.dG[s]
+            self.gram[s, : self.count] = row
+            self.gram[: self.count, s] = row
+        self.f, self.g = f, g
+        c = self.count
+        if c == 0:
+            return None
+        M = self.gram[:c, :c]
+        try:
+            gamma = np.linalg.solve(
+                M + ANDERSON_REGULARIZATION * np.linalg.norm(M) * np.eye(c),
+                self.dG[:c] @ g,
+            )
+        except np.linalg.LinAlgError:
+            gamma = None
+        if gamma is None or not np.isfinite(gamma).all():
+            self._clear()
+            return None
+        return f - gamma @ self.dF[:c]
+
+
 def solve(problem: SdpProblem, cfg: SolverConfig | None = None) -> SdpSolution:
     """Run the splitting iteration on one problem instance.
 
@@ -206,6 +312,7 @@ def solve(problem: SdpProblem, cfg: SolverConfig | None = None) -> SdpSolution:
     alpha = OVER_RELAXATION
     Z = _project_affine(np.zeros((n, n)), pattern)
     Us = [np.zeros((n, n)) for _ in range(K)]
+    accel = _Anderson(n, K)
 
     best = None  # (score, X, obj, dual, gap, residuals, iteration, certificate)
     status = MAX_ITER
@@ -219,8 +326,11 @@ def solve(problem: SdpProblem, cfg: SolverConfig | None = None) -> SdpSolution:
             hats = [alpha * Xk + (1.0 - alpha) * Z for Xk in Xs]
             # the objective maximizes the entry sum: minimize <-J, X>
             Z = sum(h + U for h, U in zip(hats, Us)) / K + 1.0 / (K * rho)
-            for k in range(K):
-                Us[k] += hats[k] - Z
+            Us = [U + (h - Z) for h, U in zip(hats, Us)]
+            U_psd = Us[1]
+            # solves that stop at the first check run the plain iteration
+            if it >= cfg.check_every:
+                Z, Us = accel.next_point(Z, Us)
 
             if it % cfg.check_every and it != cfg.max_iter:
                 continue
@@ -229,7 +339,7 @@ def solve(problem: SdpProblem, cfg: SolverConfig | None = None) -> SdpSolution:
             aff_res = _affine_residual(X_rep, pattern)
             box_res = max(0.0, -float(X_rep.min())) if problem.nonneg else 0.0
             obj = float(X_rep.sum())
-            dual, certificate = _structural_dual_bound(problem, rho * Us[1])
+            dual, certificate = _structural_dual_bound(problem, rho * U_psd)
             gap = abs(obj - dual)
 
             # the cone residual is 0 by construction; re-measured at return

@@ -61,6 +61,7 @@ def test_param_theta_bar_c5(capsys):
     assert record["result"]["gap"] <= 1e-5
     assert record["status"] == "ok"
     assert record["graphs"][0]["n"] == 5
+    assert record["result"]["iterations"] > 0
 
 
 def test_param_onehom_omega4(capsys):
@@ -74,6 +75,7 @@ def test_param_theta_bar_empty_convention(capsys):
     assert code == 0
     assert record["result"]["value"] == 1.0
     assert record["result"]["method"] == "convention"
+    assert "iterations" not in record["result"]  # no SDP ran
 
 
 def test_param_chromatic_with_limit(capsys):
@@ -105,6 +107,7 @@ def test_param_solver_failure_exit_code(capsys):
     assert code == 2
     assert record["status"] == "solver_failure"
     assert record["result"] is not None  # partial values still reported
+    assert record["result"]["iterations"] == 5
 
 
 def test_param_lapack_failure_exits_as_solver_failure(capsys, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_graph, small_graph
-from vecchrom import graphs
+from vecchrom import graphs, identities
 from vecchrom.errors import (
     CapacityError,
     DimensionError,
@@ -297,9 +297,9 @@ def _peak_bytes(fn):
 
 
 def test_order_cap_applies_before_allocation():
-    def expect(error, build):
+    def expect(error, build, match="order cap"):
         def run():
-            with pytest.raises(error, match="order cap"):
+            with pytest.raises(error, match=match):
                 build()
         assert _peak_bytes(run) < 1_000_000
 
@@ -308,6 +308,16 @@ def test_order_cap_applies_before_allocation():
     expect(DomainError, lambda: graph_from_edges(10**6, []))
     for family in ("complete", "cycle", "path", "empty"):
         expect(DomainError, lambda: generate(family, 10**6))
+    # products are refused on their order, before np.kron allocates it
+    C70 = generate("cycle", 70)
+    for kind in ProductKind:
+        expect(DomainError, lambda: product(kind, C70, C70))
+    big = Graph(graphs.MAX_ORDER + 1, np.zeros((graphs.MAX_ORDER + 1,) * 2, dtype=bool))
+    expect(DomainError, lambda: union(big, big))
+    # the identity suites check the SDP cap on the product order first
+    for suite in ("sabidussi", "hedetniemi", "products"):
+        expect(CapacityError, lambda: identities.run_suite(suite, C70, C70, cache={}),
+               match="SDP cap")
 
 
 def test_parse_self_loop_line_number():

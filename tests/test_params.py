@@ -153,6 +153,16 @@ def test_integer_power_iter_past_int64_switch():
         sign = (-1) ** k
         assert np.array_equal(P, (11**k - sign) // 12 * J + sign * I), k
     assert P.dtype == object
+    # a sparse graph with an isolated vertex: C_9 walk counts pass 2^61 at
+    # k = 65, so from k = 66 on the powers are neighbour-column sums,
+    # checked against the object-dtype matrix product
+    adj = graph_from_edges(10, [(i, (i + 1) % 9) for i in range(9)]).adj
+    A = adj.astype(int).astype(object)
+    reference = np.eye(10, dtype=int).astype(object)
+    for k, P in zip(range(80), params._integer_power_iter(adj)):
+        assert np.array_equal(P, reference), k
+        reference = reference @ A
+    assert P.dtype == object and P[0, 0] > 2**63
 
 
 def _report(rep):

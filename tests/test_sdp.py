@@ -106,7 +106,13 @@ def test_dual_certificate_satisfies_primal_constraints(monkeypatch, which, graph
     res = getattr(params, which)(G, CFG, want_primal=True)
     assert len(solutions) == 1
     sol = solutions[0]
-    M = res.primal_certificate
+    assert res.primal_certificate is sol.certificate
+    _assert_primal_certificate(G, which, sol)
+    assert (res.value, res.gap, res.iterations) == (sol.objective, sol.gap, sol.iterations)
+
+
+def _assert_primal_certificate(G, which, sol):
+    M = sol.certificate
     assert M.shape == (G.n, G.n) and np.array_equal(M, M.T)
     # the primal program, stated directly: constant diagonal at the dual
     # bound minus one, edge entries -1 (theta-bar) or at most -1
@@ -121,7 +127,6 @@ def test_dual_certificate_satisfies_primal_constraints(monkeypatch, which, graph
         assert np.all(edges <= -1.0)
     np.linalg.cholesky(M + 1e-9 * np.eye(G.n))
     assert sol.dual_objective - sol.objective == sol.gap <= CFG.gap_tol
-    assert (res.value, res.gap) == (sol.objective, sol.gap)
 
 
 def test_returned_solutions_pass_independent_recheck():
@@ -198,6 +203,71 @@ def test_determinism_bitwise():
     assert a.iterations == b.iterations
     assert a.objective == b.objective
     assert np.array_equal(a.X, b.X)
+
+
+# --- Anderson acceleration ----------------------------------------------------
+
+def _petersen_box_c5():
+    return graphs.product("cartesian", graphs.generate("petersen"), graphs.generate("cycle", 5))
+
+
+# Half the iteration counts of the plain splitting iteration (300, 100, 425
+# and 725): a change that silently stops the acceleration fails here.
+@pytest.mark.parametrize("which, G, bound", [
+    ("theta_bar", _petersen_box_c5(), 150),
+    ("chi_vec", graphs.product("cartesian", graphs.generate("petersen"),
+                               graphs.generate("complete", 3)), 50),
+    ("theta_bar", graphs.product("strong", graphs.generate("cycle", 5),
+                                 graphs.generate("cycle", 5)), 212),
+    ("theta_bar", graphs.product("categorical", graphs.generate("cycle", 5),
+                                 graphs.generate("cycle", 7)), 362),
+], ids=["theta-PxC5", "chivec-PxK3", "theta-C5sC5", "theta-C5cC7"])
+def test_acceleration_iteration_counts(which, G, bound):
+    builder = build_theta_bar if which == "theta_bar" else build_chi_vec
+    sol = solve(builder(G), CFG)
+    assert sol.status == OPTIMAL
+    assert sol.iterations <= bound
+
+
+def test_safeguard_rejects_bad_extrapolation(monkeypatch):
+    G = _petersen_box_c5()
+    reference = solve(build_theta_bar(G), CFG)
+    calls = []
+
+    def bad_extrapolation(self, f, g):
+        calls.append(1)
+        return f + 100.0 * (1.0 + np.abs(f).max())
+
+    monkeypatch.setattr(sdp._Anderson, "_extrapolate", bad_extrapolation)
+    sol = solve(build_theta_bar(G), CFG)
+    assert calls
+    assert sol.status == OPTIMAL
+    assert abs(sol.objective - reference.objective) <= CFG.gap_tol
+    _assert_primal_certificate(G, "theta_bar", sol)
+
+
+def test_failed_fit_clears_memory_and_runs_plain_steps(monkeypatch):
+    def failing_solve(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(sdp.np.linalg, "solve", failing_solve)
+    sol = solve(build_theta_bar(_petersen_box_c5()), CFG)
+    # every fit fails, so every step is the plain one: the count of the
+    # unaccelerated iteration
+    assert sol.status == OPTIMAL and sol.iterations == 300
+
+
+def test_eigh_once_per_iteration(monkeypatch):
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting_eigh(Y, *args, **kwargs):
+        calls.append(1)
+        return eigh(Y, *args, **kwargs)
+
+    monkeypatch.setattr(sdp.np.linalg, "eigh", counting_eigh)
+    sol = solve(build_chi_vec(_petersen_box_c5()), CFG)
+    assert sol.status == OPTIMAL and len(calls) == sol.iterations > CFG.check_every
 
 
 # --- error and status handling ----------------------------------------------
