@@ -3,11 +3,14 @@
 
 Covers the Cartesian maximum rule, the categorical minimum rule for
 theta-bar, strong/disjunctive multiplicativity, and the union bound.
+Each row gives the certified interval of the left side and the claimed
+right side; the script exits 1 when any check fails.
 
     python scripts/run_identities.py [--tol 1e-3] [--pairs N --size M --seed S]
 """
 
 import argparse
+import sys
 import time
 
 from vecchrom import generate, erdos_renyi
@@ -47,20 +50,26 @@ def main():
                  erdos_renyi(args.size, 0.5, rng=rng))
             )
 
-    print(f"{'pair':18s} {'identity':28s} {'lhs':>12s} {'rhs':>12s} {'resid':>9s}  ok")
+    print(f"{'pair':18s} {'identity':28s} {'lower':>12s} {'upper':>12s} "
+          f"{'rhs':>12s} {'resid':>9s}  ok")
     started = time.perf_counter()
+    failed = 0
     for label, G, H in work:
         suites = ["sabidussi", "hedetniemi", "products"]
         if G.n == H.n:
             suites.append("union")
         for suite in suites:
             for check in run_suite(suite, G, H, cfg, args.tol, cache):
+                low, up = check.detail["interval"]
+                failed += not check.passed
                 print(
-                    f"{label:18s} {check.name:28s} {check.lhs:12.6f} "
+                    f"{label:18s} {check.name:28s} {low:12.6f} {up:12.6f} "
                     f"{check.rhs:12.6f} {check.residual:9.2e}  {'yes' if check.passed else 'NO'}"
                 )
-    print(f"done in {time.perf_counter() - started:.1f}s over {len(cache)} cached parameter values")
+    print(f"done in {time.perf_counter() - started:.1f}s over {len(cache)} cached "
+          f"parameter values, {failed} failed")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -26,12 +26,11 @@ from .graphs import (
     load_graph,
     parse_edge_list,
     product,
-    remove_isolated,
     save_graph,
     union,
     write_edge_list,
 )
-from .linalg import Spectrum, eig_sym, gram_factor, project_psd
+from .linalg import Spectrum, eig_sym
 from .sdp import (
     SdpProblem,
     SdpSolution,
@@ -71,7 +70,6 @@ from .quantum import (
     classical_embedding,
     compose_classical,
     load_certificate,
-    measurement_adjacent,
     pad_colors,
     product_qhom,
     quantum_sabidussi,

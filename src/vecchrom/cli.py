@@ -52,6 +52,7 @@ from .identities import (
     IDENTITY_TOL_DEFAULT,
     SDP_CAP_DEFAULT,
     SUITES,
+    ParamCache,
     chain_checks,
     check_sdp_cap,
     run_suite,
@@ -203,7 +204,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         pairs = [(resolve_graph(args.graphs[0]), resolve_graph(args.graphs[1]))]
     record = _base_record("verify", args, [g for p in pairs for g in p])
     record["suite"] = args.suite
-    cache: dict = {}
+    cache = ParamCache()
     runs = []
     all_passed = True
     for G, H in pairs:
@@ -215,6 +216,7 @@ def cmd_verify(args) -> tuple[dict, int]:
             "identities": [c.as_dict() for c in checks],
         })
     record["pairs"] = runs
+    record["cache"] = {"hits": cache.hits, "misses": cache.misses}
     record["all_passed"] = bool(all_passed)
     record["status"] = "ok" if all_passed else "failed"
     return record, EXIT_OK if all_passed else EXIT_VALIDATION
@@ -286,7 +288,7 @@ def build_parser() -> _Parser:
                         help="solver duality-gap tolerance")
     common.add_argument("--max-iter", dest="max_iter", type=int, default=50000)
     common.add_argument("--cap", type=int, default=SDP_CAP_DEFAULT,
-                        help="vertex cap for SDP solves")
+                        help="vertex cap for SDP solves and certificate matrices")
     common.add_argument("--chromatic-cap", dest="chromatic_cap", type=int,
                         default=CHROMATIC_CAP_DEFAULT,
                         help="vertex cap for exact chromatic numbers")

@@ -247,14 +247,6 @@ def is_bipartite(G: Graph):
     return True, colors
 
 
-def remove_isolated(G: Graph):
-    """Drop isolated vertices; returns (graph, old->new index map)."""
-    keep = np.flatnonzero(G.degrees() > 0)
-    mapping = {int(old): new for new, old in enumerate(keep)}
-    adj = G.adj[np.ix_(keep, keep)]
-    return Graph(len(keep), adj, G.label), mapping
-
-
 def is_homomorphism(G: Graph, H: Graph, f) -> tuple[bool, tuple | None]:
     """Check that f maps every edge of G to an edge of H.
 

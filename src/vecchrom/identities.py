@@ -1,8 +1,42 @@
-"""Product and union identities for the coloring parameters.
+"""Product and union identities for the coloring parameters, checked from
+factor certificates.
 
-Each check compares a computed left side against a computed right side
-at an absolute tolerance and reports both, so a suite run is an
-auditable list of (lhs, rhs, residual) records rather than a bare flag.
+No check solves an SDP on a product or union graph.  Each factor's value
+comes from one cached dual solve with two certificates: the dual-form
+matrix ``P``, whose entry sum bounds the value from below, and the
+primal witness ``M``, PSD with constant diagonal ``t - 1`` and edge
+entries -1 (at most -1 for chi-vec), which bounds it by ``t`` from
+above.  Write ``Z = M + J``.  An edgeless factor has ``P = e_0 e_0^T``
+and ``M = 0`` (value 1).  As in the paper's proofs, the checks build
+certificates for the product from those of the factors:
+
+* Cartesian, theta-bar and chi-vec.  Lower: the larger factor's ``P`` on
+  one fiber, ``P_G (x) e_0 e_0^T``.  Upper: both witnesses lifted to the
+  larger value ``t``, ``A = (t / t_G) Z_G - J`` (diagonal ``t - 1``, edge
+  entries unchanged), then tensored, ``(A (x) B) / (t - 1)``.
+* Categorical, theta-bar.  Lower: Lovasz's eigenvalue form (IEEE Trans.
+  Inf. Theory 1979, Thm. 6): a nonzero symmetric ``W`` that vanishes off
+  the edges bounds theta-bar by ``1 - lmax(W) / lmin(W)``.  A factor's
+  ``W`` is its ``P`` scaled to unit diagonal with the diagonal zeroed,
+  and ``W_G (x) W_H`` attains the factor minimum.  Upper: the smaller
+  factor's witness pulled back along the projection, ``M_G (x) J``.
+* Strong and disjunctive, theta-bar.  Lower: ``P_G (x) P_H``.  Upper:
+  ``Z_G (x) Z_H - J``.
+* Edge union, theta-bar, one-sided.  Upper: the Schur product
+  ``Z_G o Z_H - J``.  Lower, for the record: the larger factor's ``P``.
+
+Every certificate is checked again on the product graph, never by
+reusing the factor-side arithmetic: ``sdp.check_feasibility`` for a
+dual-form matrix; symmetry, support and diagonal for ``M`` and ``W``;
+and a fresh ``eigvalsh``, which gives the eigenvalue-form bound and
+widens a witness's bound ``1 + diagonal`` by ``max(0, -lmin)``.  Entry
+conditions hold to ``CERT_TOL``; the eigenvalue and Cholesky tests are
+plain floating point.  A certificate that fails leaves the trivial bound
+(1 below, the order above) and fails its check.  A check records the
+interval ``[lower, upper]`` and the certificate kinds in ``detail``; its
+``lhs`` is the interval midpoint (the upper bound for the one-sided
+union check) and its ``residual`` the larger distance of an endpoint
+from ``rhs``.
 
 Chromatic numbers of Cartesian products larger than the backtracking
 cap are still determined exactly: the product contains each factor as a
@@ -15,8 +49,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .colorings import ClassicalColoring, is_proper_coloring, modular_coloring
-from .errors import CapacityError, DimensionError, VecchromError
+from .errors import CapacityError, DimensionError, DomainError, VecchromError
 from .graphs import Graph, product, union
 from .params import (
     CHROMATIC_CAP_DEFAULT,
@@ -27,11 +63,15 @@ from .params import (
     spectral_lower_bound,
     theta_bar,
 )
-from .sdp import SolverConfig
+from .sdp import SdpProblem, SolverConfig, check_feasibility
 
 SUITES = ("sabidussi", "hedetniemi", "products", "union", "chain")
 IDENTITY_TOL_DEFAULT = 1e-3
 SDP_CAP_DEFAULT = 120
+CERT_TOL = 1e-9  # entry tolerance of the product-side certificate checks
+# vertices whose P diagonal is below this share of the largest leave the
+# eigenvalue form: rounding leaves some at 1e-16 where the optimum has 0
+EIGENVALUE_FORM_CUTOFF = 1e-8
 
 
 @dataclass
@@ -58,16 +98,36 @@ class IdentityCheck:
         }
 
 
+class ParamCache(dict):
+    """A parameter memo for :func:`cached_param` that counts its hits
+    (reads) and misses (stores); a plain dict works as well, uncounted."""
+
+    def __init__(self):
+        super().__init__()
+        self.hits = self.misses = 0
+
+    def __getitem__(self, key):
+        self.hits += 1
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self.misses += 1
+        super().__setitem__(key, value)
+
+
 def cached_param(G: Graph, which: str, cfg: SolverConfig | None = None,
                  cache: dict | None = None) -> ParamResult:
-    """Memoized parameter lookup keyed by the graph's canonical identity."""
+    """Memoized parameter lookup keyed by the graph's canonical identity.
+
+    SDP results carry the primal certificate of their dual bound.
+    """
     key = (G.key(), which)
     if cache is not None and key in cache:
         return cache[key]
     if which == "theta_bar":
-        result = theta_bar(G, cfg)
+        result = theta_bar(G, cfg, want_primal=True)
     elif which == "chi_vec":
-        result = chi_vec(G, cfg)
+        result = chi_vec(G, cfg, want_primal=True)
     else:
         raise VecchromError(f"unknown parameter {which!r}")
     if cache is not None:
@@ -76,41 +136,136 @@ def cached_param(G: Graph, which: str, cfg: SolverConfig | None = None,
 
 
 def check_sdp_cap(order: int, cap: int, context: str = "graph"):
-    """Refuse an SDP solve on more than ``cap`` vertices; products call it
-    with the product order before building the product."""
+    """Refuse an SDP or certificate matrix on more than ``cap`` vertices;
+    products call it with the product order before building the product."""
     if order > cap:
         raise CapacityError(f"{context} has {order} vertices, above the SDP cap {cap}")
 
 
-def _eq_check(name, lhs, rhs, tol, detail=None) -> IdentityCheck:
-    res = abs(lhs - rhs)
+def _check(name: str, low: float, up: float, rhs: float, tol: float,
+           comparison: str = "eq", detail: dict | None = None,
+           certified: bool = True) -> IdentityCheck:
+    """Compare the interval [low, up] holding the left side against ``rhs``:
+    both endpoints within ``tol`` ("eq"), or the upper one at most
+    ``rhs + tol`` ("le").  An uncertified interval fails."""
+    if comparison == "eq":
+        lhs, res = (low + up) / 2.0, max(abs(low - rhs), abs(up - rhs))
+    else:
+        lhs, res = up, max(up - rhs, 0.0)
     return IdentityCheck(name, float(lhs), float(rhs), float(res), tol,
-                         res <= tol, "eq", detail or {})
+                         bool(res <= tol and certified), comparison, detail or {})
 
 
-def _le_check(name, lhs, rhs, tol, detail=None) -> IdentityCheck:
-    res = max(lhs - rhs, 0.0)
-    return IdentityCheck(name, float(lhs), float(rhs), float(res), tol,
-                         res <= tol, "le", detail or {})
+# ---------------------------------------------------------------------------
+# factor certificates and their product-side checks
 
 
-def chi_cartesian_exact(G: Graph, H: Graph, *, cap: int = CHROMATIC_CAP_DEFAULT):
-    """Exact chromatic number of the Cartesian product, with method tag.
+def _factor(G: Graph, which: str, cfg, cache):
+    """(value, P, Z) of one factor, with Z = M + J."""
+    if G.n == 0:
+        raise DomainError("the identity suites need factors with at least one vertex")
+    res = cached_param(G, which, cfg, cache)
+    if res.method == "convention":
+        return res.value, _corner(G.n), np.ones((G.n, G.n))
+    return res.value, res.dual_certificate, res.primal_certificate + 1.0
+
+
+def _corner(n: int) -> np.ndarray:
+    """e_0 e_0^T of order n."""
+    E = np.zeros((n, n))
+    E[0, 0] = 1.0
+    return E
+
+
+def _lift(Z: np.ndarray, t: float) -> np.ndarray:
+    """The witness Z - J lifted to diagonal t - 1, edge entries unchanged."""
+    return t / Z.diagonal().max() * Z - 1.0
+
+
+def _eigenvalue_form(P: np.ndarray) -> np.ndarray:
+    """P scaled to unit diagonal on its significant vertices, diagonal zeroed."""
+    d = P.diagonal()
+    keep = d > EIGENVALUE_FORM_CUTOFF * d.max()
+    s = np.zeros_like(d)
+    s[keep] = d[keep] ** -0.5
+    W = s[:, None] * P * s
+    np.fill_diagonal(W, 0.0)
+    return W
+
+
+def _symmetric(X: np.ndarray) -> bool:
+    return bool(np.isfinite(X).all()) and float(np.abs(X - X.T).max()) <= CERT_TOL
+
+
+def _dual_form_bound(F: Graph, P: np.ndarray, nonneg: bool) -> float | None:
+    """Entry sum of a dual-form matrix feasible on F, else None."""
+    if not check_feasibility(SdpProblem(F.adj, nonneg), P, CERT_TOL).ok:
+        return None
+    return float(P.sum())
+
+
+def _eigenvalue_bound(F: Graph, W: np.ndarray) -> float | None:
+    """1 - lmax(W) / lmin(W) for a symmetric W vanishing off F's edges
+    (diagonal included), else None."""
+    if not _symmetric(W) or float(np.abs(W[~F.adj]).max()) > CERT_TOL:
+        return None
+    w = np.linalg.eigvalsh(W)
+    return 1.0 - float(w[-1] / w[0]) if w[0] < 0.0 else 1.0
+
+
+def _witness_bound(F: Graph, M: np.ndarray, nonneg: bool) -> float | None:
+    """1 + diagonal of a primal witness on F, widened by max(0, -lmin),
+    else None.  The diagonal must be constant and the edge entries -1,
+    or at most -1 with ``nonneg``."""
+    if not _symmetric(M) or float(np.ptp(M.diagonal())) > CERT_TOL:
+        return None
+    edges = M[F.adj]
+    off = edges > -1.0 + CERT_TOL if nonneg else np.abs(edges + 1.0) > CERT_TOL
+    if off.any():
+        return None
+    lmin = float(np.linalg.eigvalsh(M)[0])
+    return 1.0 + float(M.diagonal().max()) + max(0.0, -lmin)
+
+
+def _interval_check(name: str, F: Graph, rhs: float, tol: float, factors: list,
+                    lower: tuple, upper: tuple, comparison: str = "eq") -> IdentityCheck:
+    """Check ``rhs`` against the interval certified on F.
+
+    ``lower`` and ``upper`` are (certificate kind, bound or None).
+    """
+    (low_kind, low), (up_kind, up) = lower, upper
+    rejected = [side for side, bound in (("lower", low), ("upper", up)) if bound is None]
+    low = 1.0 if low is None else low
+    up = float(F.n) if up is None else up
+    detail = {"factors": factors, "interval": [low, up],
+              "certificates": {"lower": low_kind, "upper": up_kind}}
+    if rejected:
+        detail["rejected"] = rejected
+    return _check(name, low, up, rhs, tol, comparison, detail, certified=not rejected)
+
+
+# ---------------------------------------------------------------------------
+# the suites
+
+
+def chi_cartesian_exact(G: Graph, H: Graph, F: Graph, *,
+                        cap: int = CHROMATIC_CAP_DEFAULT):
+    """Exact chromatic number of F, the Cartesian product of G and H, with
+    method tag.
 
     Below the cap this is direct backtracking.  Above it, the value is
     pinned between the factor maximum (each factor embeds in the
     product) and a verified modular coloring with that many colors.
     """
-    P = product("cartesian", G, H)
-    if P.n <= cap:
-        return chromatic_number(P, cap=cap), "backtracking"
+    if F.n <= cap:
+        return chromatic_number(F, cap=cap), "backtracking"
     cg = chromatic_number(G, cap=cap)
     ch = chromatic_number(H, cap=cap)
     m = max(cg, ch)
     gcol = proper_coloring(G, m, cap=cap)
     hcol = proper_coloring(H, m, cap=cap)
     combined = modular_coloring(ClassicalColoring(gcol, m), ClassicalColoring(hcol, m))
-    ok, bad = is_proper_coloring(P, combined.colors)
+    ok, bad = is_proper_coloring(F, combined.colors)
     if not ok:
         raise VecchromError(f"modular coloring failed on product edge {bad}")
     return m, "factor-bound"
@@ -123,19 +278,34 @@ def sabidussi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
     """Cartesian product equals the factor maximum, for theta-bar,
     chi-vec, and the chromatic number."""
     check_sdp_cap(G.n * H.n, sdp_cap, "Cartesian product")
-    P = product("cartesian", G, H)
+    F = product("cartesian", G, H)
     checks = []
-    for which, label in (("theta_bar", "theta_bar"), ("chi_vec", "chi_vec")):
-        lhs = cached_param(P, which, cfg, cache).value
-        rg = cached_param(G, which, cfg, cache).value
-        rh = cached_param(H, which, cfg, cache).value
-        checks.append(_eq_check(f"{label}(G[]H) = max", lhs, max(rg, rh), tol,
-                                {"factors": [rg, rh]}))
-    chi_p, method = chi_cartesian_exact(G, H, cap=chromatic_cap)
+    for which in ("theta_bar", "chi_vec"):
+        nonneg = which == "chi_vec"
+        rg, Pg, Zg = _factor(G, which, cfg, cache)
+        rh, Ph, Zh = _factor(H, which, cfg, cache)
+        if Pg.sum() >= Ph.sum():
+            fiber = np.kron(Pg, _corner(H.n))
+        else:
+            fiber = np.kron(_corner(G.n), Ph)
+        t = max(Zg.diagonal().max(), Zh.diagonal().max())
+        lifted = np.kron(_lift(Zg, t), _lift(Zh, t))
+        if t > 1.0:
+            lifted /= t - 1.0
+        checks.append(_interval_check(
+            f"{which}(G[]H) = max", F, max(rg, rh), tol, [rg, rh],
+            ("fiber", _dual_form_bound(F, fiber, nonneg)),
+            ("lifted tensor", _witness_bound(F, lifted, nonneg)),
+        ))
+    chi_p, method = chi_cartesian_exact(G, H, F, cap=chromatic_cap)
     chi_g = chromatic_number(G, cap=chromatic_cap)
     chi_h = chromatic_number(H, cap=chromatic_cap)
-    checks.append(_eq_check("chi(G[]H) = max", chi_p, max(chi_g, chi_h), 0.0,
-                            {"factors": [chi_g, chi_h], "method": method}))
+    kinds = ({"lower": "factor subgraph", "upper": "modular coloring"}
+             if method == "factor-bound"
+             else {"lower": "backtracking", "upper": "backtracking"})
+    checks.append(_check("chi(G[]H) = max", chi_p, chi_p, max(chi_g, chi_h), 0.0,
+                         detail={"factors": [chi_g, chi_h], "method": method,
+                                 "interval": [chi_p, chi_p], "certificates": kinds}))
     return checks
 
 
@@ -144,12 +314,19 @@ def hedetniemi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
                       sdp_cap: int = SDP_CAP_DEFAULT) -> list[IdentityCheck]:
     """Categorical product equals the factor minimum for theta-bar."""
     check_sdp_cap(G.n * H.n, sdp_cap, "categorical product")
-    P = product("categorical", G, H)
-    lhs = cached_param(P, "theta_bar", cfg, cache).value
-    rg = cached_param(G, "theta_bar", cfg, cache).value
-    rh = cached_param(H, "theta_bar", cfg, cache).value
-    return [_eq_check("theta_bar(GxH) = min", lhs, min(rg, rh), tol,
-                      {"factors": [rg, rh]})]
+    F = product("categorical", G, H)
+    rg, Pg, Zg = _factor(G, "theta_bar", cfg, cache)
+    rh, Ph, Zh = _factor(H, "theta_bar", cfg, cache)
+    eigenvalue_form = np.kron(_eigenvalue_form(Pg), _eigenvalue_form(Ph))
+    if Zg.diagonal().max() <= Zh.diagonal().max():
+        pullback = np.kron(Zg, np.ones((H.n, H.n))) - 1.0
+    else:
+        pullback = np.kron(np.ones((G.n, G.n)), Zh) - 1.0
+    return [_interval_check(
+        "theta_bar(GxH) = min", F, min(rg, rh), tol, [rg, rh],
+        ("eigenvalue tensor", _eigenvalue_bound(F, eigenvalue_form)),
+        ("pull-back", _witness_bound(F, pullback, False)),
+    )]
 
 
 def product_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
@@ -158,14 +335,21 @@ def product_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
     """Strong and disjunctive products are multiplicative for theta-bar."""
     # both products have order G.n * H.n
     check_sdp_cap(G.n * H.n, sdp_cap, "strong product")
-    rg = cached_param(G, "theta_bar", cfg, cache).value
-    rh = cached_param(H, "theta_bar", cfg, cache).value
+    rg, Pg, Zg = _factor(G, "theta_bar", cfg, cache)
+    rh, Ph, Zh = _factor(H, "theta_bar", cfg, cache)
+    # one pair of certificates serves both products: P_G (x) P_H lives on
+    # the strong product's edges, which the disjunctive product contains,
+    # and Z_G (x) Z_H vanishes on the disjunctive product's edges
+    dual = np.kron(Pg, Ph)
+    witness = np.kron(Zg, Zh) - 1.0
     checks = []
     for kind, sym in (("strong", "<>"), ("disjunctive", "*")):
-        P = product(kind, G, H)
-        lhs = cached_param(P, "theta_bar", cfg, cache).value
-        checks.append(_eq_check(f"theta_bar(G{sym}H) = product", lhs, rg * rh, tol,
-                                {"factors": [rg, rh]}))
+        F = product(kind, G, H)
+        checks.append(_interval_check(
+            f"theta_bar(G{sym}H) = product", F, rg * rh, tol, [rg, rh],
+            ("dual tensor", _dual_form_bound(F, dual, False)),
+            ("primal tensor", _witness_bound(F, witness, False)),
+        ))
     return checks
 
 
@@ -177,11 +361,14 @@ def union_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
         raise DimensionError("union suite needs graphs on the same vertex count")
     check_sdp_cap(G.n, sdp_cap, "union")
     U = union(G, H)
-    lhs = cached_param(U, "theta_bar", cfg, cache).value
-    rg = cached_param(G, "theta_bar", cfg, cache).value
-    rh = cached_param(H, "theta_bar", cfg, cache).value
-    return [_le_check("theta_bar(GuH) <= product", lhs, rg * rh, tol,
-                      {"factors": [rg, rh]})]
+    rg, Pg, Zg = _factor(G, "theta_bar", cfg, cache)
+    rh, Ph, Zh = _factor(H, "theta_bar", cfg, cache)
+    return [_interval_check(
+        "theta_bar(GuH) <= product", U, rg * rh, tol, [rg, rh],
+        ("factor", _dual_form_bound(U, Pg if Pg.sum() >= Ph.sum() else Ph, False)),
+        ("Schur product", _witness_bound(U, Zg * Zh - 1.0, False)),
+        comparison="le",
+    )]
 
 
 def chain_checks(G: Graph, cfg: SolverConfig | None = None,
@@ -192,13 +379,13 @@ def chain_checks(G: Graph, cfg: SolverConfig | None = None,
     label = G.label or f"n{G.n}"
     cv = cached_param(G, "chi_vec", cfg, cache).value
     tb = cached_param(G, "theta_bar", cfg, cache).value
-    checks = [_le_check(f"chi_vec <= theta_bar [{label}]", cv, tb, tol)]
+    checks = [_check(f"chi_vec <= theta_bar [{label}]", cv, cv, tb, tol, "le")]
     if G.edge_count:
         lb = spectral_lower_bound(G)
-        checks.insert(0, _le_check(f"spectral bound <= chi_vec [{label}]", lb, cv, tol))
+        checks.insert(0, _check(f"spectral bound <= chi_vec [{label}]", lb, lb, cv, tol, "le"))
     if G.n <= chromatic_cap:
         chi = chromatic_number(G, cap=chromatic_cap)
-        checks.append(_le_check(f"theta_bar <= chi [{label}]", tb, float(chi), 2 * tol))
+        checks.append(_check(f"theta_bar <= chi [{label}]", tb, tb, float(chi), 2 * tol, "le"))
     return checks
 
 

@@ -1,4 +1,4 @@
-"""Dense symmetric matrix kernels: eigendecomposition, Gram factors, PSD projection.
+"""Dense symmetric matrix kernels: symmetrization and eigendecomposition.
 
 Every eigendecomposition goes through LAPACK (``numpy.linalg.eigh``).
 Eigenvalues come back sorted in descending order together with
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NotPsdError
+from .errors import ConvergenceError, DomainError
 
 SYMMETRY_TOL = 1e-12
 
@@ -94,33 +94,3 @@ def eig_sym(M, tol: float = 1e-6) -> Spectrum:
         P = block @ block.T
         projectors.append((P + P.T) / 2.0)
     return Spectrum(vals, vecs, distinct, projectors)
-
-
-def gram_factor(M, tol: float = 1e-9) -> np.ndarray:
-    """Vectors (as rows) whose Gram matrix is M, for M PSD up to -tol.
-
-    The output dimension is the number of eigenvalues above tol; small
-    negative eigenvalues within tolerance are clamped to zero, anything
-    below -tol raises.
-    """
-    spec = eig_sym(M)
-    if spec.eigenvalues.size == 0:
-        return np.zeros((0, 0))
-    least = spec.least
-    if least < -tol:
-        raise NotPsdError(f"matrix has eigenvalue {least:.3e} below -{tol:.1e}")
-    keep = spec.eigenvalues > tol
-    vals = spec.eigenvalues[keep]
-    vecs = spec.eigenvectors[:, keep]
-    return vecs * np.sqrt(vals)
-
-
-def project_psd(M) -> np.ndarray:
-    """Nearest positive semidefinite matrix in Frobenius distance."""
-    spec = eig_sym(M)
-    if spec.eigenvalues.size == 0:
-        return np.zeros((0, 0))
-    vals = np.maximum(spec.eigenvalues, 0.0)
-    V = spec.eigenvectors
-    out = (V * vals) @ V.T
-    return (out + out.T) / 2.0

@@ -154,40 +154,6 @@ def verify_measurement(t: MeasurementTuple, tol: float = STRUCT_TOL) -> Measurem
     return MeasurementReport(ok, herm, idem, sum_res, ortho, witness)
 
 
-def _same_target(t1: MeasurementTuple, t2: MeasurementTuple):
-    if t1.target.n != t2.target.n or not np.array_equal(t1.target.adj, t2.target.adj):
-        raise DomainError("tuples have different target graphs")
-    if t1.d != t2.d:
-        raise DimensionError(f"dimension mismatch: {t1.d} vs {t2.d}")
-
-
-def measurement_adjacent(t1: MeasurementTuple, t2: MeasurementTuple, H: Graph,
-                         tol: float = ADJ_TOL):
-    """Adjacency test in the measurement graph of H.
-
-    True exactly when every ordered non-adjacent pair (v, v'), with
-    v = v' included, has vanishing products t1[v] t2[v'] and
-    t2[v'] t1[v].  Returns (flag, witness_pair_or_None).
-    """
-    _same_target(t1, t2)
-    if H.n != t1.target.n or not np.array_equal(H.adj, t1.target.adj):
-        raise DomainError("tuples do not target the given graph")
-    worst = 0.0
-    worst_pair = None
-    for v in range(H.n):
-        for w in range(H.n):
-            if H.adj[v, w]:
-                continue
-            r = max(_maxnorm(t1.parts[v] @ t2.parts[w]),
-                    _maxnorm(t2.parts[w] @ t1.parts[v]))
-            if r > worst:
-                worst = r
-                worst_pair = (v, w)
-            if r > tol:
-                return False, (v, w)
-    return True, None
-
-
 def verify_quantum_hom(q: QuantumHomomorphism, tol: float = ADJ_TOL) -> QuantumHomReport:
     """Full certificate check: every tuple is a valid measurement
     (structural tolerance tol/10) and every source edge maps to adjacent

@@ -21,6 +21,7 @@ from vecchrom.colorings import (
     verify_coloring,
 )
 from vecchrom.identities import (
+    cached_param,
     hedetniemi_checks,
     product_checks,
     sabidussi_checks,
@@ -110,33 +111,47 @@ def _suite_pairs():
     return _random_pairs(20, 4, 8, PAIR_SEED) + named
 
 
+def _solver_in_interval(check, F, which, cfg, cache, tol=1e-3):
+    """Cross-check a certified interval against the SDP solved on F."""
+    low, up = check.detail["interval"]
+    value = cached_param(F, which, cfg, cache).value
+    assert low - tol <= value <= up + tol, (F.label, check.name, value, low, up)
+
+
 def test_c05_sabidussi_suite(cfg, param_cache):
     for G, H in _suite_pairs():
         checks = sabidussi_checks(G, H, cfg, tol=1e-3, cache=param_cache)
         for check in checks:
             assert check.passed, (G.label, H.label, check)
+        F = graphs.product("cartesian", G, H)
+        for check, which in zip(checks, ("theta_bar", "chi_vec")):
+            _solver_in_interval(check, F, which, cfg, param_cache)
     _conclude(5, "Cartesian suite: theta_bar/chi_vec at 1e-3 and chi exactly, 22 pairs")
 
 
 def test_c06_hedetniemi_suite(cfg, param_cache):
     for G, H in _suite_pairs():
-        checks = hedetniemi_checks(G, H, cfg, tol=1e-3, cache=param_cache)
-        for check in checks:
-            assert check.passed, (G.label, H.label, check)
+        (check,) = hedetniemi_checks(G, H, cfg, tol=1e-3, cache=param_cache)
+        assert check.passed, (G.label, H.label, check)
+        F = graphs.product("categorical", G, H)
+        _solver_in_interval(check, F, "theta_bar", cfg, param_cache)
     _conclude(6, "categorical suite: theta_bar equals factor minimum at 1e-3, 22 pairs")
 
 
 def test_c07_multiplicativity_and_union(cfg, param_cache):
     for G, H in _random_pairs(10, 4, 6, PAIR_SEED + 1):
         checks = product_checks(G, H, cfg, tol=1e-3, cache=param_cache)
-        for check in checks:
+        for check, kind in zip(checks, ("strong", "disjunctive")):
             assert check.passed, (G.label, H.label, check)
+            _solver_in_interval(check, graphs.product(kind, G, H), "theta_bar",
+                                cfg, param_cache)
     rng = np.random.default_rng(PAIR_SEED + 2)
     for _ in range(10):
         G = graphs.erdos_renyi(7, 0.5, rng=rng)
         H = graphs.erdos_renyi(7, 0.5, rng=rng)
         (check,) = union_checks(G, H, cfg, tol=1e-3, cache=param_cache)
         assert check.passed, check
+        _solver_in_interval(check, graphs.union(G, H), "theta_bar", cfg, param_cache)
     _conclude(7, "strong/disjunctive multiplicativity and union bound at 1e-3")
 
 

@@ -152,6 +152,26 @@ def test_verify_hedetniemi_pair(capsys):
     assert record["all_passed"] is True
     idents = record["pairs"][0]["identities"]
     assert abs(idents[0]["lhs"] - np.sqrt(5.0)) <= 1e-3
+    # two factor solves, no product solve
+    assert record["cache"] == {"hits": 0, "misses": 2}
+    low, up = idents[0]["detail"]["interval"]
+    assert low <= np.sqrt(5.0) + 1e-9 and up >= np.sqrt(5.0) - 1e-9
+    assert idents[0]["detail"]["certificates"] == {
+        "lower": "eigenvalue tensor", "upper": "pull-back"}
+
+
+@pytest.mark.parametrize("suite, checks", [("sabidussi", 3), ("products", 2), ("union", 1)])
+def test_verify_records_intervals_and_cache(capsys, suite, checks):
+    code, record, _ = run_cli(capsys, "verify", "cycle:5", "cycle:5", "--suite", suite)
+    assert code == 0
+    idents = record["pairs"][0]["identities"]
+    assert len(idents) == checks
+    for ident in idents:
+        assert {"interval", "certificates"} <= set(ident["detail"])
+    # the one factor is solved once per parameter and then found again
+    lookups = 2 * (2 if suite == "sabidussi" else 1)
+    misses = lookups // 2
+    assert record["cache"] == {"hits": lookups - misses, "misses": misses}
 
 
 def test_verify_random_pairs_seeded(capsys):

@@ -25,7 +25,6 @@ from vecchrom.graphs import (
     is_homomorphism,
     parse_edge_list,
     product,
-    remove_isolated,
     union,
     write_edge_list,
 )
@@ -238,16 +237,6 @@ def test_bipartite_partition_covers_components():
     flag, part = is_bipartite(G)
     assert flag
     assert part[0] != part[1] and part[2] != part[3]
-
-
-def test_remove_isolated():
-    G = graph_from_edges(4, [(0, 1), (0, 2), (1, 2)])
-    H, mapping = remove_isolated(G)
-    assert H.n == 3 and H.edge_count == 3
-    assert len(set(mapping.values())) == len(mapping)
-    empty = generate("empty", 5)
-    H, mapping = remove_isolated(empty)
-    assert H.n == 0 and mapping == {}
 
 
 # --- homomorphism check -----------------------------------------------------

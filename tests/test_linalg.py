@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from vecchrom import graphs
-from vecchrom.errors import ConvergenceError, DomainError, NotPsdError
-from vecchrom.linalg import eig_sym, gram_factor, project_psd, symmetrize
+from vecchrom.colorings import extract_coloring
+from vecchrom.errors import ConvergenceError, DomainError, FeasibilityError
+from vecchrom.linalg import eig_sym, symmetrize
+from vecchrom.sdp import _clip_psd
 
 
 def _random_sym(seed, n):
@@ -90,18 +92,21 @@ def test_eig_grouping_tolerance():
 
 
 # --- gram factorization -----------------------------------------------------
+# The Gram factorization is the core of colorings.extract_coloring: a PSD
+# matrix with diagonal lam - 1 becomes unit vectors with Gram matrix
+# M / (lam - 1), one coordinate per significant eigenvalue.
 
 def test_gram_identity():
-    vecs = gram_factor(np.eye(4))
+    vecs = extract_coloring(np.eye(4), 2.0).vectors
     assert vecs.shape == (4, 4)
     assert np.abs(vecs @ vecs.T - np.eye(4)).max() <= 1e-10
 
 
 def test_gram_simplex():
     n = 5
-    M = np.full((n, n), -1.0 / (n - 1))
-    np.fill_diagonal(M, 1.0)
-    vecs = gram_factor(M, tol=1e-9)
+    M = np.full((n, n), -1.0)
+    np.fill_diagonal(M, n - 1.0)
+    vecs = extract_coloring(M, float(n), tol=1e-9).vectors
     assert vecs.shape[1] == n - 1
     gram = vecs @ vecs.T
     assert np.abs(np.diag(gram) - 1.0).max() <= 1e-9
@@ -110,40 +115,43 @@ def test_gram_simplex():
 
 
 def test_gram_roundtrip_random_low_rank():
-    # oracle: build PSD matrices of known deficient rank directly
+    # oracle: build PSD matrices of known deficient rank directly, scaled
+    # to unit diagonal
     for seed in range(6):
         rng = np.random.default_rng(seed)
         n, r = 8, 3
         B = rng.standard_normal((n, r))
+        B /= np.linalg.norm(B, axis=1)[:, None]
         M = B @ B.T
-        vecs = gram_factor(M, tol=1e-9)
+        vecs = extract_coloring(M, 2.0, tol=1e-9).vectors
         assert vecs.shape[1] == r
         assert np.abs(vecs @ vecs.T - M).max() <= 1e-6
 
 
 def test_gram_rejects_indefinite():
-    with pytest.raises(NotPsdError):
-        gram_factor(-np.eye(3), tol=1e-9)
+    with pytest.raises(FeasibilityError):
+        extract_coloring(np.array([[1.0, 2.0], [2.0, 1.0]]), 2.0, tol=1e-9)
 
 
 # --- PSD projection ---------------------------------------------------------
+# the eigenvalue clipping of the splitting solver's cone step
 
 def test_project_psd_fixed_point():
     rng = np.random.default_rng(3)
     B = rng.standard_normal((5, 3))
     M = B @ B.T
-    assert np.abs(project_psd(M) - M).max() <= 1e-9
+    assert np.abs(_clip_psd(M) - M).max() <= 1e-9
 
 
 def test_project_psd_negative_definite():
-    assert np.abs(project_psd(-np.eye(4))).max() <= 1e-12
+    assert np.abs(_clip_psd(-np.eye(4))).max() <= 1e-12
 
 
 def test_project_psd_is_nearest():
     # oracle: random search never finds a PSD matrix meaningfully closer
     rng = np.random.default_rng(4)
     M = _random_sym(5, 5)
-    P = project_psd(M)
+    P = _clip_psd(M)
     base = np.linalg.norm(P - M)
     for _ in range(1000):
         B = rng.standard_normal((5, 5)) * rng.uniform(0.1, 2.0)

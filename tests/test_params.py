@@ -350,8 +350,9 @@ def test_chromatic_cartesian_max_small_pairs():
 def test_chi_cartesian_exact_routes_agree():
     G = random_graph(5, seed=91)
     H = random_graph(6, seed=92)
-    direct, m1 = chi_cartesian_exact(G, H, cap=30)
-    bounded, m2 = chi_cartesian_exact(G, H, cap=10)
+    F = graphs.product("cartesian", G, H)
+    direct, m1 = chi_cartesian_exact(G, H, F, cap=30)
+    bounded, m2 = chi_cartesian_exact(G, H, F, cap=10)
     assert m1 == "backtracking" and m2 == "factor-bound"
     assert direct == bounded
 
@@ -374,5 +375,5 @@ def test_theta_invariant_under_isolated_removal():
 
     tight = SolverConfig(tol=1e-9, gap_tol=2e-7)
     G = graphs.graph_from_edges(6, [(0, 1), (1, 2), (0, 2)])
-    H, _ = graphs.remove_isolated(G)
+    H = graphs.graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert abs(theta_bar(G, tight).value - theta_bar(H, tight).value) <= 1e-6

@@ -15,7 +15,6 @@ from vecchrom.quantum import (
     compose_classical,
     conjugate,
     load_certificate,
-    measurement_adjacent,
     pad_colors,
     product_qhom,
     quantum_sabidussi,
@@ -92,39 +91,35 @@ def test_distinct_part_orthogonality_checked_independently():
 # --- adjacency in the measurement graph ----------------------------------------
 
 def test_indicator_tuples_adjacency():
-    t0 = _indicator_tuple(K3, 0)
-    t1 = _indicator_tuple(K3, 1)
-    ok, witness = measurement_adjacent(t0, t1, K3)
-    assert ok and witness is None
-    ok, witness = measurement_adjacent(t0, _indicator_tuple(K3, 0), K3)
-    assert not ok
-    assert witness == (0, 0)  # the diagonal pair violates
+    # distinct indicator tuples are adjacent; equal ones violate at (0, 0)
+    q = classical_embedding(K2, K3, [0, 1])
+    assert verify_quantum_hom(q).ok
+    arr = q.assignment.copy()
+    arr[1] = arr[0]
+    rep = verify_quantum_hom(QuantumHomomorphism(K2, K3, 1, arr))
+    assert not rep.ok
+    assert rep.witness["edge"] == [0, 1] and rep.witness["pair"] == [0, 0]
 
 
 def test_adjacency_requires_same_shape():
+    # every tuple of a certificate shares one dimension and one target
     with pytest.raises(DimensionError):
-        measurement_adjacent(_indicator_tuple(K3, 0), _indicator_tuple(K3, 0, d=2), K3)
-    with pytest.raises(DomainError):
-        measurement_adjacent(_indicator_tuple(K3, 0), _indicator_tuple(C4, 0), K3)
+        QuantumHomomorphism(K2, K3, 2, np.zeros((2, 3, 1, 1)))
+    with pytest.raises(DimensionError):
+        MeasurementTuple(np.zeros((4, 1, 1)), K3)
 
 
 def test_tensor_tuples_adjacency_case_split():
     # tuples built like the product construction over K2 cartesian K2:
-    # adjacency must hold exactly when the underlying coordinates demand it
+    # every product edge maps to adjacent tuples
     F = product("cartesian", K2, K2)
     q = product_qhom(
         "cartesian", classical_embedding(K2, K2, [0, 1]), classical_embedding(K2, K2, [0, 1])
     )
-    for u in range(4):
-        for v in range(4):
-            if u == v:
-                continue
-            ok, _ = measurement_adjacent(q.tuple_at(u), q.tuple_at(v), F)
-            assert ok == bool(F.adj[u, v]) or ok  # constructed tuples may be
-            # adjacent even off-edges; required only on edges
-    for u, v in q.source.edges():
-        ok, _ = measurement_adjacent(q.tuple_at(u), q.tuple_at(v), F)
-        assert ok
+    assert q.source.n == F.n and np.array_equal(q.source.adj, F.adj)
+    rep = verify_quantum_hom(q)
+    assert rep.ok and rep.witness is None
+    assert rep.adjacency <= 1e-12
 
 
 # --- full verification -----------------------------------------------------------
