@@ -9,7 +9,6 @@ from .errors import (
     DomainError,
     FeasibilityError,
     LimitExceededError,
-    NotPsdError,
     ParseError,
     ValidationError,
     VecchromError,

@@ -34,7 +34,6 @@ from .errors import (
     DomainError,
     FeasibilityError,
     LimitExceededError,
-    NotPsdError,
     ParseError,
     ValidationError,
     VecchromError,
@@ -350,7 +349,7 @@ def main(argv=None) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ValidationError, DomainError, DimensionError, CapacityError,
-            NotPsdError, FeasibilityError, LimitExceededError) as exc:
+            FeasibilityError, LimitExceededError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except VecchromError as exc:

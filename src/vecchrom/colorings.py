@@ -255,8 +255,9 @@ def coloring_from_json(data: dict) -> VectorColoring:
 
 
 def save_coloring(path, c: VectorColoring) -> None:
+    text = json.dumps(coloring_to_json(c))  # one call: json.dump encodes in pure Python
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(coloring_to_json(c), fh)
+        fh.write(text)
 
 
 def load_coloring(path) -> VectorColoring:

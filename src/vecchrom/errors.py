@@ -17,10 +17,6 @@ class DomainError(VecchromError):
     """A precondition on the inputs is violated."""
 
 
-class NotPsdError(VecchromError):
-    """A matrix expected to be positive semidefinite is not."""
-
-
 class FeasibilityError(VecchromError):
     """A matrix fails constraints it was claimed to satisfy."""
 

@@ -15,6 +15,7 @@ classical embedding work.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -27,10 +28,14 @@ from .colorings import ClassicalColoring, modular_coloring
 
 STRUCT_TOL = 1e-8
 ADJ_TOL = 1e-7
+#: Complex entries per block of edges gathered by the adjacency check
+#: (1 MiB), so that its working memory does not grow with the edge count.
+GATHER_ENTRIES = 1 << 16
 
 
-def _maxnorm(M: np.ndarray) -> float:
-    return float(np.abs(M).max()) if M.size else 0.0
+def _maxnorms(X: np.ndarray) -> np.ndarray:
+    """Max-norm of every trailing square block (0.0 for an empty block)."""
+    return np.abs(X).max(axis=(-2, -1), initial=0.0)
 
 
 def _nonfinite_witness(arr: np.ndarray) -> dict | None:
@@ -87,9 +92,6 @@ class QuantumHomomorphism:
         arr.setflags(write=False)
         object.__setattr__(self, "assignment", arr)
 
-    def tuple_at(self, u: int) -> MeasurementTuple:
-        return MeasurementTuple(self.assignment[u], self.target)
-
 
 @dataclass
 class MeasurementReport:
@@ -112,88 +114,97 @@ class QuantumHomReport:
     witness: dict | None
 
 
+def _check_tuples(A: np.ndarray, tol: float):
+    """Structural check of every tuple of a finite (vertices, colors, d, d)
+    array, each condition batched over the vertices.
+
+    Returns the maxima of the hermitian, idempotent, sum-to-identity and
+    orthogonality residuals (the last over color pairs v < w, at 10x tol),
+    the first failing vertex and its witness: hermitian before idempotent
+    per part, then the sum, then the first orthogonality pair in lex
+    order.  The vertex and witness are None when every tuple passes.
+    """
+    count, d = A.shape[1], A.shape[2]
+    herm = _maxnorms(A - A.conj().swapaxes(-1, -2))
+    idem = _maxnorms(A @ A - A)
+    sums = _maxnorms(A.sum(axis=1) - np.eye(d))
+    pairs = list(itertools.combinations(range(count), 2))
+    ortho = np.zeros((A.shape[0], len(pairs)))
+    for k, (v, w) in enumerate(pairs):
+        ortho[:, k] = np.maximum(_maxnorms(A[:, v] @ A[:, w]), _maxnorms(A[:, w] @ A[:, v]))
+    ortho_tol = 10.0 * tol
+    part_bad = (herm > tol) | (idem > tol)
+    pair_bad = ortho > ortho_tol
+    failing = np.flatnonzero(part_bad.any(axis=1) | (sums > tol) | pair_bad.any(axis=1))
+    maxima = tuple(float(r.max(initial=0.0)) for r in (herm, idem, sums, ortho))
+    if not failing.size:
+        return maxima, None, None
+    u = int(failing[0])
+    if part_bad[u].any():
+        v = int(np.flatnonzero(part_bad[u])[0])
+        condition, r = ("hermitian", herm[u, v]) if herm[u, v] > tol else ("idempotent", idem[u, v])
+        witness = {"scope": "tuple", "part": v, "condition": condition, "residual": float(r)}
+    elif sums[u] > tol:
+        witness = {"scope": "tuple", "condition": "sum_to_identity", "residual": float(sums[u])}
+    else:
+        k = int(np.flatnonzero(pair_bad[u])[0])
+        witness = {"scope": "tuple", "condition": "orthogonality", "pair": list(pairs[k]),
+                   "residual": float(ortho[u, k])}
+    return maxima, u, witness
+
+
 def verify_measurement(t: MeasurementTuple, tol: float = STRUCT_TOL) -> MeasurementReport:
     """Check Hermitian, idempotent, sum-to-identity, and pairwise
     orthogonality of distinct parts (the latter at 10x tol, since
     products of two approximate projectors carry doubled error)."""
-    parts = t.parts
-    witness = _nonfinite_witness(parts)
+    witness = _nonfinite_witness(t.parts)
     if witness is not None:
         inf = float("inf")
         return MeasurementReport(False, inf, inf, inf, inf, witness)
-    count, d = parts.shape[0], t.d
-    herm = idem = 0.0
-    for v in range(count):
-        E = parts[v]
-        h = _maxnorm(E - E.conj().T)
-        i = _maxnorm(E @ E - E)
-        if h > tol and witness is None:
-            witness = {"scope": "tuple", "part": v, "condition": "hermitian", "residual": h}
-        if i > tol and witness is None:
-            witness = {"scope": "tuple", "part": v, "condition": "idempotent", "residual": i}
-        herm = max(herm, h)
-        idem = max(idem, i)
-    total = parts.sum(axis=0)
-    sum_res = _maxnorm(total - np.eye(d))
-    if sum_res > tol and witness is None:
-        witness = {"scope": "tuple", "condition": "sum_to_identity", "residual": sum_res}
-    ortho_tol = 10.0 * tol
-    ortho = 0.0
-    for v in range(count):
-        for w in range(v + 1, count):
-            r = max(_maxnorm(parts[v] @ parts[w]), _maxnorm(parts[w] @ parts[v]))
-            if r > ortho_tol and witness is None:
-                witness = {
-                    "scope": "tuple",
-                    "condition": "orthogonality",
-                    "pair": [v, w],
-                    "residual": r,
-                }
-            ortho = max(ortho, r)
-    ok = herm <= tol and idem <= tol and sum_res <= tol and ortho <= ortho_tol
-    return MeasurementReport(ok, herm, idem, sum_res, ortho, witness)
+    (herm, idem, sums, ortho), _, witness = _check_tuples(t.parts[None], tol)
+    ok = herm <= tol and idem <= tol and sums <= tol and ortho <= 10.0 * tol
+    return MeasurementReport(ok, herm, idem, sums, ortho, witness)
 
 
 def verify_quantum_hom(q: QuantumHomomorphism, tol: float = ADJ_TOL) -> QuantumHomReport:
     """Full certificate check: every tuple is a valid measurement
     (structural tolerance tol/10) and every source edge maps to adjacent
     tuples (tolerance tol).  A NaN or infinite entry fails the check with
-    infinite residuals."""
-    witness = _nonfinite_witness(q.assignment)
+    infinite residuals.
+
+    The adjacency products run in a loop over the target's non-adjacent
+    pairs (v, w), v = w included, each batched over the source edges in
+    both orders, in blocks of at most ``GATHER_ENTRIES`` entries.  A tuple failure is the witness when there is one;
+    otherwise the first failing edge in ``Graph.edges()`` order and,
+    within it, the first pair in row-major order.
+    """
+    A = q.assignment
+    witness = _nonfinite_witness(A)
     if witness is not None:
         inf = float("inf")
         return QuantumHomReport(False, inf, inf, inf, inf, inf, witness)
     struct_tol = tol / 10.0
-    herm = idem = sums = ortho = adjacency = 0.0
-    for u in range(q.source.n):
-        rep = verify_measurement(q.tuple_at(u), struct_tol)
-        herm = max(herm, rep.hermitian)
-        idem = max(idem, rep.idempotent)
-        sums = max(sums, rep.sum_to_identity)
-        ortho = max(ortho, rep.orthogonality)
-        if not rep.ok and witness is None:
-            witness = dict(rep.witness or {})
-            witness["scope"] = "tuple"
-            witness["vertex"] = u
-    H = q.target
-    for u, u2 in q.source.edges():
-        for v in range(H.n):
-            for w in range(H.n):
-                if H.adj[v, w]:
-                    continue
-                r = max(
-                    _maxnorm(q.assignment[u, v] @ q.assignment[u2, w]),
-                    _maxnorm(q.assignment[u2, w] @ q.assignment[u, v]),
-                )
-                adjacency = max(adjacency, r)
-                if r > tol and witness is None:
-                    witness = {
-                        "scope": "edge",
-                        "condition": "adjacency",
-                        "edge": [u, u2],
-                        "pair": [v, w],
-                        "residual": r,
-                    }
+    (herm, idem, sums, ortho), u, witness = _check_tuples(A, struct_tol)
+    if witness is not None:
+        witness["vertex"] = u
+    e0, e1 = np.nonzero(np.triu(q.source.adj))  # Graph.edges() order
+    pairs = np.argwhere(~q.target.adj)
+    residual = np.zeros((len(e0), len(pairs)))
+    step = max(1, GATHER_ENTRIES // max(1, q.d * q.d))
+    for k, (v, w) in enumerate(pairs):
+        for s in range(0, len(e0), step):
+            X, Y = A[e0[s:s + step], v], A[e1[s:s + step], w]
+            residual[s:s + step, k] = np.maximum(_maxnorms(X @ Y), _maxnorms(Y @ X))
+    adjacency = float(residual.max(initial=0.0))
+    if adjacency > tol and witness is None:
+        e, k = np.argwhere(residual > tol)[0]
+        witness = {
+            "scope": "edge",
+            "condition": "adjacency",
+            "edge": [int(e0[e]), int(e1[e])],
+            "pair": [int(x) for x in pairs[k]],
+            "residual": float(residual[e, k]),
+        }
     ok = (
         herm <= struct_tol
         and idem <= struct_tol
@@ -232,17 +243,11 @@ def product_qhom(kind: ProductKind | str, q1: QuantumHomomorphism,
     source = product(kind, q1.source, q2.source)
     target = product(kind, q1.target, q2.target)
     d = q1.d * q2.d
-    nF, nK = q1.target.n, q2.target.n
-    assignment = np.zeros((source.n, target.n, d, d), dtype=complex)
-    for u in range(q1.source.n):
-        for v in range(q2.source.n):
-            src = u * q2.source.n + v
-            for w in range(nF):
-                for z in range(nK):
-                    assignment[src, w * nK + z] = np.kron(
-                        q1.assignment[u, w], q2.assignment[v, z]
-                    )
-    return QuantumHomomorphism(source, target, d, assignment)
+    # the broadcast product np.kron performs, for all blocks at once:
+    # blocks[u, v, w, z, a, c, b, d] = q1[u, w, a, b] * q2[v, z, c, d]
+    A, B = q1.assignment, q2.assignment
+    blocks = A[:, None, :, None, :, None, :, None] * B[None, :, None, :, None, :, None, :]
+    return QuantumHomomorphism(source, target, d, blocks.reshape(source.n, target.n, d, d))
 
 
 def compose_classical(q: QuantumHomomorphism, H: Graph, f) -> QuantumHomomorphism:
@@ -257,9 +262,7 @@ def compose_classical(q: QuantumHomomorphism, H: Graph, f) -> QuantumHomomorphis
         raise DomainError(f"map is not a homomorphism; edge {bad} breaks it")
     f = np.asarray(f, dtype=int)
     assignment = np.zeros((q.source.n, H.n, q.d, q.d), dtype=complex)
-    for u in range(q.source.n):
-        for h in range(q.target.n):
-            assignment[u, f[h]] += q.assignment[u, h]
+    np.add.at(assignment, (slice(None), f), q.assignment)  # in target-vertex order
     return QuantumHomomorphism(q.source, H, q.d, assignment)
 
 
@@ -321,11 +324,9 @@ def tensor_with_identity(q: QuantumHomomorphism, k: int) -> QuantumHomomorphism:
         raise DomainError("identity factor must be at least 1")
     eye = np.eye(k, dtype=complex)
     d = q.d * k
-    assignment = np.zeros((q.source.n, q.target.n, d, d), dtype=complex)
-    for u in range(q.source.n):
-        for v in range(q.target.n):
-            assignment[u, v] = np.kron(q.assignment[u, v], eye)
-    return QuantumHomomorphism(q.source, q.target, d, assignment)
+    blocks = q.assignment[:, :, :, None, :, None] * eye[:, None, :]  # np.kron(part, eye)
+    return QuantumHomomorphism(q.source, q.target, d,
+                               blocks.reshape(q.source.n, q.target.n, d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +339,7 @@ def tensor_with_identity(q: QuantumHomomorphism, k: int) -> QuantumHomomorphism:
 
 def certificate_to_json(q: QuantumHomomorphism) -> dict:
     n_colors = _complete_order(q.target)
-    assignment = [
-        [
-            [[[float(x.real), float(x.imag)] for x in row] for row in q.assignment[u, v]]
-            for v in range(n_colors)
-        ]
-        for u in range(q.source.n)
-    ]
+    assignment = np.stack((q.assignment.real, q.assignment.imag), axis=-1).tolist()
     return {
         "d": int(q.d),
         "n_colors": int(n_colors),
@@ -401,8 +396,10 @@ def certificate_from_json(data: dict, base_dir: str | None = None) -> QuantumHom
 
 
 def save_certificate(path, q: QuantumHomomorphism) -> None:
+    # one json.dumps call: json.dump streams through the pure-Python encoder
+    text = json.dumps(certificate_to_json(q))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(certificate_to_json(q), fh)
+        fh.write(text)
 
 
 def load_certificate(path) -> QuantumHomomorphism:

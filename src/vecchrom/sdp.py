@@ -392,11 +392,10 @@ def check_feasibility(problem: SdpProblem, X, tol: float) -> FeasibilityReport:
     if X.shape != (n, n) or not np.isfinite(X).all():
         inf = float("inf")
         return FeasibilityReport(False, inf, inf, inf)
-    affine = max(abs(float(np.trace(X)) - 1.0), float(np.abs(X - X.T).max()))
-    for u in range(n):
-        for v in range(n):
-            if u != v and not problem.adj[u, v]:
-                affine = max(affine, abs(float(X[u, v])))
+    off = ~problem.adj
+    np.fill_diagonal(off, False)
+    affine = max(abs(float(np.trace(X)) - 1.0), float(np.abs(X - X.T).max()),
+                 float(np.abs(X[off]).max(initial=0.0)))
     entrywise = max(0.0, -float(X.min())) if problem.nonneg else 0.0
     try:
         np.linalg.cholesky(X + tol * np.eye(n))

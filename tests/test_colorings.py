@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -336,6 +339,9 @@ def test_coloring_json_roundtrip(tmp_path):
     assert set(data) == {"k", "strict", "dim", "vectors"}
     again = coloring_from_json(data)
     assert np.array_equal(again.vectors, c.vectors)
+    streamed = io.StringIO()
+    json.dump(data, streamed)
+    assert path.read_text(encoding="utf-8") == streamed.getvalue()
 
 
 @pytest.mark.parametrize("mutate", [

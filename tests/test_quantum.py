@@ -1,13 +1,20 @@
+import dataclasses
+import io
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from vecchrom import graphs
+from vecchrom import graphs, quantum
 from vecchrom.errors import DimensionError, DomainError, ParseError, ValidationError
 from vecchrom.graphs import generate, is_homomorphism, product
 from vecchrom.quantum import (
+    ADJ_TOL,
+    STRUCT_TOL,
+    MeasurementReport,
     MeasurementTuple,
+    QuantumHomReport,
     QuantumHomomorphism,
     certificate_from_json,
     certificate_to_json,
@@ -38,6 +45,10 @@ def _indicator_tuple(target, at, d=1):
     parts = np.zeros((target.n, d, d), dtype=complex)
     parts[at] = np.eye(d)
     return MeasurementTuple(parts, target)
+
+
+def _tuple(q, u):
+    return MeasurementTuple(q.assignment[u], q.target)
 
 
 def _random_unitary(d, seed):
@@ -165,7 +176,7 @@ def test_nonfinite_certificate_fails_with_finite_witness(value, where):
     residuals = (rep.hermitian, rep.idempotent, rep.sum_to_identity,
                  rep.orthogonality, rep.adjacency)
     assert not any(np.isfinite(residuals))
-    assert not verify_measurement(bad.tuple_at(rep.witness["index"][0])).ok
+    assert not verify_measurement(_tuple(bad, rep.witness["index"][0])).ok
 
 
 def test_random_rank_one_replacement_fails_on_edge():
@@ -336,3 +347,344 @@ def test_certificate_validation_errors(tmp_path):
         certificate_from_json(data)
     with pytest.raises(ParseError):
         certificate_from_json({"d": 1})
+
+
+# --- batched code against loop references ---------------------------------------------
+#
+# Test-only loop versions of the verifier and the builders, one projector
+# product or Kronecker block at a time.  The batched code must give equal
+# reports (witness included) and bit-identical arrays.
+
+
+def _loop_maxnorm(M):
+    return float(np.abs(M).max()) if M.size else 0.0
+
+
+def _loop_nonfinite_witness(arr):
+    finite = np.isfinite(arr)
+    if finite.all():
+        return None
+    bad = np.argwhere(~finite)
+    return {"scope": "entries", "condition": "finite",
+            "index": [int(i) for i in bad[0]], "count": len(bad)}
+
+
+def _loop_verify_measurement(t, tol=STRUCT_TOL):
+    parts = t.parts
+    witness = _loop_nonfinite_witness(parts)
+    if witness is not None:
+        inf = float("inf")
+        return MeasurementReport(False, inf, inf, inf, inf, witness)
+    count, d = parts.shape[0], t.d
+    herm = idem = 0.0
+    for v in range(count):
+        E = parts[v]
+        h = _loop_maxnorm(E - E.conj().T)
+        i = _loop_maxnorm(E @ E - E)
+        if h > tol and witness is None:
+            witness = {"scope": "tuple", "part": v, "condition": "hermitian", "residual": h}
+        if i > tol and witness is None:
+            witness = {"scope": "tuple", "part": v, "condition": "idempotent", "residual": i}
+        herm = max(herm, h)
+        idem = max(idem, i)
+    sum_res = _loop_maxnorm(parts.sum(axis=0) - np.eye(d))
+    if sum_res > tol and witness is None:
+        witness = {"scope": "tuple", "condition": "sum_to_identity", "residual": sum_res}
+    ortho_tol = 10.0 * tol
+    ortho = 0.0
+    for v in range(count):
+        for w in range(v + 1, count):
+            r = max(_loop_maxnorm(parts[v] @ parts[w]), _loop_maxnorm(parts[w] @ parts[v]))
+            if r > ortho_tol and witness is None:
+                witness = {"scope": "tuple", "condition": "orthogonality", "pair": [v, w],
+                           "residual": r}
+            ortho = max(ortho, r)
+    ok = herm <= tol and idem <= tol and sum_res <= tol and ortho <= ortho_tol
+    return MeasurementReport(ok, herm, idem, sum_res, ortho, witness)
+
+
+def _loop_verify_quantum_hom(q, tol=ADJ_TOL):
+    witness = _loop_nonfinite_witness(q.assignment)
+    if witness is not None:
+        inf = float("inf")
+        return QuantumHomReport(False, inf, inf, inf, inf, inf, witness)
+    struct_tol = tol / 10.0
+    herm = idem = sums = ortho = adjacency = 0.0
+    for u in range(q.source.n):
+        rep = _loop_verify_measurement(_tuple(q, u), struct_tol)
+        herm = max(herm, rep.hermitian)
+        idem = max(idem, rep.idempotent)
+        sums = max(sums, rep.sum_to_identity)
+        ortho = max(ortho, rep.orthogonality)
+        if not rep.ok and witness is None:
+            witness = dict(rep.witness or {})
+            witness["scope"] = "tuple"
+            witness["vertex"] = u
+    H = q.target
+    for u, u2 in q.source.edges():
+        for v in range(H.n):
+            for w in range(H.n):
+                if H.adj[v, w]:
+                    continue
+                r = max(_loop_maxnorm(q.assignment[u, v] @ q.assignment[u2, w]),
+                        _loop_maxnorm(q.assignment[u2, w] @ q.assignment[u, v]))
+                adjacency = max(adjacency, r)
+                if r > tol and witness is None:
+                    witness = {"scope": "edge", "condition": "adjacency", "edge": [u, u2],
+                               "pair": [v, w], "residual": r}
+    ok = (herm <= struct_tol and idem <= struct_tol and sums <= struct_tol
+          and ortho <= 10 * struct_tol and adjacency <= tol)
+    return QuantumHomReport(ok, herm, idem, sums, ortho, adjacency, witness)
+
+
+def _loop_product_qhom(kind, q1, q2):
+    source = product(kind, q1.source, q2.source)
+    target = product(kind, q1.target, q2.target)
+    nK = q2.target.n
+    A = np.zeros((source.n, target.n, q1.d * q2.d, q1.d * q2.d), dtype=complex)
+    for u in range(q1.source.n):
+        for v in range(q2.source.n):
+            for w in range(q1.target.n):
+                for z in range(nK):
+                    A[u * q2.source.n + v, w * nK + z] = np.kron(q1.assignment[u, w],
+                                                                 q2.assignment[v, z])
+    return A
+
+
+def _loop_compose_classical(q, H, f):
+    A = np.zeros((q.source.n, H.n, q.d, q.d), dtype=complex)
+    for u in range(q.source.n):
+        for h in range(q.target.n):
+            A[u, f[h]] += q.assignment[u, h]
+    return A
+
+
+def _loop_tensor_with_identity(q, k):
+    eye = np.eye(k, dtype=complex)
+    A = np.zeros((q.source.n, q.target.n, q.d * k, q.d * k), dtype=complex)
+    for u in range(q.source.n):
+        for v in range(q.target.n):
+            A[u, v] = np.kron(q.assignment[u, v], eye)
+    return A
+
+
+def _loop_certificate_json(q):
+    data = certificate_to_json(q)
+    data["assignment"] = [
+        [[[[float(x.real), float(x.imag)] for x in row] for row in q.assignment[u, v]]
+         for v in range(q.target.n)]
+        for u in range(q.source.n)
+    ]
+    return data
+
+
+def _hadamard_coloring(n):
+    """The quantum n-coloring of Omega_n: vertex x gets the rank-one
+    projectors onto the columns of diag(x) F, F the unitary Fourier matrix.
+    For orthogonal x and y the same-color products vanish, since
+    f_a* diag(x o y) f_a = (x . y) / n = 0."""
+    G = generate("omega", n)
+    signs = 1 - 2 * ((np.arange(G.n)[:, None] >> np.arange(n)) & 1)  # generator's bit order
+    F = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+    columns = signs[:, :, None] * F[None]
+    assignment = np.einsum("xia,xja->xaij", columns, columns.conj())
+    return QuantumHomomorphism(G, generate("complete", n), n, assignment)
+
+
+def _oracle_certificates():
+    q5 = conjugate(tensor_with_identity(classical_embedding(C5, K3, COL5), 2),
+                   _random_unitary(2, 31))
+    q7 = conjugate(tensor_with_identity(classical_embedding(C7, K3, COL7), 2),
+                   _random_unitary(2, 32))
+    return {
+        "d1": classical_embedding(C5, K3, COL5),
+        "d2_conjugated": q5,
+        "sabidussi_d4": quantum_sabidussi(q5, q7),
+        "hadamard_4": _hadamard_coloring(4),
+    }
+
+
+ORACLE_CERTIFICATES = _oracle_certificates()
+
+# Single-entry mutations, except "adjacency", which swaps two part blocks so
+# that the tuple stays a valid measurement.  Orthogonality does not become
+# the witness: projectors summing to the identity are mutually orthogonal,
+# so a tuple that breaks orthogonality breaks the sum, checked first, by a
+# comparable amount, and orthogonality is checked at 10x the tolerance.
+# "orthogonality" adds an overlapping projector and checks that residual.
+MUTATIONS = {
+    "hermitian": "hermitian",
+    "idempotent": "idempotent",
+    "sum": "sum_to_identity",
+    "orthogonality": "sum_to_identity",
+    "adjacency": "adjacency",
+    "nan": "finite",
+    "inf": "finite",
+}
+
+
+def _mutate(q, kind, seed):
+    rng = np.random.default_rng(seed)
+    A = q.assignment.copy()
+    u = int(rng.integers(q.source.n))
+    i, j = (int(x) for x in rng.integers(q.d, size=2))
+    used = np.flatnonzero(np.abs(A[u]).max(axis=(1, 2)) > 1e-9)
+    c = int(rng.choice(used))
+    if kind == "hermitian":
+        A[u, c, i, j] += 1e-3j
+    elif kind == "idempotent":
+        A[u, c, i, i] += 1e-3
+    elif kind == "sum":
+        A[u, c, i, i] = 0.0
+    elif kind == "orthogonality":
+        unused = np.setdiff1d(np.arange(q.target.n), used)
+        A[u, unused[0] if unused.size else c, i, i] = 1.0
+    elif kind == "adjacency":
+        nb = int(np.flatnonzero(q.source.adj[u])[0])
+        nb_used = np.flatnonzero(np.abs(A[nb]).max(axis=(1, 2)) > 1e-9)
+        c2 = int(nb_used[nb_used != c][0])
+        A[u, [c, c2]] = A[u, [c2, c]]
+    else:
+        A[u, c, i, j] = np.nan if kind == "nan" else np.inf
+    return QuantumHomomorphism(q.source, q.target, q.d, A), u
+
+
+def _assert_same_report(got, want):
+    assert got == want
+    assert json.dumps(dataclasses.asdict(got)) == json.dumps(dataclasses.asdict(want))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CERTIFICATES))
+def test_batched_verifier_matches_loop_on_valid_certificates(name):
+    q = ORACLE_CERTIFICATES[name]
+    for tol in (ADJ_TOL, 1e-15):
+        _assert_same_report(verify_quantum_hom(q, tol), _loop_verify_quantum_hom(q, tol))
+    for u in range(q.source.n):
+        _assert_same_report(verify_measurement(_tuple(q, u)),
+                            _loop_verify_measurement(_tuple(q, u)))
+    assert verify_quantum_hom(q).ok
+
+
+@pytest.mark.parametrize("kind", sorted(MUTATIONS))
+@pytest.mark.parametrize("name", sorted(ORACLE_CERTIFICATES))
+def test_batched_verifier_matches_loop_on_mutations(name, kind):
+    q = ORACLE_CERTIFICATES[name]
+    for seed in range(3):
+        bad, u = _mutate(q, kind, seed)
+        for tol in (ADJ_TOL, 1e-2):
+            _assert_same_report(verify_quantum_hom(bad, tol), _loop_verify_quantum_hom(bad, tol))
+        _assert_same_report(verify_measurement(_tuple(bad, u)),
+                            _loop_verify_measurement(_tuple(bad, u)))
+        rep = verify_quantum_hom(bad)
+        assert not rep.ok
+        expected = MUTATIONS[kind]
+        if name == "hadamard_4" and kind in ("sum", "orthogonality"):
+            expected = "idempotent"  # a rank-one part loses idempotence first
+        assert rep.witness["condition"] == expected, rep.witness
+        if kind == "orthogonality":
+            assert rep.orthogonality > ADJ_TOL
+        if rep.witness["scope"] == "tuple":
+            assert rep.witness["vertex"] == u
+        elif rep.witness["scope"] == "entries":
+            assert rep.witness["index"][0] == u
+        else:
+            assert u in rep.witness["edge"]
+
+
+@pytest.mark.parametrize("kind", ["categorical", "cartesian", "strong", "disjunctive",
+                                  "lexicographic"])
+def test_product_qhom_bit_identical_to_kron_loop(kind):
+    pairs = [
+        (classical_embedding(C4, K2, [0, 1, 0, 1]), classical_embedding(K3, K3, [0, 1, 2])),
+        (ORACLE_CERTIFICATES["d2_conjugated"],
+         conjugate(tensor_with_identity(classical_embedding(K3, K3, [0, 1, 2]), 3),
+                   _random_unitary(3, 41))),
+    ]
+    for q1, q2 in pairs:
+        got = product_qhom(kind, q1, q2).assignment
+        assert got.tobytes() == _loop_product_qhom(kind, q1, q2).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CERTIFICATES))
+def test_edge_blocks_do_not_change_reports(name, monkeypatch):
+    # blocks of one or two edges in place of one block for all of them
+    monkeypatch.setattr(quantum, "GATHER_ENTRIES", 2)
+    q = ORACLE_CERTIFICATES[name]
+    for kind in ("adjacency", "hermitian", "nan"):
+        bad, _ = _mutate(q, kind, 5)
+        _assert_same_report(verify_quantum_hom(bad), _loop_verify_quantum_hom(bad))
+    _assert_same_report(verify_quantum_hom(q, 1e-15), _loop_verify_quantum_hom(q, 1e-15))
+
+
+def test_adjacency_witness_is_first_edge_then_first_pair():
+    # edges (0, 3) and (1, 2), colors [2, 0, 0, 2]: edge (0, 3) breaks at
+    # pair (2, 2), edge (1, 2) at the earlier pair (0, 0) and has the
+    # smaller larger endpoint; the row-major edge order decides
+    G = graphs.graph_from_edges(4, [(0, 3), (1, 2)])
+    arr = np.zeros((4, 3, 1, 1), dtype=complex)
+    arr[[0, 1, 2, 3], [2, 0, 0, 2]] = 1.0
+    q = QuantumHomomorphism(G, K3, 1, arr)
+    rep = verify_quantum_hom(q)
+    assert (rep.witness["edge"], rep.witness["pair"]) == ([0, 3], [2, 2])
+    _assert_same_report(rep, _loop_verify_quantum_hom(q))
+
+
+def test_compose_and_sabidussi_bit_identical_to_loops():
+    q = ORACLE_CERTIFICATES["sabidussi_d4"]
+    for f in ([0, 1, 2], [2, 0, 1]):
+        assert (compose_classical(q, K3, f).assignment.tobytes()
+                == _loop_compose_classical(q, K3, f).tobytes())
+    # three rounding-sensitive terms per color: the summation order shows
+    rng = np.random.default_rng(43)
+    arr = rng.standard_normal((5, 6, 2, 2)) + 1j * rng.standard_normal((5, 6, 2, 2))
+    noisy = QuantumHomomorphism(C5, generate("cycle", 6), 2, arr)
+    f = [0, 1, 0, 1, 0, 1]
+    assert (compose_classical(noisy, K2, f).assignment.tobytes()
+            == _loop_compose_classical(noisy, K2, f).tobytes())
+    q5, q7 = ORACLE_CERTIFICATES["d2_conjugated"], tensor_with_identity(
+        classical_embedding(C7, K3, COL7), 2)
+    combined = product_qhom("cartesian", q5, q7)
+    modular = [(a + b) % 3 for a in range(3) for b in range(3)]
+    expected = _loop_compose_classical(combined, K3, modular)
+    assert quantum_sabidussi(q5, q7).assignment.tobytes() == expected.tobytes()
+
+
+def test_tensor_with_identity_bit_identical_to_kron_loop():
+    for q in ORACLE_CERTIFICATES.values():
+        for k in (1, 2, 3):
+            assert (tensor_with_identity(q, k).assignment.tobytes()
+                    == _loop_tensor_with_identity(q, k).tobytes())
+
+
+def test_saved_certificate_text_matches_streamed_json(tmp_path):
+    for name, q in ORACLE_CERTIFICATES.items():
+        path = tmp_path / f"{name}.json"
+        save_certificate(path, q)
+        reference = io.StringIO()
+        json.dump(_loop_certificate_json(q), reference)
+        assert path.read_text(encoding="utf-8") == reference.getvalue()
+
+
+# --- the Hadamard coloring of Omega_n: a genuinely quantum certificate ------------
+
+@pytest.mark.parametrize("n, edges", [(4, 48), (8, 8960)])
+def test_hadamard_coloring_verifies(n, edges):
+    q = _hadamard_coloring(n)
+    assert (q.source.n, q.source.edge_count, q.d, q.target.n) == (2 ** n, edges, n, n)
+    rep = verify_quantum_hom(q)
+    assert rep.ok and rep.witness is None
+    assert rep.adjacency <= 1e-14
+    assert rep.orthogonality <= 1e-14
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hadamard_coloring_mutation_names_vertex(seed):
+    q = _hadamard_coloring(8)
+    rng = np.random.default_rng(seed)
+    u, c, i, j = (int(rng.integers(m)) for m in (q.source.n, 8, 8, 8))
+    A = q.assignment.copy()
+    A[u, c, i, j] += 1e-3
+    rep = verify_quantum_hom(QuantumHomomorphism(q.source, q.target, q.d, A))
+    assert not rep.ok
+    assert rep.witness["scope"] == "tuple" and rep.witness["vertex"] == u
+    assert rep.witness["part"] == c

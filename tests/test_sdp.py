@@ -168,6 +168,30 @@ def test_independent_recheck_names_each_violation():
     assert not check_feasibility(theta, nan, 1e-9).ok
 
 
+def _loop_affine(problem, X):
+    # the per-entry scan that check_feasibility's masked maximum replaced
+    affine = max(abs(float(np.trace(X)) - 1.0), float(np.abs(X - X.T).max()))
+    for u in range(problem.order):
+        for v in range(problem.order):
+            if u != v and not problem.adj[u, v]:
+                affine = max(affine, abs(float(X[u, v])))
+    return affine
+
+
+def test_affine_residual_matches_entry_scan():
+    rng = np.random.default_rng(17)
+    graphs_ = [graphs.generate("complete", 4), graphs.generate("empty", 3),
+               graphs.generate("petersen")] + [random_graph(n, seed=60 + n) for n in (2, 5, 9)]
+    for G in graphs_:
+        for builder in (build_theta_bar, build_chi_vec):
+            prob = builder(G)
+            for scale in (1.0, 1e-6, 1e-12):
+                X = scale * rng.standard_normal((G.n, G.n))
+                X = X + X.T if scale < 1.0 else X
+                report = check_feasibility(prob, X, 1e-9)
+                assert report.affine == _loop_affine(prob, X)
+
+
 def test_gap_certificate_on_every_solve():
     for seed in range(6):
         G = random_graph(5 + seed % 3, seed=30 + seed)
