@@ -52,18 +52,17 @@ from .identities import (
     SDP_CAP_DEFAULT,
     SUITES,
     ParamCache,
-    chain_checks,
+    cached_param,
     check_sdp_cap,
     run_suite,
+    sandwich_checks,
 )
 from .params import (
     CHROMATIC_CAP_DEFAULT,
-    chi_vec,
     chromatic_number,
     one_homogeneous_check,
     spectral_lower_bound,
     spectral_vector_chromatic,
-    theta_bar,
 )
 from .quantum import load_certificate, verify_quantum_hom
 from .sdp import SolverConfig
@@ -139,6 +138,16 @@ def _param_payload(res) -> dict:
     return out
 
 
+def _sdp_value(G: Graph, which: str, cfg: SolverConfig) -> tuple[dict | None, int]:
+    """Payload of one SDP value ("theta_bar" or "chi_vec") and its exit code;
+    a solver failure gives the partial payload (None before the first
+    convergence check) and exit 2."""
+    try:
+        return _param_payload(cached_param(G, which, cfg)), EXIT_OK
+    except ConvergenceError as exc:
+        return (_param_payload(exc.partial) if exc.partial else None), EXIT_SOLVER
+
+
 def cmd_param(args) -> tuple[dict, int]:
     G = resolve_graph(args.graph)
     cfg = _solver_config(args)
@@ -146,13 +155,10 @@ def cmd_param(args) -> tuple[dict, int]:
     record["which"] = args.which
     if args.which in ("theta-bar", "chi-vec"):
         check_sdp_cap(G.n, args.cap)
-        param = theta_bar if args.which == "theta-bar" else chi_vec
-        try:
-            record["result"] = _param_payload(param(G, cfg))
-        except ConvergenceError as exc:
-            record["result"] = _param_payload(exc.partial) if exc.partial else None
+        record["result"], code = _sdp_value(G, args.which.replace("-", "_"), cfg)
+        if code:
             record["status"] = "solver_failure"
-            return record, EXIT_SOLVER
+            return record, code
     elif args.which == "chromatic":
         try:
             record["result"] = {"value": chromatic_number(G, args.limit, cap=args.chromatic_cap)}
@@ -248,33 +254,29 @@ def cmd_report(args) -> tuple[dict, int]:
     check_sdp_cap(G.n, args.cap)
     cfg = _solver_config(args)
     record = _base_record("report", args, [G])
-    params: dict = {}
-    code = EXIT_OK
-    try:
-        params["theta_bar"] = _param_payload(theta_bar(G, cfg))
-        params["chi_vec"] = _param_payload(chi_vec(G, cfg))
-    except ConvergenceError as exc:
-        if exc.partial:
-            params["partial"] = _param_payload(exc.partial)
-        record["params"] = params
-        record["status"] = "solver_failure"
-        return record, EXIT_SOLVER
-    if G.edge_count:
-        params["spectral_lower_bound"] = spectral_lower_bound(G)
-    rep = one_homogeneous_check(G)
-    params["one_homogeneous"] = rep.is_one_homogeneous
-    flag, _ = is_bipartite(G)
-    params["bipartite"] = flag
-    if G.n <= args.chromatic_cap:
-        params["chromatic"] = chromatic_number(G, cap=args.chromatic_cap)
-    record["params"] = params
-    checks = chain_checks(G, cfg, cache={}, chromatic_cap=args.chromatic_cap)
+    params = record["params"] = {}
+    # each value is computed once; the chain checks reuse them
+    for which in ("theta_bar", "chi_vec"):
+        payload, code = _sdp_value(G, which, cfg)
+        if code:
+            if payload:
+                params["partial"] = payload
+            record["status"] = "solver_failure"
+            return record, code
+        params[which] = payload
+    lb = spectral_lower_bound(G) if G.edge_count else None
+    if lb is not None:
+        params["spectral_lower_bound"] = lb
+    params["one_homogeneous"] = one_homogeneous_check(G).is_one_homogeneous
+    params["bipartite"] = is_bipartite(G)[0]
+    chi = chromatic_number(G, cap=args.chromatic_cap) if G.n <= args.chromatic_cap else None
+    if chi is not None:
+        params["chromatic"] = chi
+    checks = sandwich_checks(G, lb, params["chi_vec"]["value"], params["theta_bar"]["value"], chi)
     record["identities"] = [c.as_dict() for c in checks]
-    record["status"] = "ok"
-    if not all(c.passed for c in checks):
-        record["status"] = "failed"
-        code = EXIT_VALIDATION
-    return record, code
+    passed = all(c.passed for c in checks)
+    record["status"] = "ok" if passed else "failed"
+    return record, EXIT_OK if passed else EXIT_VALIDATION
 
 
 def build_parser() -> _Parser:

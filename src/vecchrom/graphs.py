@@ -95,9 +95,6 @@ class Graph:
         """Hashable canonical identity, suitable for memo dictionaries."""
         return (self.n, np.packbits(self.adj).tobytes())
 
-    def relabel(self, label: str) -> "Graph":
-        return Graph(self.n, self.adj, label)
-
     def __repr__(self):  # pragma: no cover - debugging aid
         name = self.label or "graph"
         return f"Graph({name}, n={self.n}, m={self.edge_count})"

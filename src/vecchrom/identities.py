@@ -376,15 +376,22 @@ def chain_checks(G: Graph, cfg: SolverConfig | None = None,
                  chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> list[IdentityCheck]:
     """Sandwich chain for one graph: average-degree bound, chi_vec,
     theta_bar, and (when computable) the chromatic number."""
-    label = G.label or f"n{G.n}"
     cv = cached_param(G, "chi_vec", cfg, cache).value
     tb = cached_param(G, "theta_bar", cfg, cache).value
+    lb = spectral_lower_bound(G) if G.edge_count else None
+    chi = chromatic_number(G, cap=chromatic_cap) if G.n <= chromatic_cap else None
+    return sandwich_checks(G, lb, cv, tb, chi, tol)
+
+
+def sandwich_checks(G: Graph, lb: float | None, cv: float, tb: float, chi: int | None,
+                    tol: float = 1e-4) -> list[IdentityCheck]:
+    """The chain checks of :func:`chain_checks` from values already computed;
+    the spectral bound ``lb`` and the chromatic number ``chi`` may be None."""
+    label = G.label or f"n{G.n}"
     checks = [_check(f"chi_vec <= theta_bar [{label}]", cv, cv, tb, tol, "le")]
-    if G.edge_count:
-        lb = spectral_lower_bound(G)
+    if lb is not None:
         checks.insert(0, _check(f"spectral bound <= chi_vec [{label}]", lb, lb, cv, tol, "le"))
-    if G.n <= chromatic_cap:
-        chi = chromatic_number(G, cap=chromatic_cap)
+    if chi is not None:
         checks.append(_check(f"theta_bar <= chi [{label}]", tb, tb, float(chi), 2 * tol, "le"))
     return checks
 

@@ -63,6 +63,8 @@ class MeasurementTuple:
         parts = np.asarray(self.parts, dtype=complex)
         if parts.ndim != 3 or parts.shape[1] != parts.shape[2]:
             raise DimensionError("parts must be a (vertices, d, d) array")
+        if parts.shape[1] < 1:
+            raise DimensionError("projectors need dimension d >= 1")
         if parts.shape[0] != self.target.n:
             raise DimensionError("one projector per target vertex required")
         parts = parts.copy()
@@ -84,6 +86,8 @@ class QuantumHomomorphism:
     assignment: np.ndarray  # shape (|V(source)|, |V(target)|, d, d)
 
     def __post_init__(self):
+        if self.d < 1:
+            raise DimensionError(f"dimension d = {self.d}, expected d >= 1")
         arr = np.asarray(self.assignment, dtype=complex)
         expected = (self.source.n, self.target.n, self.d, self.d)
         if arr.shape != expected:
@@ -378,6 +382,8 @@ def certificate_from_json(data: dict, base_dir: str | None = None) -> QuantumHom
         raw = data["assignment"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed certificate: {exc}")
+    if d < 1:
+        raise ValidationError(f"certificate declares dimension d = {d}, expected d >= 1")
     source = _source_graph(graph_spec, base_dir)
     try:
         arr = np.asarray(raw)

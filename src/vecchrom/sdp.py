@@ -57,6 +57,7 @@ PENALTY = 1.0  # consensus stiffness per unit of problem order
 OVER_RELAXATION = 1.6
 ANDERSON_MEMORY = 10  # residual differences kept by the acceleration
 ANDERSON_REGULARIZATION = 1e-10  # Tikhonov weight relative to the Gram norm
+CHECK_EVERY = 25  # iterations between convergence checks (and at max_iter)
 
 
 @dataclass(frozen=True)
@@ -70,13 +71,12 @@ class SolverConfig:
     tol: float = 1e-7
     gap_tol: float = 1e-5
     max_iter: int = 50000
-    check_every: int = 25
 
     def __post_init__(self):
         if min(self.tol, self.gap_tol) <= 0:
             raise DomainError("tolerances must be positive")
-        if self.max_iter <= 0 or self.check_every <= 0:
-            raise DomainError("iteration counts must be positive")
+        if self.max_iter <= 0:
+            raise DomainError("the iteration count must be positive")
 
 
 @dataclass(frozen=True)
@@ -329,10 +329,10 @@ def solve(problem: SdpProblem, cfg: SolverConfig | None = None) -> SdpSolution:
             Us = [U + (h - Z) for h, U in zip(hats, Us)]
             U_psd = Us[1]
             # solves that stop at the first check run the plain iteration
-            if it >= cfg.check_every:
+            if it >= CHECK_EVERY:
                 Z, Us = accel.next_point(Z, Us)
 
-            if it % cfg.check_every and it != cfg.max_iter:
+            if it % CHECK_EVERY and it != cfg.max_iter:
                 continue
 
             X_rep = _feasible_point(problem, X_aff)

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from vecchrom import graphs, sdp
+from vecchrom import graphs, params, sdp
 from vecchrom.cli import main, resolve_graph
+from vecchrom.identities import chain_checks
 from vecchrom.graphs import parse_edge_list
 from vecchrom.errors import ParseError, ValidationError
 from vecchrom.quantum import (
@@ -172,6 +173,39 @@ def test_verify_records_intervals_and_cache(capsys, suite, checks):
     lookups = 2 * (2 if suite == "sabidussi" else 1)
     misses = lookups // 2
     assert record["cache"] == {"hits": lookups - misses, "misses": misses}
+
+
+NAMED_PAIRS = [("cycle:5", "complete:3"), ("petersen", "cycle:5"), ("cycle:5", "cycle:5"),
+               ("complete:3", "complete:4"), ("cycle:7", "petersen")]
+
+
+def test_verify_named_pairs_identity_table(capsys):
+    # the certified identity table: three suites on each named pair, and the
+    # union of (C5, C5), at the tolerances of the acceptance suites
+    runs = [(pair, suite) for pair in NAMED_PAIRS
+            for suite in ("sabidussi", "hedetniemi", "products")]
+    runs.append((("cycle:5", "cycle:5"), "union"))
+    passed = 0
+    for (g, h), suite in runs:
+        code, record, _ = run_cli(capsys, "verify", g, h, "--suite", suite,
+                                  "--tol", "1e-6", "--max-iter", "150000")
+        assert (code, record["all_passed"]) == (0, True), (g, h, suite)
+        for ident in record["pairs"][0]["identities"]:
+            low, up = ident["detail"]["interval"]
+            assert ident["passed"] and low <= up
+            passed += 1
+    assert passed == 31
+
+
+@pytest.mark.parametrize("suite", ["sabidussi", "hedetniemi", "products"])
+def test_verify_identity_tol_zero_fails(capsys, suite):
+    # at tolerance 0 no certified interval of a theta-bar check on C5 is a point
+    code, record, _ = run_cli(capsys, "verify", "cycle:5", "complete:3", "--suite", suite,
+                              "--identity-tol", "0")
+    assert code == 3
+    assert record["status"] == "failed" and record["all_passed"] is False
+    failed = [i for i in record["pairs"][0]["identities"] if not i["passed"]]
+    assert failed and all(i["name"].startswith(("theta_bar", "chi_vec")) for i in failed)
 
 
 def test_verify_random_pairs_seeded(capsys):
@@ -342,6 +376,48 @@ def test_report_record(capsys):
     assert params["bipartite"] is False
     assert params["chromatic"] == 3
     assert all(c["passed"] for c in record["identities"])
+
+
+def test_report_solves_each_value_once(capsys, monkeypatch):
+    calls = []
+    solve = params.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(params, "solve", counting_solve)
+    code, _, _ = run_cli(capsys, "report", "cycle:5")
+    assert code == 0
+    assert len(calls) == 2  # theta-bar and chi-vec; the chain checks reuse them
+
+
+def test_report_matches_values_computed_apart(capsys):
+    # the record of one graph equals what the param command and the chain
+    # checks give when each computes its values on its own
+    code, record, _ = run_cli(capsys, "report", "cycle:5")
+    assert code == 0
+    assert list(record) == ["tool", "timestamp", "command", "config", "graphs",
+                            "params", "identities", "status"]
+    G = resolve_graph("cycle:5")
+    expected = {}
+    for which in ("theta-bar", "chi-vec"):
+        _, apart, _ = run_cli(capsys, "param", "cycle:5", "--which", which)
+        expected[which.replace("-", "_")] = apart["result"]
+    expected.update(spectral_lower_bound=params.spectral_lower_bound(G), one_homogeneous=True,
+                    bipartite=False, chromatic=params.chromatic_number(G))
+    assert list(record["params"].items()) == list(expected.items())
+    assert record["identities"] == [c.as_dict() for c in chain_checks(G, sdp.SolverConfig())]
+    assert record["status"] == "ok"
+
+
+def test_report_solver_failure_keeps_theta_bar_partial(capsys):
+    code, record, _ = run_cli(capsys, "report", "petersen", "--max-iter", "5")
+    assert code == 2
+    assert record["status"] == "solver_failure"
+    assert list(record["params"]) == ["partial"]  # theta-bar fails first
+    assert record["params"]["partial"]["iterations"] == 5
+    assert "identities" not in record
 
 
 def test_records_deterministic_modulo_timestamp(capsys):

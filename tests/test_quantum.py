@@ -120,6 +120,16 @@ def test_adjacency_requires_same_shape():
         MeasurementTuple(np.zeros((4, 1, 1)), K3)
 
 
+def test_dimension_below_one_is_refused():
+    # 0 x 0 parts pass every residual (their sum is the 0 x 0 identity), which
+    # would make this a quantum 1-coloring of K5
+    K5, K1 = generate("complete", 5), generate("complete", 1)
+    with pytest.raises(DimensionError):
+        QuantumHomomorphism(K5, K1, 0, np.zeros((5, 1, 0, 0)))
+    with pytest.raises(DimensionError):
+        MeasurementTuple(np.zeros((3, 0, 0)), K3)
+
+
 def test_tensor_tuples_adjacency_case_split():
     # tuples built like the product construction over K2 cartesian K2:
     # every product edge maps to adjacent tuples
@@ -347,6 +357,16 @@ def test_certificate_validation_errors(tmp_path):
         certificate_from_json(data)
     with pytest.raises(ParseError):
         certificate_from_json({"d": 1})
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_certificate_declaring_dimension_below_one_is_refused(monkeypatch, d):
+    data = certificate_to_json(classical_embedding(C4, K2, [0, 1, 0, 1]))
+    data["d"] = d
+    # refused before the source graph or the assignment array is built
+    monkeypatch.setattr(quantum, "_source_graph", lambda *args: pytest.fail("graph built"))
+    with pytest.raises(ValidationError, match="d >= 1"):
+        certificate_from_json(data)
 
 
 # --- batched code against loop references ---------------------------------------------
