@@ -174,6 +174,9 @@ def cmd_param(args) -> tuple[dict, int]:
                 res = spectral_vector_chromatic(G)
                 result["vector_chromatic"] = res.value
                 result["method"] = res.method
+                # a 1-homogeneous graph is regular, so 2e/n is exactly its
+                # degree and the average-degree bound is the same float
+                result["lower_bound"] = res.value
             except DomainError:
                 flag, _ = is_bipartite(G)
                 if flag:
@@ -181,7 +184,7 @@ def cmd_param(args) -> tuple[dict, int]:
                     result["method"] = "convention"
                 else:
                     raise
-            result["lower_bound"] = spectral_lower_bound(G)
+                result["lower_bound"] = spectral_lower_bound(G)
         record["result"] = result
     else:  # onehom
         rep = one_homogeneous_check(G)

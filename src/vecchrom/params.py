@@ -119,8 +119,11 @@ def spectral_lower_bound(G: Graph) -> float:
 # classes, not on all n^2 coordinates: two coordinates (i, j) whose value
 # tuples (I[i,j], A[i,j], ..., A^k[i,j]) agree are equal columns of the
 # matrix whose rows are the powers, and deleting duplicate columns keeps
-# the rank of every set of its rows.  The classes are refined at each
-# power, and one representative column per class is reduced exactly.
+# the rank of every set of its rows.  Powers of the symmetric A are
+# symmetric, so (j, i) always duplicates (i, j) and only the upper
+# triangle i <= j is classified.  The classes are refined at each power
+# with one sort keyed on (class, value), and one representative column
+# per class is reduced exactly.
 
 
 @dataclass
@@ -170,26 +173,30 @@ class _ExactEchelon:
 
 
 def _integer_power_iter(A_bool: np.ndarray):
-    """Yields exact integer powers I, A, A^2, ...; falls back to Python
-    big integers when an int64 product could overflow.
+    """Yields the exact integer powers I, A, A^2, ... of an adjacency matrix.
 
-    With big integers, column j of P A is the sum of the columns of P at
-    the neighbours of j: n * 2|E| additions in place of n^3
-    multiply-adds.
+    Each power is int64 while the next is computed as a float64 BLAS
+    product, which is exact while max(P) * (maximum degree) <= 2**53: the
+    entries of A^k are nonnegative integers and each entry of P A sums at
+    most that many entries of P, so every partial sum, in any order and
+    with or without fused multiply-add, is an integer that float64 holds
+    exactly.  Past that bound the powers are Python big integers, and
+    column j of P A is the sum of the columns of P at the neighbours of
+    j: n * 2|E| additions in place of n^3 multiply-adds.
     """
     n = A_bool.shape[0]
-    A64 = A_bool.astype(np.int64)
-    row_sum = int(A64.sum(axis=1).max()) if n else 0
+    A = A_bool.astype(np.float64)
+    max_degree = int(A_bool.sum(axis=1).max()) if n else 0
     P = np.eye(n, dtype=np.int64)
     neighbours = None
     while True:
         yield P
-        if neighbours is None and row_sum and int(np.abs(P).max()) > (2**62) // row_sum:
-            neighbours = [np.flatnonzero(A_bool[:, j]) for j in range(n)]
-            P = P.astype(object)
-        if neighbours is None:
-            P = P @ A64
+        if neighbours is None and int(P.max(initial=0)) * max_degree <= 2**53:
+            P = (P.astype(np.float64) @ A).astype(np.int64)
         else:
+            if neighbours is None:
+                neighbours = [np.flatnonzero(A_bool[:, j]) for j in range(n)]
+                P = P.astype(object)
             Q = np.empty((n, n), dtype=object)
             for j, nb in enumerate(neighbours):
                 Q[:, j] = P[:, nb].sum(axis=1) if len(nb) else 0
@@ -210,7 +217,8 @@ def one_homogeneous_check(G: Graph) -> OneHomReport:
     adj = G.adj
     edge_idx = np.argwhere(np.triu(adj))
     echelon = _ExactEchelon()
-    labels = np.zeros(n * n, dtype=np.int64)  # coordinate class so far
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    labels = np.zeros(n * (n + 1) // 2, dtype=np.int64)  # coordinate class so far
     constants = []
     for k, P in enumerate(_integer_power_iter(adj)):
         diag = P.diagonal()
@@ -228,12 +236,14 @@ def one_homogeneous_check(G: Graph) -> OneHomReport:
         else:
             c_k = 0
         constants.append((k, b_k, c_k))
-        flat = P.ravel()
-        vals, inv = np.unique(flat, return_inverse=True)
-        keys, reps, labels = np.unique(
-            labels * len(vals) + inv, return_index=True, return_inverse=True
-        )
-        echelon.split(keys // len(vals))
+        flat = P[upper]
+        order = np.lexsort((flat, labels))  # by class, then by value
+        cls, val = labels[order], flat[order]
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = (cls[1:] != cls[:-1]) | (val[1:] != val[:-1])
+        reps = order[starts]
+        echelon.split(labels[reps])
+        labels[order] = np.cumsum(starts) - 1
         if echelon.contains(flat[reps]):
             # k is the minimal-polynomial degree; all higher powers are
             # combinations of the checked ones

@@ -101,6 +101,28 @@ def test_param_spectral(capsys):
     assert record["result"]["method"] == "convention"
 
 
+@pytest.mark.parametrize("spec", ["petersen", "omega:4", "cycle:7", "omega:6", "path:3"])
+def test_param_spectral_one_eigendecomposition(capsys, monkeypatch, spec):
+    # the record equals the two functions' values computed apart, from one
+    # eigendecomposition of the adjacency matrix per call
+    G = resolve_graph(spec)
+    expected = {"lower_bound": params.spectral_lower_bound(G)}
+    if params.one_homogeneous_check(G).is_one_homogeneous:
+        expected["vector_chromatic"] = params.spectral_vector_chromatic(G).value
+    eig_sym, calls = params.eig_sym, []
+
+    def counted(M, *args, **kwargs):
+        calls.append(M.shape)
+        return eig_sym(M, *args, **kwargs)
+
+    monkeypatch.setattr(params, "eig_sym", counted)
+    code, record, _ = run_cli(capsys, "param", spec, "--which", "spectral")
+    assert code == 0 and len(calls) == 1
+    result = record["result"]
+    assert result["lower_bound"] == expected["lower_bound"]
+    assert result["vector_chromatic"] == expected.get("vector_chromatic", 2.0)
+
+
 def test_param_solver_failure_exit_code(capsys):
     code, record, _ = run_cli(
         capsys, "param", "petersen", "--which", "theta-bar", "--max-iter", "5"

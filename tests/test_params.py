@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 import numpy as np
 import pytest
@@ -153,8 +154,8 @@ def test_integer_power_iter_past_int64_switch():
         sign = (-1) ** k
         assert np.array_equal(P, (11**k - sign) // 12 * J + sign * I), k
     assert P.dtype == object
-    # a sparse graph with an isolated vertex: C_9 walk counts pass 2^61 at
-    # k = 65, so from k = 66 on the powers are neighbour-column sums,
+    # a sparse graph with an isolated vertex: C_9 walk counts pass 2^52 at
+    # k = 56, so from k = 57 on the powers are neighbour-column sums,
     # checked against the object-dtype matrix product
     adj = graph_from_edges(10, [(i, (i + 1) % 9) for i in range(9)]).adj
     A = adj.astype(int).astype(object)
@@ -163,6 +164,32 @@ def test_integer_power_iter_past_int64_switch():
         assert np.array_equal(P, reference), k
         reference = reference @ A
     assert P.dtype == object and P[0, 0] > 2**63
+
+
+def test_integer_powers_exact_across_tiers():
+    # C_131 has maximum degree 2, so A^k is a float64 product while
+    # max(A^(k-1)) <= 2^52 (up to k = 56) and Python integers after it
+    n, stop = 131, 66  # 66 distinct eigenvalues: the minimal-polynomial degree
+    adj = graphs.generate("cycle", n).adj
+    A = adj.astype(int).astype(object)
+    reference = np.eye(n, dtype=int).astype(object)
+    dtypes = []
+    for k, P in zip(range(stop + 1), params._integer_power_iter(adj)):
+        assert np.array_equal(P, reference), k
+        dtypes.append(P.dtype)
+        # A = S + S^T for the cyclic shift S, so P A = P S + P S^T exactly
+        reference = np.roll(reference, 1, axis=1) + np.roll(reference, -1, axis=1)
+    assert dtypes[56] == np.int64 and dtypes[57] == object
+    assert np.array_equal(P, np.linalg.matrix_power(A, stop))
+    assert P.max() > 2**62
+    # k <= 66 < n/2, so no walk wraps around the cycle: closed walks and
+    # walks between neighbours are central binomial counts
+    rep = one_homogeneous_check(graphs.generate("cycle", n))
+    assert rep.is_one_homogeneous
+    assert rep.constants == [
+        (k, comb(k, k // 2) if k % 2 == 0 else 0, comb(k, (k + 1) // 2) if k % 2 else 0)
+        for k in range(stop + 1)
+    ]
 
 
 def _report(rep):
@@ -251,7 +278,11 @@ _FAMILY = [
 @pytest.mark.parametrize(
     "G",
     [graphs.product("categorical", G, H) for G, H in combinations_with_replacement(_FAMILY, 2)]
-    + [graphs.generate("omega", 4), graphs.generate("omega", 6)],
+    + [graphs.generate("omega", 4), graphs.generate("omega", 6)]
+    + [graphs.generate(family, size) for family, size in
+       (("complete", 1), ("complete", 6), ("cycle", 4), ("cycle", 11), ("path", 5),
+        ("empty", 3), ("petersen", 0))]
+    + [random_graph(2 + seed % 10, seed=seed) for seed in range(30)],
     ids=lambda G: G.label,
 )
 def test_one_homogeneous_matches_full_reference(G):
