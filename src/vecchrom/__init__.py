@@ -53,10 +53,8 @@ from .params import (
 from .colorings import (
     ClassicalColoring,
     VectorColoring,
-    cartesian_tensor_coloring,
     extract_coloring,
     is_proper_coloring,
-    lift_coloring,
     load_coloring,
     modular_coloring,
     save_coloring,
@@ -64,7 +62,6 @@ from .colorings import (
     verify_coloring,
 )
 from .quantum import (
-    MeasurementTuple,
     QuantumHomomorphism,
     classical_embedding,
     compose_classical,
@@ -73,7 +70,6 @@ from .quantum import (
     product_qhom,
     quantum_sabidussi,
     save_certificate,
-    verify_measurement,
     verify_quantum_hom,
 )
 from .identities import IdentityCheck, chi_cartesian_exact, run_suite

@@ -199,6 +199,8 @@ def cmd_param(args) -> tuple[dict, int]:
 
 def cmd_verify(args) -> tuple[dict, int]:
     cfg = _solver_config(args)
+    if args.random_pairs < 0:
+        raise UsageError(f"--random-pairs must be nonnegative, got {args.random_pairs}")
     if args.random_pairs:
         rng = np.random.default_rng(args.seed)
         pairs = [

@@ -1,4 +1,5 @@
-"""Vector colorings: constructions, transformations, and verification.
+"""Vector colorings: the simplex construction, extraction from a primal
+SDP matrix, verification, and the JSON file format.
 
 A (strict) vector k-coloring assigns a unit vector to every vertex so
 that each edge's inner product equals (is at most) -1/(k-1).  The
@@ -161,44 +162,6 @@ def extract_coloring(M, lam: float, tol: float = 1e-6, *, strict: bool = True) -
     # SDP noise leaves norms off by about the solver tolerance
     vectors /= np.linalg.norm(vectors, axis=1)[:, None]
     return VectorColoring(vectors, float(lam), strict=strict)
-
-
-def lift_coloring(c: VectorColoring, k_target: float) -> VectorColoring:
-    """Re-target a strict coloring at a larger value.
-
-    Appends one coordinate: with t = -1/(k-1) and t' = -1/(k'-1), the
-    map phi' = (alpha phi, sqrt(1 - alpha^2)) with
-    alpha^2 = (t' - 1)/(t - 1) is a strict vector k'-coloring.
-    """
-    if not c.strict:
-        raise DomainError("only strict colorings lift")
-    if k_target < c.k:
-        raise DomainError(f"cannot lift from k = {c.k} down to {k_target}")
-    t = -1.0 / (c.k - 1.0)
-    t_prime = -1.0 / (k_target - 1.0)
-    alpha = np.sqrt((t_prime - 1.0) / (t - 1.0))
-    extra = np.sqrt(max(1.0 - alpha * alpha, 0.0))
-    vectors = np.hstack([alpha * c.vectors, np.full((c.n, 1), extra)])
-    return VectorColoring(vectors, float(k_target), strict=True)
-
-
-def cartesian_tensor_coloring(cG: VectorColoring, cH: VectorColoring) -> VectorColoring:
-    """Tensor coloring (u, v) -> g(u) x h(v) of the Cartesian product.
-
-    Both inputs must be strict and share the same k; lift the smaller
-    one first.  The product vertex (u, v) is indexed u * nH + v.
-    """
-    if not (cG.strict and cH.strict):
-        raise DomainError("tensor construction needs strict colorings")
-    if cG.k != cH.k:
-        raise DomainError(
-            f"values differ ({cG.k} vs {cH.k}); lift the smaller coloring first"
-        )
-    vectors = np.zeros((cG.n * cH.n, cG.dim * cH.dim))
-    for u in range(cG.n):
-        for v in range(cH.n):
-            vectors[u * cH.n + v] = np.kron(cG.vectors[u], cH.vectors[v])
-    return VectorColoring(vectors, cG.k, strict=True)
 
 
 def modular_coloring(gc: ClassicalColoring, hc: ClassicalColoring) -> ClassicalColoring:

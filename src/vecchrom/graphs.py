@@ -262,6 +262,10 @@ def is_homomorphism(G: Graph, H: Graph, f) -> tuple[bool, tuple | None]:
 
 def erdos_renyi(n: int, p: float = 0.5, *, seed=None, rng=None, label: str = "") -> Graph:
     """G(n, p) sample from a seeded generator (deterministic given seed)."""
+    if n < 0:
+        raise DomainError("vertex count must be nonnegative")
+    if n > MAX_ORDER:
+        raise DomainError(f"vertex count {n} exceeds the order cap {MAX_ORDER}")
     if rng is None:
         rng = np.random.default_rng(seed)
     adj = np.zeros((n, n), dtype=bool)

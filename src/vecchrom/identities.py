@@ -182,6 +182,17 @@ def _lift(Z: np.ndarray, t: float) -> np.ndarray:
     return t / Z.diagonal().max() * Z - 1.0
 
 
+def _cartesian_witness(Zg: np.ndarray, Zh: np.ndarray) -> np.ndarray:
+    """Primal witness on the Cartesian product of two factor witnesses
+    Z = M + J: both lifted to the larger value t and tensored, scaled back
+    to diagonal t - 1."""
+    t = max(Zg.diagonal().max(), Zh.diagonal().max())
+    lifted = np.kron(_lift(Zg, t), _lift(Zh, t))
+    if t > 1.0:
+        lifted /= t - 1.0
+    return lifted
+
+
 def _eigenvalue_form(P: np.ndarray) -> np.ndarray:
     """P scaled to unit diagonal on its significant vertices, diagonal zeroed."""
     d = P.diagonal()
@@ -288,14 +299,10 @@ def sabidussi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
             fiber = np.kron(Pg, _corner(H.n))
         else:
             fiber = np.kron(_corner(G.n), Ph)
-        t = max(Zg.diagonal().max(), Zh.diagonal().max())
-        lifted = np.kron(_lift(Zg, t), _lift(Zh, t))
-        if t > 1.0:
-            lifted /= t - 1.0
         checks.append(_interval_check(
             f"{which}(G[]H) = max", F, max(rg, rh), tol, [rg, rh],
             ("fiber", _dual_form_bound(F, fiber, nonneg)),
-            ("lifted tensor", _witness_bound(F, lifted, nonneg)),
+            ("lifted tensor", _witness_bound(F, _cartesian_witness(Zg, Zh), nonneg)),
         ))
     chi_p, method = chi_cartesian_exact(G, H, F, cap=chromatic_cap)
     chi_g = chromatic_number(G, cap=chromatic_cap)
@@ -409,6 +416,8 @@ def run_suite(suite: str, G: Graph, H: Graph, cfg: SolverConfig | None = None,
     if suite == "union":
         return union_checks(G, H, cfg, tol, cache, sdp_cap)
     if suite == "chain":
+        check_sdp_cap(G.n, sdp_cap)
+        check_sdp_cap(H.n, sdp_cap)
         out = chain_checks(G, cfg, min(tol, 1e-4), cache, chromatic_cap)
         out.extend(chain_checks(H, cfg, min(tol, 1e-4), cache, chromatic_cap))
         return out

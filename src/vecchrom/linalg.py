@@ -2,7 +2,8 @@
 
 Every eigendecomposition goes through LAPACK (``numpy.linalg.eigh``).
 Eigenvalues come back sorted in descending order together with
-orthonormal eigenvectors and one projector per distinct eigenvalue.
+orthonormal eigenvectors; the projector onto the least eigenspace is
+built on request.
 """
 
 from __future__ import annotations
@@ -33,16 +34,14 @@ def symmetrize(M, tol: float = SYMMETRY_TOL) -> np.ndarray:
 class Spectrum:
     """Eigendecomposition of a real symmetric matrix.
 
-    ``eigenvalues`` are sorted descending, ``eigenvectors`` holds the
-    matching orthonormal columns, and ``projectors`` has one orthogonal
-    projector per distinct eigenvalue (grouped at the tolerance passed
-    to :func:`eig_sym`), aligned with ``distinct``.
+    ``eigenvalues`` are sorted descending and ``eigenvectors`` holds the
+    matching orthonormal columns.  Eigenvalues closer than
+    ``tol * (1 + spread)`` to their neighbour share an eigenspace.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    distinct: np.ndarray
-    projectors: list
+    tol: float
 
     @property
     def greatest(self) -> float:
@@ -52,45 +51,29 @@ class Spectrum:
     def least(self) -> float:
         return float(self.eigenvalues[-1])
 
-    def projector_for_least(self) -> np.ndarray:
-        return self.projectors[-1]
-
-    def multiplicities(self) -> list[int]:
-        return [int(round(np.trace(P))) for P in self.projectors]
+    def least_eigenspace(self) -> tuple[np.ndarray, int]:
+        """Orthogonal projector onto the least eigenspace, and its rank."""
+        vals = self.eigenvalues
+        gap = self.tol * (1.0 + float(vals[0] - vals[-1]))
+        splits = np.flatnonzero(vals[:-1] - vals[1:] > gap)
+        block = self.eigenvectors[:, splits[-1] + 1 if splits.size else 0:]
+        P = block @ block.T
+        return (P + P.T) / 2.0, block.shape[1]
 
 
 def eig_sym(M, tol: float = 1e-6) -> Spectrum:
     """Full spectrum of a symmetric matrix via LAPACK ``eigh``.
 
     ``tol`` controls only the grouping of nearby eigenvalues into shared
-    eigenprojectors.  A LAPACK failure raises :class:`ConvergenceError`.
+    eigenspaces.  A LAPACK failure raises :class:`ConvergenceError`.
     """
     M = symmetrize(M)
-    n = M.shape[0]
-    if n == 0:
-        return Spectrum(np.array([]), np.zeros((0, 0)), np.array([]), [])
+    if M.shape[0] == 0:
+        return Spectrum(np.array([]), np.zeros((0, 0)), tol)
     if not np.isfinite(M).all():
         raise DomainError("matrix entries must be finite")
     try:
         vals, vecs = np.linalg.eigh(M)  # ascending
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-
-    spread = float(vals[0] - vals[-1])
-    gap = tol * (1.0 + spread)
-    groups = []
-    start = 0
-    for i in range(1, n):
-        if vals[i - 1] - vals[i] > gap:
-            groups.append((start, i))
-            start = i
-    groups.append((start, n))
-    distinct = np.array([float(vals[a:b].mean()) for a, b in groups])
-    projectors = []
-    for a, b in groups:
-        block = vecs[:, a:b]
-        P = block @ block.T
-        projectors.append((P + P.T) / 2.0)
-    return Spectrum(vals, vecs, distinct, projectors)
+    return Spectrum(vals[::-1], vecs[:, ::-1], tol)

@@ -267,8 +267,7 @@ def spectral_vector_chromatic(G: Graph) -> ParamResult:
     spec = eig_sym(G.adjacency())
     tau = spec.least
     value = 1.0 - degree / tau
-    E_tau = spec.projector_for_least()
-    rank = spec.multiplicities()[-1]
+    E_tau, rank = spec.least_eigenspace()
     M = -(G.n * degree) / (rank * tau) * E_tau
     return ParamResult(value=value, gap=0.0, method="spectral", primal_certificate=M)
 

@@ -26,7 +26,6 @@ from .errors import DimensionError, DomainError, ParseError, ValidationError
 from .graphs import Graph, ProductKind, graph_from_edges, generate, is_homomorphism, load_graph, product
 from .colorings import ClassicalColoring, modular_coloring
 
-STRUCT_TOL = 1e-8
 ADJ_TOL = 1e-7
 #: Complex entries per block of edges gathered by the adjacency check
 #: (1 MiB), so that its working memory does not grow with the edge count.
@@ -53,30 +52,6 @@ def _nonfinite_witness(arr: np.ndarray) -> dict | None:
 
 
 @dataclass(frozen=True, eq=False)
-class MeasurementTuple:
-    """Projectors indexed by the vertices of the target graph."""
-
-    parts: np.ndarray  # shape (|V(target)|, d, d), complex
-    target: Graph
-
-    def __post_init__(self):
-        parts = np.asarray(self.parts, dtype=complex)
-        if parts.ndim != 3 or parts.shape[1] != parts.shape[2]:
-            raise DimensionError("parts must be a (vertices, d, d) array")
-        if parts.shape[1] < 1:
-            raise DimensionError("projectors need dimension d >= 1")
-        if parts.shape[0] != self.target.n:
-            raise DimensionError("one projector per target vertex required")
-        parts = parts.copy()
-        parts.setflags(write=False)
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def d(self) -> int:
-        return self.parts.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
 class QuantumHomomorphism:
     """Vertex-indexed family of measurement tuples over a common target."""
 
@@ -95,16 +70,6 @@ class QuantumHomomorphism:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "assignment", arr)
-
-
-@dataclass
-class MeasurementReport:
-    ok: bool
-    hermitian: float
-    idempotent: float
-    sum_to_identity: float
-    orthogonality: float
-    witness: dict | None
 
 
 @dataclass
@@ -155,19 +120,6 @@ def _check_tuples(A: np.ndarray, tol: float):
         witness = {"scope": "tuple", "condition": "orthogonality", "pair": list(pairs[k]),
                    "residual": float(ortho[u, k])}
     return maxima, u, witness
-
-
-def verify_measurement(t: MeasurementTuple, tol: float = STRUCT_TOL) -> MeasurementReport:
-    """Check Hermitian, idempotent, sum-to-identity, and pairwise
-    orthogonality of distinct parts (the latter at 10x tol, since
-    products of two approximate projectors carry doubled error)."""
-    witness = _nonfinite_witness(t.parts)
-    if witness is not None:
-        inf = float("inf")
-        return MeasurementReport(False, inf, inf, inf, inf, witness)
-    (herm, idem, sums, ortho), _, witness = _check_tuples(t.parts[None], tol)
-    ok = herm <= tol and idem <= tol and sums <= tol and ortho <= 10.0 * tol
-    return MeasurementReport(ok, herm, idem, sums, ortho, witness)
 
 
 def verify_quantum_hom(q: QuantumHomomorphism, tol: float = ADJ_TOL) -> QuantumHomReport:

@@ -73,7 +73,7 @@ class SolverConfig:
     max_iter: int = 50000
 
     def __post_init__(self):
-        if min(self.tol, self.gap_tol) <= 0:
+        if not (self.tol > 0 and self.gap_tol > 0):  # NaN compares False
             raise DomainError("tolerances must be positive")
         if self.max_iter <= 0:
             raise DomainError("the iteration count must be positive")

@@ -14,14 +14,10 @@ import pytest
 
 from conftest import random_graph, star
 from vecchrom import graphs
-from vecchrom.colorings import (
-    cartesian_tensor_coloring,
-    extract_coloring,
-    lift_coloring,
-    simplex_coloring,
-    verify_coloring,
-)
+from vecchrom.colorings import extract_coloring, simplex_coloring, verify_coloring
 from vecchrom.identities import (
+    _cartesian_witness,
+    _lift,
     cached_param,
     hedetniemi_checks,
     product_checks,
@@ -271,13 +267,18 @@ def test_c11_coloring_pipeline():
     assert rep.ok
     worst = max(worst, rep.worst_residual)
 
-    lifted = lift_coloring(col_c5, 3.0)
+    # the Sabidussi upper certificate of the identity suites: the factor
+    # witnesses Z = M + J lifted to 3 and tensored, read back as colorings
+    Z_c5 = res_c5.primal_certificate + 1.0
+    lifted = extract_coloring(_lift(Z_c5, 3.0), 3.0, tol=1e-6, strict=True)
     rep = verify_coloring(C5, lifted, tol=1e-5)
     assert rep.ok
     worst = max(worst, rep.worst_residual)
 
     K3 = graphs.generate("complete", 3)
-    combined = cartesian_tensor_coloring(lifted, simplex_coloring(3))
+    k3 = simplex_coloring(3)
+    Z_k3 = 2.0 * (k3.vectors @ k3.vectors.T) + 1.0
+    combined = extract_coloring(_cartesian_witness(Z_c5, Z_k3), 3.0, tol=1e-6, strict=True)
     rep = verify_coloring(graphs.product("cartesian", C5, K3), combined, tol=1e-5)
     assert rep.ok
     worst = max(worst, rep.worst_residual)

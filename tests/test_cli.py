@@ -246,6 +246,28 @@ def test_verify_usage_error(capsys):
     assert record is None
 
 
+def test_verify_negative_random_pairs_is_a_usage_error(capsys):
+    code, record, err = run_cli(capsys, "verify", "--suite", "union", "--random-pairs", "-1")
+    assert (code, record) == (1, None)
+    assert "--random-pairs" in err
+
+
+@pytest.mark.parametrize("size", ["-1", str(graphs.MAX_ORDER + 1)])
+def test_verify_random_pair_size_outside_the_order_cap_is_refused(capsys, size):
+    code, record, err = run_cli(capsys, "verify", "--suite", "union", "--random-pairs", "1",
+                                "--size", size)
+    assert (code, record) == (3, None)
+    assert "vertex count" in err
+
+
+def test_nan_tolerance_is_refused_before_solving(capsys, monkeypatch):
+    monkeypatch.setattr(params, "solve", None)  # any solve would raise
+    code, record, err = run_cli(capsys, "param", "cycle:5", "--which", "theta-bar",
+                                "--gap-tol", "nan")
+    assert (code, record) == (3, None)
+    assert "tolerances" in err
+
+
 def test_verify_capacity_error_names_product_size(capsys):
     code, record, err = run_cli(
         capsys, "verify", "omega:6", "omega:6", "--suite", "products", "--cap", "100"
@@ -440,6 +462,25 @@ def test_report_solver_failure_keeps_theta_bar_partial(capsys):
     assert list(record["params"]) == ["partial"]  # theta-bar fails first
     assert record["params"]["partial"]["iterations"] == 5
     assert "identities" not in record
+
+
+def test_report_omega_family(capsys):
+    # the orthogonality graphs: odd n is edgeless (value 1), omega:2 is
+    # bipartite, and omega:4 is 1-homogeneous with theta-bar equal to the
+    # closed form 4 of param --which spectral
+    records = {}
+    for n in (1, 2, 3, 4):
+        code, records[n], _ = run_cli(capsys, "report", f"omega:{n}")
+        assert (code, records[n]["status"]) == (0, "ok")
+    for n in (1, 3):
+        assert records[n]["graphs"][0]["m"] == 0
+        assert records[n]["params"]["theta_bar"]["value"] == 1.0
+    assert records[2]["params"]["bipartite"] is True
+    assert records[4]["params"]["one_homogeneous"] is True
+    assert records[4]["params"]["theta_bar"]["value"] == pytest.approx(4.0)
+    code, record, _ = run_cli(capsys, "param", "omega:4", "--which", "spectral")
+    assert code == 0
+    assert record["result"]["vector_chromatic"] == pytest.approx(4.0)
 
 
 def test_records_deterministic_modulo_timestamp(capsys):

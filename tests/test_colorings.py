@@ -10,12 +10,10 @@ from vecchrom import graphs
 from vecchrom.colorings import (
     ClassicalColoring,
     VectorColoring,
-    cartesian_tensor_coloring,
     coloring_from_json,
     coloring_to_json,
     extract_coloring,
     is_proper_coloring,
-    lift_coloring,
     load_coloring,
     modular_coloring,
     save_coloring,
@@ -23,6 +21,7 @@ from vecchrom.colorings import (
     verify_coloring,
 )
 from vecchrom.errors import DomainError, FeasibilityError, ParseError
+from vecchrom.identities import _cartesian_witness, _lift
 from vecchrom.params import chi_vec, chromatic_number, proper_coloring, theta_bar
 from vecchrom.sdp import SolverConfig
 
@@ -161,24 +160,36 @@ def test_extract_rejects_bad_inputs():
     assert "PSD" in str(err.value)
 
 
-# --- lifting --------------------------------------------------------------------
+# --- lifting and tensoring ------------------------------------------------------
+# identities builds the Sabidussi upper certificate as a Gram matrix: both
+# factor witnesses Z = M + J lifted to the larger value t, then tensored.
+# The colorings extracted from it are checked edge by edge.
+
+def _z(c):
+    """Z = M + J for the primal witness M = (k - 1) V V^T of a coloring."""
+    return (c.k - 1.0) * (c.vectors @ c.vectors.T) + 1.0
+
+
+def _colored(M, k, tol=1e-6):
+    return extract_coloring(M, k, tol=tol, strict=True)
+
 
 def test_lift_same_target_appends_zero():
+    # lifting to the value a witness already has leaves it unchanged (the
+    # coordinate a vector lift would append is zero)
     c = simplex_coloring(3)
-    lifted = lift_coloring(c, 3.0)
-    assert lifted.dim == c.dim + 1
-    assert np.abs(lifted.vectors[:, -1]).max() <= 1e-12
-    assert verify_coloring(graphs.generate("complete", 3), lifted, tol=1e-9).ok
+    M = _lift(_z(c), 3.0)
+    assert np.abs(M - (_z(c) - 1.0)).max() <= 1e-12
+    assert verify_coloring(graphs.generate("complete", 3), _colored(M, 3.0, 1e-9), tol=1e-9).ok
 
 
 def test_lift_k2_to_three():
-    c = simplex_coloring(2)
-    lifted = lift_coloring(c, 3.0)
-    # alpha = sqrt(3)/2, vectors (+-sqrt(3)/2, 1/2), edge inner product -1/2
-    assert np.abs(np.abs(lifted.vectors[:, 0]) - np.sqrt(3.0) / 2.0).max() <= 1e-12
-    assert np.abs(lifted.vectors[:, 1] - 0.5).max() <= 1e-12
-    inner = float(lifted.vectors[0] @ lifted.vectors[1])
-    assert abs(inner + 0.5) <= 1e-12
+    # K2's witness [[1, -1], [-1, 1]] lifted to 3 keeps the edge entry -1 at
+    # diagonal 2, so the edge inner product becomes -1/2
+    M = _lift(_z(simplex_coloring(2)), 3.0)
+    assert np.abs(M - np.array([[2.0, -1.0], [-1.0, 2.0]])).max() <= 1e-12
+    lifted = _colored(M, 3.0, 1e-9)
+    assert abs(float(lifted.vectors[0] @ lifted.vectors[1]) + 0.5) <= 1e-12
 
 
 def test_lift_c5_to_three_passes_strict():
@@ -186,34 +197,26 @@ def test_lift_c5_to_three_passes_strict():
     tight = SolverConfig(tol=1e-9, gap_tol=1e-7)
     G = graphs.generate("cycle", 5)
     res = theta_bar(G, tight, want_primal=True)
-    c = extract_coloring(res.primal_certificate, res.value, tol=1e-6, strict=True)
-    lifted = lift_coloring(c, 3.0)
+    lifted = _colored(_lift(res.primal_certificate + 1.0, 3.0), 3.0)
     rep = verify_coloring(G, lifted, tol=1e-6)
     assert rep.ok, rep
 
 
-def test_lift_errors():
-    c = simplex_coloring(3)
-    with pytest.raises(DomainError):
-        lift_coloring(c, 2.0)
-    relaxed = VectorColoring(c.vectors, c.k, strict=False)
-    with pytest.raises(DomainError):
-        lift_coloring(relaxed, 4.0)
-
-
 @given(st.integers(2, 6), st.floats(0.0, 4.0))
 def test_lift_preserves_unit_norms(n, bump):
-    c = simplex_coloring(n)
-    lifted = lift_coloring(c, c.k + bump)
-    norms = np.linalg.norm(lifted.vectors, axis=1)
+    # the lifted witness has diagonal t - 1 and edge entries -1, so its
+    # Gram vectors scaled by sqrt(t - 1) are unit
+    t = n + bump
+    M = _lift(_z(simplex_coloring(n)), t)
+    assert np.abs(np.diag(M) - (t - 1.0)).max() <= 1e-10 * t
+    assert np.abs(M[~np.eye(n, dtype=bool)] + 1.0).max() <= 1e-10 * t
+    norms = np.linalg.norm(_colored(M, t, 1e-9).vectors, axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-10
 
 
-# --- tensor construction ---------------------------------------------------------
-
 def test_tensor_k2_k2_gives_square_coloring():
     c = simplex_coloring(2)
-    combined = cartesian_tensor_coloring(c, c)
+    combined = _colored(_cartesian_witness(_z(c), _z(c)), 2.0, 1e-9)
     P = graphs.product("cartesian", graphs.generate("complete", 2), graphs.generate("complete", 2))
     rep = verify_coloring(P, combined, tol=1e-9)
     assert rep.ok
@@ -227,11 +230,8 @@ def test_tensor_c5_with_k3():
     G = graphs.generate("cycle", 5)
     H = graphs.generate("complete", 3)
     res = theta_bar(G, tight, want_primal=True)
-    cg = lift_coloring(
-        extract_coloring(res.primal_certificate, res.value, tol=1e-6, strict=True), 3.0
-    )
-    ch = simplex_coloring(3)
-    combined = cartesian_tensor_coloring(cg, ch)
+    M = _cartesian_witness(res.primal_certificate + 1.0, _z(simplex_coloring(3)))
+    combined = _colored(M, 3.0)
     P = graphs.product("cartesian", G, H)
     rep = verify_coloring(P, combined, tol=1e-6)
     assert rep.ok, rep
@@ -242,7 +242,7 @@ def test_tensor_edge_inner_products_factor():
     # equals the G edge inner product
     cg = simplex_coloring(3)
     ch = simplex_coloring(3)
-    combined = cartesian_tensor_coloring(cg, ch)
+    combined = _colored(_cartesian_witness(_z(cg), _z(ch)), 3.0, 1e-9)
     gram_g = cg.vectors @ cg.vectors.T
     gram = combined.vectors @ combined.vectors.T
     nH = 3
@@ -256,7 +256,7 @@ def test_tensor_edge_inner_products_factor():
 
 
 def test_tensor_constructive_sabidussi_bound(theta):
-    # the constructed coloring certifies theta(G cart H) <= max constructively
+    # the coloring extracted from the witness certifies theta(G cart H) <= max
     for seed in range(10):
         G = graphs.erdos_renyi(5, 0.5, seed=seed, label=f"a{seed}")
         H = graphs.erdos_renyi(5, 0.5, seed=seed + 10, label=f"b{seed}")
@@ -265,22 +265,21 @@ def test_tensor_constructive_sabidussi_bound(theta):
         rg = theta_bar(G, CFG, want_primal=True)
         rh = theta_bar(H, CFG, want_primal=True)
         k = max(rg.value, rh.value)
-        cg = lift_coloring(
-            extract_coloring(rg.primal_certificate, rg.value, tol=1e-5, strict=True), k
-        )
-        ch = lift_coloring(
-            extract_coloring(rh.primal_certificate, rh.value, tol=1e-5, strict=True), k
-        )
-        combined = cartesian_tensor_coloring(cg, ch)
+        M = _cartesian_witness(rg.primal_certificate + 1.0, rh.primal_certificate + 1.0)
+        combined = _colored(M, k, tol=1e-5)
         P = graphs.product("cartesian", G, H)
         rep = verify_coloring(P, combined, tol=1e-5)
         assert rep.ok, rep
         assert theta(P).value <= k + 1e-3
 
 
-def test_tensor_requires_matching_k():
-    with pytest.raises(DomainError):
-        cartesian_tensor_coloring(simplex_coloring(2), simplex_coloring(3))
+def test_tensor_lifts_the_smaller_factor():
+    # K2 and K3 have different values; the witness lifts K2 to 3 itself
+    K2, K3 = graphs.generate("complete", 2), graphs.generate("complete", 3)
+    M = _cartesian_witness(_z(simplex_coloring(2)), _z(simplex_coloring(3)))
+    assert np.abs(np.diag(M) - 2.0).max() <= 1e-12
+    rep = verify_coloring(graphs.product("cartesian", K2, K3), _colored(M, 3.0, 1e-9), tol=1e-9)
+    assert rep.ok, rep
 
 
 # --- modular coloring -------------------------------------------------------------

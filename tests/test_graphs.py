@@ -295,6 +295,7 @@ def test_order_cap_applies_before_allocation():
     expect(ParseError, lambda: parse_edge_list("1000000 0\n"))
     expect(ParseError, lambda: parse_edge_list(f"{graphs.MAX_ORDER + 1} 0\n"))
     expect(DomainError, lambda: graph_from_edges(10**6, []))
+    expect(DomainError, lambda: graphs.erdos_renyi(10**6))
     for family in ("complete", "cycle", "path", "empty"):
         expect(DomainError, lambda: generate(family, 10**6))
     # products are refused on their order, before np.kron allocates it
@@ -303,9 +304,12 @@ def test_order_cap_applies_before_allocation():
         expect(DomainError, lambda: product(kind, C70, C70))
     big = Graph(graphs.MAX_ORDER + 1, np.zeros((graphs.MAX_ORDER + 1,) * 2, dtype=bool))
     expect(DomainError, lambda: union(big, big))
-    # the identity suites check the SDP cap on the product order first
-    for suite in ("sabidussi", "hedetniemi", "products"):
-        expect(CapacityError, lambda: identities.run_suite(suite, C70, C70, cache={}),
+    # the identity suites check the SDP cap on the product order first, and
+    # the chain suite on each graph's order
+    C121 = generate("cycle", 121)
+    for suite, G in (("sabidussi", C70), ("hedetniemi", C70), ("products", C70),
+                     ("chain", C121)):
+        expect(CapacityError, lambda: identities.run_suite(suite, G, G, cache={}),
                match="SDP cap")
 
 

@@ -19,8 +19,9 @@ def _random_sym(seed, n):
 def test_eig_identity():
     spec = eig_sym(np.eye(3))
     assert np.allclose(spec.eigenvalues, [1, 1, 1])
-    assert len(spec.projectors) == 1
-    assert np.allclose(spec.projectors[0], np.eye(3), atol=1e-12)
+    P, rank = spec.least_eigenspace()
+    assert rank == 3
+    assert np.allclose(P, np.eye(3), atol=1e-12)
 
 
 def test_eig_c5_circulant_oracle():
@@ -28,7 +29,7 @@ def test_eig_c5_circulant_oracle():
     expected = sorted((2 * np.cos(2 * np.pi * j / 5) for j in range(5)), reverse=True)
     spec = eig_sym(graphs.generate("cycle", 5).adjacency())
     assert np.allclose(spec.eigenvalues, expected, atol=1e-8)
-    assert spec.multiplicities() == [1, 2, 2]
+    assert spec.least_eigenspace()[1] == 2
 
 
 def test_eig_petersen():
@@ -40,6 +41,11 @@ def test_eig_petersen():
     for idx in range(10):
         v = spec.eigenvectors[:, idx]
         assert np.abs(A @ v - spec.eigenvalues[idx] * v).max() <= 1e-8
+    # the least eigenspace is the last four columns, -2 with multiplicity 4
+    P, rank = spec.least_eigenspace()
+    V = spec.eigenvectors[:, 6:]
+    assert rank == 4
+    assert np.array_equal(P, (V @ V.T + (V @ V.T).T) / 2.0)
 
 
 @pytest.mark.parametrize("seed,n", [(0, 4), (1, 8), (2, 13), (3, 20)])
@@ -50,12 +56,13 @@ def test_spectrum_invariants(seed, n):
     scale = 1.0 + np.abs(M).max()
     assert np.abs(M @ V - V * w).max() <= 1e-8 * scale
     assert np.abs(V.T @ V - np.eye(n)).max() <= 1e-8
-    recon = sum(lam * P for lam, P in zip(spec.distinct, spec.projectors))
-    assert np.abs(M - recon).max() <= 1e-8 * scale
-    total = sum(spec.projectors)
-    assert np.abs(total - np.eye(n)).max() <= 1e-8
-    for P in spec.projectors:
-        assert np.abs(P @ P - P).max() <= 1e-8
+    # a random matrix has simple eigenvalues: the least eigenspace is the
+    # last eigenvector's line, and its projector is idempotent and fixed by M
+    P, rank = spec.least_eigenspace()
+    assert rank == 1
+    assert np.abs(P @ P - P).max() <= 1e-8
+    assert np.abs(M @ P - spec.least * P).max() <= 1e-8 * scale
+    assert np.abs(P - np.outer(V[:, -1], V[:, -1])).max() <= 1e-12
 
 
 def test_eig_matches_lapack():
@@ -85,10 +92,10 @@ def test_eig_lapack_failure_is_a_convergence_error(monkeypatch):
 
 def test_eig_grouping_tolerance():
     M = np.diag([1.0, 1.0 + 1e-9, 5.0])
-    spec = eig_sym(M, tol=1e-6)
-    assert len(spec.projectors) == 2
-    spec_fine = eig_sym(M, tol=1e-12)
-    assert len(spec_fine.projectors) == 3
+    P, rank = eig_sym(M, tol=1e-6).least_eigenspace()
+    assert rank == 2
+    assert np.allclose(P, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+    assert eig_sym(M, tol=1e-12).least_eigenspace()[1] == 1
 
 
 # --- gram factorization -----------------------------------------------------

@@ -11,9 +11,6 @@ from vecchrom.errors import DimensionError, DomainError, ParseError, ValidationE
 from vecchrom.graphs import generate, is_homomorphism, product
 from vecchrom.quantum import (
     ADJ_TOL,
-    STRUCT_TOL,
-    MeasurementReport,
-    MeasurementTuple,
     QuantumHomReport,
     QuantumHomomorphism,
     certificate_from_json,
@@ -27,10 +24,10 @@ from vecchrom.quantum import (
     quantum_sabidussi,
     save_certificate,
     tensor_with_identity,
-    verify_measurement,
     verify_quantum_hom,
 )
 
+K1 = generate("complete", 1)
 K2 = generate("complete", 2)
 K3 = generate("complete", 3)
 C4 = generate("cycle", 4)
@@ -41,14 +38,15 @@ COL5 = np.array([0, 1, 0, 1, 2])
 COL7 = np.array([0, 1, 0, 1, 0, 1, 2])
 
 
-def _indicator_tuple(target, at, d=1):
-    parts = np.zeros((target.n, d, d), dtype=complex)
-    parts[at] = np.eye(d)
-    return MeasurementTuple(parts, target)
+def _single(parts, target):
+    """One measurement tuple as a certificate on a one-vertex source; its
+    structural checks run at ADJ_TOL / 10 = 1e-8."""
+    parts = np.asarray(parts, dtype=complex)
+    return QuantumHomomorphism(K1, target, parts.shape[-1], parts[None])
 
 
 def _tuple(q, u):
-    return MeasurementTuple(q.assignment[u], q.target)
+    return _single(q.assignment[u], q.target)
 
 
 def _random_unitary(d, seed):
@@ -61,7 +59,9 @@ def _random_unitary(d, seed):
 # --- measurement tuples -------------------------------------------------------
 
 def test_indicator_tuple_passes():
-    rep = verify_measurement(_indicator_tuple(K3, 1))
+    parts = np.zeros((3, 1, 1))
+    parts[1] = 1.0
+    rep = verify_quantum_hom(_single(parts, K3))
     assert rep.ok
     assert rep.witness is None
 
@@ -71,7 +71,7 @@ def test_scaled_projector_fails_sum():
     parts[0, 0, 0] = 0.999
     parts[1, 0, 0] = 0.0
     parts[2, 0, 0] = 0.0
-    rep = verify_measurement(MeasurementTuple(parts, K3))
+    rep = verify_quantum_hom(_single(parts, K3))
     assert not rep.ok
     assert abs(rep.sum_to_identity - 0.001) <= 1e-9
 
@@ -80,7 +80,7 @@ def test_diagonal_pair_passes_at_d2():
     parts = np.zeros((2, 2, 2), dtype=complex)
     parts[0] = np.diag([1.0, 0.0])
     parts[1] = np.diag([0.0, 1.0])
-    rep = verify_measurement(MeasurementTuple(parts, K2))
+    rep = verify_quantum_hom(_single(parts, K2))
     assert rep.ok
     assert rep.orthogonality <= 1e-12
 
@@ -90,12 +90,12 @@ def test_distinct_part_orthogonality_checked_independently():
     parts = np.zeros((2, 2, 2), dtype=complex)
     parts[0] = np.array([[0.5, 0.5], [0.5, 0.5]])
     parts[1] = np.eye(2) - parts[0]
-    rep = verify_measurement(MeasurementTuple(parts, K2))
+    rep = verify_quantum_hom(_single(parts, K2))
     assert rep.ok  # these happen to be orthogonal complementary projectors
     parts2 = np.zeros((2, 2, 2), dtype=complex)
     parts2[0] = np.diag([1.0, 0.0])
     parts2[1] = np.array([[0.0, 0.0], [0.0, 1.0]]) + 1e-6 * np.array([[1.0, 0], [0, 0]])
-    rep = verify_measurement(MeasurementTuple(parts2, K2))
+    rep = verify_quantum_hom(_single(parts2, K2))
     assert not rep.ok
 
 
@@ -117,7 +117,7 @@ def test_adjacency_requires_same_shape():
     with pytest.raises(DimensionError):
         QuantumHomomorphism(K2, K3, 2, np.zeros((2, 3, 1, 1)))
     with pytest.raises(DimensionError):
-        MeasurementTuple(np.zeros((4, 1, 1)), K3)
+        QuantumHomomorphism(K1, K3, 1, np.zeros((1, 4, 1, 1)))
 
 
 def test_dimension_below_one_is_refused():
@@ -127,7 +127,7 @@ def test_dimension_below_one_is_refused():
     with pytest.raises(DimensionError):
         QuantumHomomorphism(K5, K1, 0, np.zeros((5, 1, 0, 0)))
     with pytest.raises(DimensionError):
-        MeasurementTuple(np.zeros((3, 0, 0)), K3)
+        QuantumHomomorphism(K1, K3, 0, np.zeros((1, 3, 0, 0)))
 
 
 def test_tensor_tuples_adjacency_case_split():
@@ -186,7 +186,7 @@ def test_nonfinite_certificate_fails_with_finite_witness(value, where):
     residuals = (rep.hermitian, rep.idempotent, rep.sum_to_identity,
                  rep.orthogonality, rep.adjacency)
     assert not any(np.isfinite(residuals))
-    assert not verify_measurement(_tuple(bad, rep.witness["index"][0])).ok
+    assert not verify_quantum_hom(_tuple(bad, rep.witness["index"][0])).ok
 
 
 def test_random_rank_one_replacement_fails_on_edge():
@@ -389,13 +389,11 @@ def _loop_nonfinite_witness(arr):
             "index": [int(i) for i in bad[0]], "count": len(bad)}
 
 
-def _loop_verify_measurement(t, tol=STRUCT_TOL):
-    parts = t.parts
-    witness = _loop_nonfinite_witness(parts)
-    if witness is not None:
-        inf = float("inf")
-        return MeasurementReport(False, inf, inf, inf, inf, witness)
-    count, d = parts.shape[0], t.d
+def _loop_check_tuple(parts, tol):
+    """(ok, hermitian, idempotent, sum, orthogonality, witness) of one
+    finite tuple, orthogonality at 10x tol."""
+    count, d = parts.shape[0], parts.shape[1]
+    witness = None
     herm = idem = 0.0
     for v in range(count):
         E = parts[v]
@@ -420,7 +418,7 @@ def _loop_verify_measurement(t, tol=STRUCT_TOL):
                            "residual": r}
             ortho = max(ortho, r)
     ok = herm <= tol and idem <= tol and sum_res <= tol and ortho <= ortho_tol
-    return MeasurementReport(ok, herm, idem, sum_res, ortho, witness)
+    return ok, herm, idem, sum_res, ortho, witness
 
 
 def _loop_verify_quantum_hom(q, tol=ADJ_TOL):
@@ -431,13 +429,13 @@ def _loop_verify_quantum_hom(q, tol=ADJ_TOL):
     struct_tol = tol / 10.0
     herm = idem = sums = ortho = adjacency = 0.0
     for u in range(q.source.n):
-        rep = _loop_verify_measurement(_tuple(q, u), struct_tol)
-        herm = max(herm, rep.hermitian)
-        idem = max(idem, rep.idempotent)
-        sums = max(sums, rep.sum_to_identity)
-        ortho = max(ortho, rep.orthogonality)
-        if not rep.ok and witness is None:
-            witness = dict(rep.witness or {})
+        ok, h, i, s, o, tuple_witness = _loop_check_tuple(q.assignment[u], struct_tol)
+        herm = max(herm, h)
+        idem = max(idem, i)
+        sums = max(sums, s)
+        ortho = max(ortho, o)
+        if not ok and witness is None:
+            witness = dict(tuple_witness or {})
             witness["scope"] = "tuple"
             witness["vertex"] = u
     H = q.target
@@ -580,8 +578,8 @@ def test_batched_verifier_matches_loop_on_valid_certificates(name):
     for tol in (ADJ_TOL, 1e-15):
         _assert_same_report(verify_quantum_hom(q, tol), _loop_verify_quantum_hom(q, tol))
     for u in range(q.source.n):
-        _assert_same_report(verify_measurement(_tuple(q, u)),
-                            _loop_verify_measurement(_tuple(q, u)))
+        _assert_same_report(verify_quantum_hom(_tuple(q, u)),
+                            _loop_verify_quantum_hom(_tuple(q, u)))
     assert verify_quantum_hom(q).ok
 
 
@@ -593,8 +591,8 @@ def test_batched_verifier_matches_loop_on_mutations(name, kind):
         bad, u = _mutate(q, kind, seed)
         for tol in (ADJ_TOL, 1e-2):
             _assert_same_report(verify_quantum_hom(bad, tol), _loop_verify_quantum_hom(bad, tol))
-        _assert_same_report(verify_measurement(_tuple(bad, u)),
-                            _loop_verify_measurement(_tuple(bad, u)))
+        _assert_same_report(verify_quantum_hom(_tuple(bad, u)),
+                            _loop_verify_quantum_hom(_tuple(bad, u)))
         rep = verify_quantum_hom(bad)
         assert not rep.ok
         expected = MUTATIONS[kind]

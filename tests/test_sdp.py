@@ -337,6 +337,11 @@ def test_solver_config_validation():
         SolverConfig(gap_tol=0.0)
     with pytest.raises(DomainError):
         SolverConfig(max_iter=0)
+    # NaN fails every comparison, so it must not slip past a "<= 0" test
+    with pytest.raises(DomainError):
+        SolverConfig(tol=float("nan"))
+    with pytest.raises(DomainError):
+        SolverConfig(gap_tol=float("nan"))
 
 
 def test_problem_validation():
