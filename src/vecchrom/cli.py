@@ -197,10 +197,19 @@ def cmd_param(args) -> tuple[dict, int]:
     return record, EXIT_OK
 
 
+def _check_tolerance(flag: str, value: float):
+    """Refuse a tolerance no residual can be checked against."""
+    if not 0.0 <= value < float("inf"):  # NaN compares False
+        raise DomainError(f"{flag} must be finite and nonnegative, got {value}")
+
+
 def cmd_verify(args) -> tuple[dict, int]:
     cfg = _solver_config(args)
+    _check_tolerance("--identity-tol", args.identity_tol)
     if args.random_pairs < 0:
         raise UsageError(f"--random-pairs must be nonnegative, got {args.random_pairs}")
+    if args.random_pairs and args.graphs:
+        raise UsageError("verify takes two graphs or --random-pairs N, not both")
     if args.random_pairs:
         rng = np.random.default_rng(args.seed)
         pairs = [
@@ -233,6 +242,7 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_qverify(args) -> tuple[dict, int]:
+    _check_tolerance("--qtol", args.qtol)
     q = load_certificate(args.certificate)
     rep = verify_quantum_hom(q, tol=args.qtol)
     record = _base_record("qverify", args, [q.source])

@@ -268,10 +268,16 @@ def chi_cartesian_exact(G: Graph, H: Graph, F: Graph, *,
     pinned between the factor maximum (each factor embeds in the
     product) and a verified modular coloring with that many colors.
     """
-    if F.n <= cap:
-        return chromatic_number(F, cap=cap), "backtracking"
+    return _chi_cartesian(G, H, F, cap)[:2]
+
+
+def _chi_cartesian(G: Graph, H: Graph, F: Graph, cap: int):
+    """:func:`chi_cartesian_exact`'s value and method, then the factors'
+    chromatic numbers, each computed once."""
     cg = chromatic_number(G, cap=cap)
     ch = chromatic_number(H, cap=cap)
+    if F.n <= cap:
+        return chromatic_number(F, cap=cap), "backtracking", cg, ch
     m = max(cg, ch)
     gcol = proper_coloring(G, m, cap=cap)
     hcol = proper_coloring(H, m, cap=cap)
@@ -279,7 +285,7 @@ def chi_cartesian_exact(G: Graph, H: Graph, F: Graph, *,
     ok, bad = is_proper_coloring(F, combined.colors)
     if not ok:
         raise VecchromError(f"modular coloring failed on product edge {bad}")
-    return m, "factor-bound"
+    return m, "factor-bound", cg, ch
 
 
 def sabidussi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
@@ -304,9 +310,7 @@ def sabidussi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
             ("fiber", _dual_form_bound(F, fiber, nonneg)),
             ("lifted tensor", _witness_bound(F, _cartesian_witness(Zg, Zh), nonneg)),
         ))
-    chi_p, method = chi_cartesian_exact(G, H, F, cap=chromatic_cap)
-    chi_g = chromatic_number(G, cap=chromatic_cap)
-    chi_h = chromatic_number(H, cap=chromatic_cap)
+    chi_p, method, chi_g, chi_h = _chi_cartesian(G, H, F, chromatic_cap)
     kinds = ({"lower": "factor subgraph", "upper": "modular coloring"}
              if method == "factor-bound"
              else {"lower": "backtracking", "upper": "backtracking"})

@@ -9,29 +9,28 @@ graph's order:
 
 A problem is therefore the graph's adjacency plus a ``nonneg`` flag.
 
-The solver is a first-order operator-splitting (consensus) iteration:
-each pass projects a copy onto the affine set, a copy onto the PSD cone
-(eigenvalue clipping), and for chi-vec a copy onto the nonnegative
-orthant, then applies an over-relaxed dual update.  The affine
-projection is closed-form: zero the non-edges, then shift the diagonal
-by (1 - tr)/n.  The consensus penalty is fixed at an order-scaled
-value; runtime residual re-balancing destabilized several degenerate
-product instances into limit cycles and was dropped.
+The solver is two-set Douglas-Rachford splitting (Lions and Mercier
+1979) on one state matrix V: each pass clips V onto the PSD cone
+(eigenvalue clipping), projects the reflection, shifted by the
+objective's gradient, onto the program's constraint set, and moves V by
+the over-relaxed difference.  The family enters only through that
+projection, which is closed-form for both.  The step is fixed at an
+order-scaled value; runtime residual re-balancing destabilized several
+degenerate product instances into limit cycles and was dropped.
 
 From the first convergence check on, the pass is treated as a
-fixed-point map on the splitting state and accelerated by type-II
-Anderson extrapolation over the last ``ANDERSON_MEMORY`` steps (Walker
-and Ni 2011; Zhang, O'Donoghue and Boyd 2020).  A safeguard keeps it
-from doing harm: an extrapolated point whose fixed-point residual
-exceeds that of the point it came from is replaced by that point's
-plain step, and the memory is cleared.  Every counted iteration is one
-pass with one eigendecomposition, whether or not its point was
-extrapolated, and solves that stop at the first check run the plain
-iteration.
+fixed-point map on V and accelerated by type-II Anderson extrapolation
+over the last ``ANDERSON_MEMORY`` steps (Walker and Ni 2011; Zhang,
+O'Donoghue and Boyd 2020).  A safeguard keeps it from doing harm: an
+extrapolated point whose fixed-point residual exceeds that of the point
+it came from is replaced by that point's plain step, and the memory is
+cleared.  Every counted iteration is one pass with one
+eigendecomposition, whether or not its point was extrapolated, and
+solves that stop at the first check run the plain iteration.
 
 The reported duality gap compares the objective at a feasibility-rounded
-iterate against a dual bound reconstructed from the PSD-block
-multipliers; both sides are rigorous whatever the iterates.  The bound
+iterate against a dual bound reconstructed from the PSD-cone
+multiplier; both sides are rigorous whatever the iterates.  The bound
 comes with its witness, a feasible matrix of the primal program (PSD,
 constant diagonal bound - 1, edge entries -1, resp. at most -1), which
 the solution returns as its ``certificate``: its Gram vectors are the
@@ -53,7 +52,7 @@ from .graphs import Graph
 OPTIMAL = "optimal"
 MAX_ITER = "max_iter"
 
-PENALTY = 1.0  # consensus stiffness per unit of problem order
+PENALTY = 1.0  # splitting step weight per unit of problem order
 OVER_RELAXATION = 1.6
 ANDERSON_MEMORY = 10  # residual differences kept by the acceleration
 ANDERSON_REGULARIZATION = 1e-10  # Tikhonov weight relative to the Gram norm
@@ -139,11 +138,6 @@ def build_chi_vec(G: Graph) -> SdpProblem:
     return SdpProblem(G.adj, nonneg=True, label=f"chi-vec dual ({G.label or G.n})")
 
 
-def _pattern(problem: SdpProblem) -> np.ndarray:
-    """Entries that may be nonzero: the edges and the diagonal."""
-    return problem.adj | np.eye(problem.order, dtype=bool)
-
-
 def _project_affine(Y: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     """Nearest matrix that is zero off ``pattern`` and has unit trace."""
     X = np.where(pattern, Y, 0.0)
@@ -151,9 +145,18 @@ def _project_affine(Y: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     return X
 
 
-def _affine_residual(X: np.ndarray, pattern: np.ndarray) -> float:
-    off = np.abs(X[~pattern])
-    return max(abs(float(np.trace(X)) - 1.0), float(off.max()) if off.size else 0.0)
+def _project_chi_vec(Y: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+    """Nearest matrix that is zero off ``pattern``, nonnegative and of unit
+    trace.  The set separates by entry except for the diagonal's trace, so
+    the edge entries clip at 0 and the diagonal goes onto the unit simplex
+    by the sort-based rule (Held, Wolfe and Crowder 1974)."""
+    X = np.where(pattern, np.maximum(Y, 0.0), 0.0)
+    y = np.diag(Y)
+    top = np.sort(y)[::-1]
+    excess = np.cumsum(top) - 1.0
+    k = np.flatnonzero(top * np.arange(1, y.size + 1) > excess)[-1]
+    np.fill_diagonal(X, np.maximum(y - excess[k] / (k + 1), 0.0))
+    return X
 
 
 def _clip_psd(Y: np.ndarray) -> np.ndarray:
@@ -166,19 +169,15 @@ def _clip_psd(Y: np.ndarray) -> np.ndarray:
     return (X + X.T) / 2.0
 
 
-def _feasible_point(problem: SdpProblem, X: np.ndarray) -> np.ndarray:
-    """Round the affine-exact iterate to an exactly feasible point.
+def _feasible_point(X: np.ndarray) -> np.ndarray:
+    """Round the projected iterate to an exactly feasible point.
 
-    Clip to the nonnegative orthant for chi-vec (pattern zeros are
-    already exact), add -min_eig times the identity, rescale to unit
+    The iterate already meets the pattern (and for chi-vec the sign)
+    constraints; add -min_eig times the identity and rescale to unit
     trace.  The rounded objective therefore sits on the certified side
     of the optimum.
     """
-    Y = np.maximum(X, 0.0) if problem.nonneg else X.copy()
-    w = np.linalg.eigvalsh(Y)
-    eps = max(0.0, -float(w[0]))
-    if eps > 0.0:
-        Y = Y + eps * np.eye(problem.order)
+    Y = X + max(0.0, -float(np.linalg.eigvalsh(X)[0])) * np.eye(X.shape[0])
     return Y / np.trace(Y)
 
 
@@ -188,7 +187,7 @@ def _structural_dual_bound(problem: SdpProblem, S_est: np.ndarray):
     Any symmetric B with zero diagonal whose edge entries equal -1 (resp.
     are at most -1) yields the feasible primal matrix M = B - min_eig(B) I,
     so 1 - min_eig(B) upper-bounds theta-bar (resp. chi-vec).  B is read
-    off the PSD-block multiplier estimate.  Returns (bound, M).
+    off the PSD-cone multiplier estimate.  Returns (bound, M).
     """
     B = (S_est + S_est.T) / 2.0
     B = B - np.diag(np.diag(B))
@@ -205,10 +204,9 @@ def _structural_dual_bound(problem: SdpProblem, S_est: np.ndarray):
 class _Anderson:
     """Safeguarded type-II Anderson acceleration of the splitting pass.
 
-    One pass is a fixed-point map x -> T(x) on the state (Z, U_1..U_K).
-    The state is accelerated as the upper triangles of Z and of every U
-    but the last: the iterates stay symmetric, and after the first pass
-    the U blocks sum to the constant -J / rho, which fixes the last one.
+    One pass is a fixed-point map V -> T(V) on the symmetric state
+    matrix, which is accelerated as its upper triangle, so the iterates
+    stay symmetric.
 
     The last ``ANDERSON_MEMORY`` differences of residuals g = T(x) - x
     and of images T(x) sit in preallocated rows, their Gram matrix is
@@ -220,12 +218,10 @@ class _Anderson:
     fails.
     """
 
-    def __init__(self, n: int, blocks: int):
-        rows, cols = np.triu_indices(n)
-        self.blocks, self.n = blocks, n
-        self.upper = np.concatenate([k * n * n + rows * n + cols for k in range(blocks)])
-        self.lower = np.concatenate([k * n * n + cols * n + rows for k in range(blocks)])
-        dim = len(self.upper)
+    def __init__(self, n: int):
+        self.upper = np.triu_indices(n)
+        self.lower = self.upper[::-1]
+        dim = len(self.upper[0])
         self.dG = np.empty((ANDERSON_MEMORY, dim))
         self.dF = np.empty((ANDERSON_MEMORY, dim))
         self.gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
@@ -237,31 +233,29 @@ class _Anderson:
         self.count = self.slot = 0
         self.f = self.g = None
 
-    def next_point(self, Z, Us):
-        """The point to evaluate next, given the image (Z, Us) = T(x) of
-        the current point x."""
-        f = np.concatenate([M.ravel() for M in (Z, *Us[:-1])]).take(self.upper)
+    def next_point(self, V: np.ndarray) -> np.ndarray:
+        """The point to evaluate next, given the image V = T(x) of the
+        current point x."""
+        f = V[self.upper]
         if self.x is None:
             self.x = f
-            return Z, Us
+            return V
         g = f - self.x
         res = float(np.sqrt(g @ g))
         if self.base is not None and not res <= self.base[2]:
-            (Z, Us), self.x, _ = self.base
+            V, self.x, _ = self.base
             self.base = None
             self._clear()
-            return Z, Us
+            return V
         x = self._extrapolate(f, g)
         if x is None:
             self.x, self.base = f, None
-            return Z, Us
-        self.x, self.base = x, ((Z, Us), f, res)
-        full = np.empty(self.blocks * self.n * self.n)
-        full[self.upper] = x
-        full[self.lower] = x
-        Z_x, *Us_x = full.reshape(self.blocks, self.n, self.n)
-        Us_x.append(Us[-1] + sum(Us[:-1]) - sum(Us_x))
-        return Z_x, Us_x
+            return V
+        self.x, self.base = x, (V, f, res)
+        out = np.empty_like(V)
+        out[self.upper] = x
+        out[self.lower] = x
+        return out
 
     def _extrapolate(self, f: np.ndarray, g: np.ndarray):
         """Record the image f and residual g; the extrapolated point, or
@@ -302,44 +296,34 @@ def solve(problem: SdpProblem, cfg: SolverConfig | None = None) -> SdpSolution:
     """
     cfg = cfg or SolverConfig()
     n = problem.order
-    pattern = _pattern(problem)
-    K = 3 if problem.nonneg else 2
-
-    # fixed order-scaled penalty: residual-balancing rescaling proved
-    # actively harmful on these families (limit cycles on degenerate
-    # product instances), while rho of order n converges on all of them
+    pattern = problem.adj | np.eye(n, dtype=bool)  # the entries that may be nonzero
+    project = _project_chi_vec if problem.nonneg else _project_affine
     rho = PENALTY * max(1.0, float(n))
-    alpha = OVER_RELAXATION
-    Z = _project_affine(np.zeros((n, n)), pattern)
-    Us = [np.zeros((n, n)) for _ in range(K)]
-    accel = _Anderson(n, K)
+    V = np.zeros((n, n))
+    accel = _Anderson(n)
 
     best = None  # (score, X, obj, dual, gap, residuals, iteration, certificate)
     status = MAX_ITER
     it = 0
     try:
         for it in range(1, cfg.max_iter + 1):
-            X_aff = _project_affine(Z - Us[0], pattern)
-            Xs = [X_aff, _clip_psd(Z - Us[1])]
-            if problem.nonneg:
-                Xs.append(np.maximum(Z - Us[2], 0.0))
-            hats = [alpha * Xk + (1.0 - alpha) * Z for Xk in Xs]
+            Z = _clip_psd(V)
             # the objective maximizes the entry sum: minimize <-J, X>
-            Z = sum(h + U for h, U in zip(hats, Us)) / K + 1.0 / (K * rho)
-            Us = [U + (h - Z) for h, U in zip(hats, Us)]
-            U_psd = Us[1]
+            X = project(2.0 * Z - V + 1.0 / rho, pattern)
+            V_in, V = V, V + OVER_RELAXATION * (X - Z)
             # solves that stop at the first check run the plain iteration
             if it >= CHECK_EVERY:
-                Z, Us = accel.next_point(Z, Us)
+                V = accel.next_point(V)
 
             if it % CHECK_EVERY and it != cfg.max_iter:
                 continue
 
-            X_rep = _feasible_point(problem, X_aff)
-            aff_res = _affine_residual(X_rep, pattern)
+            X_rep = _feasible_point(X)
+            aff_res = max(abs(float(np.trace(X_rep)) - 1.0),
+                          float(np.abs(X_rep[~pattern]).max(initial=0.0)))
             box_res = max(0.0, -float(X_rep.min())) if problem.nonneg else 0.0
             obj = float(X_rep.sum())
-            dual, certificate = _structural_dual_bound(problem, rho * U_psd)
+            dual, certificate = _structural_dual_bound(problem, rho * (Z - V_in))
             gap = abs(obj - dual)
 
             # the cone residual is 0 by construction; re-measured at return

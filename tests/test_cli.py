@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vecchrom import graphs, params, sdp
+from vecchrom import cli, graphs, params, sdp
 from vecchrom.cli import main, resolve_graph
 from vecchrom.identities import chain_checks
 from vecchrom.graphs import parse_edge_list
@@ -268,6 +268,23 @@ def test_nan_tolerance_is_refused_before_solving(capsys, monkeypatch):
     assert "tolerances" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_verify_unusable_identity_tol_is_refused_before_solving(capsys, monkeypatch, value):
+    monkeypatch.setattr(cli, "resolve_graph", None)  # any graph load would raise
+    monkeypatch.setattr(params, "solve", None)  # and so would any solve
+    code, record, err = run_cli(capsys, "verify", "cycle:5", "complete:3", "--suite",
+                                "sabidussi", "--identity-tol", value)
+    assert (code, record) == (3, None)
+    assert "--identity-tol" in err
+
+
+def test_verify_named_graphs_with_random_pairs_is_a_usage_error(capsys):
+    code, record, err = run_cli(capsys, "verify", "petersen", "cycle:5", "--suite",
+                                "hedetniemi", "--random-pairs", "1")
+    assert (code, record) == (1, None)
+    assert "--random-pairs" in err
+
+
 def test_verify_capacity_error_names_product_size(capsys):
     code, record, err = run_cli(
         capsys, "verify", "omega:6", "omega:6", "--suite", "products", "--cap", "100"
@@ -293,6 +310,16 @@ def test_qverify_pass(tmp_path, capsys):
     assert code == 0
     assert record["report"]["ok"] is True
     assert record["certificate"]["n_colors"] == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_qverify_unusable_qtol_is_refused_before_loading(tmp_path, capsys, monkeypatch, value):
+    path = tmp_path / "cert.json"
+    save_certificate(path, _c5_certificate())
+    monkeypatch.setattr(cli, "load_certificate", None)  # any load would raise
+    code, record, err = run_cli(capsys, "qverify", str(path), "--qtol", value)
+    assert (code, record) == (3, None)
+    assert "--qtol" in err
 
 
 def test_qverify_mutated_fails_named_condition(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
-from vecchrom import graphs, identities
+from vecchrom import graphs, identities, params
 from vecchrom.errors import CapacityError, DimensionError, VecchromError
 from vecchrom.identities import (
     chain_checks,
@@ -137,6 +137,22 @@ def test_sabidussi_builds_cartesian_once(cfg, param_cache, monkeypatch):
     monkeypatch.setattr(identities, "product", counting)
     run_suite("sabidussi", C5, K3, cfg, cache=param_cache)
     assert kinds.count("cartesian") == 1
+
+
+def test_sabidussi_computes_each_factor_chromatic_number_once(cfg, param_cache, monkeypatch):
+    G, H = random_graph(7, seed=301), random_graph(7, seed=302)
+    calls = {"chromatic_number": [], "proper_coloring": []}
+    for name, seen in calls.items():
+        def counting(F, *args, f=getattr(identities, name), seen=seen, **kwargs):
+            seen.append(F.n)
+            return f(F, *args, **kwargs)
+        monkeypatch.setattr(identities, name, counting)
+    # the 49-vertex product is above the cap: the factor-bound route
+    checks = sabidussi_checks(G, H, cfg, cache=param_cache, chromatic_cap=30)
+    chi = checks[-1]
+    assert chi.passed and chi.detail["method"] == "factor-bound"
+    assert calls == {"chromatic_number": [7, 7], "proper_coloring": [7, 7]}
+    assert chi.detail["factors"] == [params.chromatic_number(G), params.chromatic_number(H)]
 
 
 @pytest.mark.parametrize("pair", [(C5, K3), (PETERSEN, C5), "stiff"])
