@@ -54,7 +54,6 @@ from .colorings import (
     ClassicalColoring,
     VectorColoring,
     extract_coloring,
-    is_proper_coloring,
     load_coloring,
     modular_coloring,
     save_coloring,
@@ -72,4 +71,4 @@ from .quantum import (
     save_certificate,
     verify_quantum_hom,
 )
-from .identities import IdentityCheck, chi_cartesian_exact, run_suite
+from .identities import IdentityCheck, run_suite

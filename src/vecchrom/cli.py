@@ -82,7 +82,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def resolve_graph(spec: str, *, omega_cap: int = 10) -> Graph:
+def resolve_graph(spec: str) -> Graph:
     """Interpret a CLI graph argument as a generator spec or a file."""
     if os.path.exists(spec):
         return load_graph(spec, label=os.path.basename(spec))
@@ -92,7 +92,7 @@ def resolve_graph(spec: str, *, omega_cap: int = 10) -> Graph:
             n = int(size) if size else 0
         except ValueError:
             raise UsageError(f"bad size in graph spec {spec!r}")
-        return generate(family, n, omega_cap=omega_cap)
+        return generate(family, n)
     raise UsageError(
         f"{spec!r} is neither a file nor a generator spec "
         f"(families: {', '.join(GENERATOR_FAMILIES)})"

@@ -173,17 +173,6 @@ def modular_coloring(gc: ClassicalColoring, hc: ClassicalColoring) -> ClassicalC
     return ClassicalColoring(colors.ravel(), m)
 
 
-def is_proper_coloring(G: Graph, colors) -> tuple[bool, tuple | None]:
-    """Edge scan for properness; returns (flag, witness_edge)."""
-    colors = np.asarray(colors, dtype=int)
-    if colors.shape != (G.n,):
-        raise DimensionError("one color per vertex required")
-    for u, v in G.edges():
-        if colors[u] == colors[v]:
-            return False, (u, v)
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # JSON file format: {"k": real, "strict": bool, "dim": d,
 #                    "vectors": [[...], ...]} in graph index order.

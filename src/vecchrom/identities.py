@@ -38,11 +38,11 @@ interval ``[lower, upper]`` and the certificate kinds in ``detail``; its
 union check) and its ``residual`` the larger distance of an endpoint
 from ``rhs``.
 
-Chromatic numbers of Cartesian products larger than the backtracking
-cap are still determined exactly: the product contains each factor as a
-subgraph (lower bound max of the factor values), and the modular
-coloring of the factors, verified edge by edge, matches that bound from
-above.
+The chromatic number of a Cartesian product is checked the same way,
+with no search on the product: each factor is a subgraph of it (lower
+bound m, the larger factor value), and the modular coloring ``(a + b)
+mod m`` of the factors' m-colorings, checked edge by edge as a
+homomorphism to ``K_m``, bounds it by m from above.
 """
 
 from __future__ import annotations
@@ -51,9 +51,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .colorings import ClassicalColoring, is_proper_coloring, modular_coloring
-from .errors import CapacityError, DimensionError, DomainError, VecchromError
-from .graphs import Graph, product, union
+from .colorings import ClassicalColoring, modular_coloring
+from .errors import (
+    CapacityError,
+    ConvergenceError,
+    DimensionError,
+    DomainError,
+    VecchromError,
+)
+from .graphs import Graph, generate, is_homomorphism, product, union
 from .params import (
     CHROMATIC_CAP_DEFAULT,
     ParamResult,
@@ -215,12 +221,21 @@ def _dual_form_bound(F: Graph, P: np.ndarray, nonneg: bool) -> float | None:
     return float(P.sum())
 
 
+def _eigenvalues(X: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a product-side certificate; a LAPACK failure is a
+    solver failure, as inside the SDP solver."""
+    try:
+        return np.linalg.eigvalsh(X)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed on a product certificate: {exc}") from exc
+
+
 def _eigenvalue_bound(F: Graph, W: np.ndarray) -> float | None:
     """1 - lmax(W) / lmin(W) for a symmetric W vanishing off F's edges
     (diagonal included), else None."""
     if not _symmetric(W) or float(np.abs(W[~F.adj]).max()) > CERT_TOL:
         return None
-    w = np.linalg.eigvalsh(W)
+    w = _eigenvalues(W)
     return 1.0 - float(w[-1] / w[0]) if w[0] < 0.0 else 1.0
 
 
@@ -234,7 +249,7 @@ def _witness_bound(F: Graph, M: np.ndarray, nonneg: bool) -> float | None:
     off = edges > -1.0 + CERT_TOL if nonneg else np.abs(edges + 1.0) > CERT_TOL
     if off.any():
         return None
-    lmin = float(np.linalg.eigvalsh(M)[0])
+    lmin = float(_eigenvalues(M)[0])
     return 1.0 + float(M.diagonal().max()) + max(0.0, -lmin)
 
 
@@ -259,35 +274,6 @@ def _interval_check(name: str, F: Graph, rhs: float, tol: float, factors: list,
 # the suites
 
 
-def chi_cartesian_exact(G: Graph, H: Graph, F: Graph, *,
-                        cap: int = CHROMATIC_CAP_DEFAULT):
-    """Exact chromatic number of F, the Cartesian product of G and H, with
-    method tag.
-
-    Below the cap this is direct backtracking.  Above it, the value is
-    pinned between the factor maximum (each factor embeds in the
-    product) and a verified modular coloring with that many colors.
-    """
-    return _chi_cartesian(G, H, F, cap)[:2]
-
-
-def _chi_cartesian(G: Graph, H: Graph, F: Graph, cap: int):
-    """:func:`chi_cartesian_exact`'s value and method, then the factors'
-    chromatic numbers, each computed once."""
-    cg = chromatic_number(G, cap=cap)
-    ch = chromatic_number(H, cap=cap)
-    if F.n <= cap:
-        return chromatic_number(F, cap=cap), "backtracking", cg, ch
-    m = max(cg, ch)
-    gcol = proper_coloring(G, m, cap=cap)
-    hcol = proper_coloring(H, m, cap=cap)
-    combined = modular_coloring(ClassicalColoring(gcol, m), ClassicalColoring(hcol, m))
-    ok, bad = is_proper_coloring(F, combined.colors)
-    if not ok:
-        raise VecchromError(f"modular coloring failed on product edge {bad}")
-    return m, "factor-bound", cg, ch
-
-
 def sabidussi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
                      tol: float = IDENTITY_TOL_DEFAULT, cache: dict | None = None,
                      sdp_cap: int = SDP_CAP_DEFAULT,
@@ -310,13 +296,16 @@ def sabidussi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
             ("fiber", _dual_form_bound(F, fiber, nonneg)),
             ("lifted tensor", _witness_bound(F, _cartesian_witness(Zg, Zh), nonneg)),
         ))
-    chi_p, method, chi_g, chi_h = _chi_cartesian(G, H, F, chromatic_cap)
-    kinds = ({"lower": "factor subgraph", "upper": "modular coloring"}
-             if method == "factor-bound"
-             else {"lower": "backtracking", "upper": "backtracking"})
-    checks.append(_check("chi(G[]H) = max", chi_p, chi_p, max(chi_g, chi_h), 0.0,
-                         detail={"factors": [chi_g, chi_h], "method": method,
-                                 "interval": [chi_p, chi_p], "certificates": kinds}))
+    cg = chromatic_number(G, cap=chromatic_cap)
+    ch = chromatic_number(H, cap=chromatic_cap)
+    m = max(cg, ch)
+    modular = modular_coloring(ClassicalColoring(proper_coloring(G, m, cap=chromatic_cap), m),
+                               ClassicalColoring(proper_coloring(H, m, cap=chromatic_cap), m))
+    proper, _ = is_homomorphism(F, generate("complete", m), modular.colors)
+    checks.append(_interval_check(
+        "chi(G[]H) = max", F, m, 0.0, [cg, ch],
+        ("factor subgraph", m), ("modular coloring", m if proper else None),
+    ))
     return checks
 
 

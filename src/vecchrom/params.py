@@ -273,8 +273,8 @@ def spectral_vector_chromatic(G: Graph) -> ParamResult:
 
 
 # ---------------------------------------------------------------------------
-# Exact chromatic number by branch and bound on bitmask adjacency, with a
-# greedy (saturation-order) upper bound and an exact clique lower bound.
+# Exact chromatic number by branch and bound on bitmask adjacency, from
+# an exact clique lower bound upward.
 
 
 def _neighbor_masks(G: Graph) -> list[int]:
@@ -305,26 +305,6 @@ def _max_clique(masks: list[int], n: int) -> list[int]:
 
     expand([], (1 << n) - 1)
     return best
-
-
-def _greedy_coloring(masks: list[int], n: int) -> np.ndarray:
-    colors = np.full(n, -1, dtype=int)
-    uncolored = set(range(n))
-    while uncolored:
-        # pick the most saturated vertex, ties by degree
-        best_u, best_key = None, None
-        for u in uncolored:
-            sat = {colors[v] for v in range(n) if (masks[u] >> v) & 1 and colors[v] >= 0}
-            key = (len(sat), bin(masks[u]).count("1"))
-            if best_key is None or key > best_key:
-                best_u, best_key = u, key
-        used = {colors[v] for v in range(n) if (masks[best_u] >> v) & 1 and colors[v] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colors[best_u] = c
-        uncolored.remove(best_u)
-    return colors
 
 
 def _search_coloring(masks: list[int], n: int, k: int, clique: list[int]):
@@ -396,32 +376,20 @@ def proper_coloring(G: Graph, k: int, *, cap: int = CHROMATIC_CAP_DEFAULT):
 
 
 def chromatic_number(G: Graph, limit: int | None = None, *, cap: int = CHROMATIC_CAP_DEFAULT) -> int:
-    """Exact chromatic number by deterministic backtracking.
+    """Exact chromatic number: the least k, from the clique number up, for
+    which deterministic backtracking finds a proper k-coloring.
 
-    Raises :class:`LimitExceededError` when the answer provably exceeds
+    Raises :class:`LimitExceededError` before searching any k above
     ``limit`` and :class:`CapacityError` above the vertex cap.
     """
     if G.n > cap:
         raise CapacityError(f"graph order {G.n} exceeds chromatic cap {cap}")
-    if G.n == 0:
-        chi = 0
-    elif G.edge_count == 0:
-        chi = 1
-    else:
-        masks = _neighbor_masks(G)
-        clique = _max_clique(masks, G.n)
-        greedy = _greedy_coloring(masks, G.n)
-        ub = int(greedy.max()) + 1
-        lb = len(clique)
-        chi = ub
-        for k in range(lb, ub):
-            if limit is not None and k > limit:
-                raise LimitExceededError(
-                    f"chromatic number exceeds limit {limit}", limit=limit
-                )
-            if _search_coloring(masks, G.n, k, clique) is not None:
-                chi = k
-                break
-    if limit is not None and chi > limit:
-        raise LimitExceededError(f"chromatic number {chi} exceeds limit {limit}", limit=limit)
-    return chi
+    masks = _neighbor_masks(G)
+    clique = _max_clique(masks, G.n)
+    k = len(clique)
+    while True:
+        if limit is not None and k > limit:
+            raise LimitExceededError(f"chromatic number exceeds limit {limit}", limit=limit)
+        if _search_coloring(masks, G.n, k, clique) is not None:
+            return k
+        k += 1

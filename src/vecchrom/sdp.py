@@ -64,7 +64,9 @@ class SolverConfig:
     """Tunables for :func:`solve`.
 
     ``tol`` bounds the reported affine/cone/entrywise residuals at
-    termination, ``gap_tol`` the reported duality gap.
+    termination, ``gap_tol`` the reported duality gap.  Solves stop on
+    ``gap_tol``: every reported point is rounded to exact feasibility, so
+    its residuals are at rounding level by construction.
     """
 
     tol: float = 1e-7

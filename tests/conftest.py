@@ -39,9 +39,9 @@ def small_graph(draw, min_n=1, max_n=6):
 
 @pytest.fixture(scope="session")
 def cfg():
-    # suite-scale settings: cone residuals of a first-order method on
-    # degenerate product instances sit around 1e-7..1e-6; value accuracy
-    # is governed by gap_tol, which stays at its default
+    # suite-scale settings: every reported point is rounded to exact
+    # feasibility, so its residuals sit at rounding level and solves stop
+    # on gap_tol, which stays at its default
     return SolverConfig(tol=1e-6, max_iter=150000)
 
 

@@ -25,6 +25,7 @@ from vecchrom.identities import (
     union_checks,
 )
 from vecchrom.params import (
+    CHROMATIC_CAP_DEFAULT,
     chi_vec,
     chromatic_number,
     one_homogeneous_check,
@@ -132,8 +133,11 @@ def sabidussi_runs(cfg, param_cache):
     for G, H in _suite_pairs():
         checks = sabidussi_checks(G, H, cfg, tol=1e-3, cache=param_cache)
         F = graphs.product("cartesian", G, H)
-        runs.append((G, H, checks, _cross_checked(
-            checks, [(F, "theta_bar"), (F, "chi_vec")], cfg, param_cache)))
+        crossed = _cross_checked(checks, [(F, "theta_bar"), (F, "chi_vec")], cfg, param_cache)
+        if F.n <= CHROMATIC_CAP_DEFAULT:
+            # the search on the product cross-checks the factor-built chi interval
+            crossed.append((checks[2], F, chromatic_number(F)))
+        runs.append((G, H, checks, crossed))
     return runs
 
 

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from vecchrom import cli, graphs, params, sdp
+from vecchrom import cli, graphs, identities, params, sdp
 from vecchrom.cli import main, resolve_graph
 from vecchrom.identities import chain_checks
 from vecchrom.graphs import parse_edge_list
 from vecchrom.errors import ParseError, ValidationError
+from vecchrom.colorings import ClassicalColoring
 from vecchrom.quantum import (
     certificate_to_json,
     classical_embedding,
@@ -228,6 +229,38 @@ def test_verify_identity_tol_zero_fails(capsys, suite):
     assert record["status"] == "failed" and record["all_passed"] is False
     failed = [i for i in record["pairs"][0]["identities"] if not i["passed"]]
     assert failed and all(i["name"].startswith(("theta_bar", "chi_vec")) for i in failed)
+
+
+def test_verify_improper_modular_coloring_fails_only_the_chi_check(capsys, monkeypatch):
+    def constant(gc, hc):
+        return ClassicalColoring(np.zeros(len(gc.colors) * len(hc.colors), dtype=int), gc.m)
+
+    monkeypatch.setattr(identities, "modular_coloring", constant)
+    code, record, _ = run_cli(capsys, "verify", "cycle:5", "complete:3", "--suite", "sabidussi")
+    assert code == 3 and record["status"] == "failed"
+    failed = [i for i in record["pairs"][0]["identities"] if not i["passed"]]
+    assert [i["name"] for i in failed] == ["chi(G[]H) = max"]
+    # the upper bound falls back to the product order
+    assert failed[0]["detail"]["rejected"] == ["upper"]
+    assert failed[0]["detail"]["interval"] == [3, 15]
+
+
+@pytest.mark.parametrize("suite", ["hedetniemi", "sabidussi", "products"])
+def test_verify_lapack_failure_on_a_product_certificate_exits_as_solver_failure(
+        capsys, monkeypatch, suite):
+    eigvalsh = np.linalg.eigvalsh
+
+    def failing_on_products(X, *args, **kwargs):
+        # the factor solves (orders 5 and 3) finish; the order-15 checks fail
+        if len(X) >= 15:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(X, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_on_products)
+    code, record, err = run_cli(capsys, "verify", "cycle:5", "complete:3", "--suite", suite)
+    assert code == 2 and record is None
+    assert err.startswith("solver failure: eigensolver failed")
+    assert "Traceback" not in err
 
 
 def test_verify_random_pairs_seeded(capsys):

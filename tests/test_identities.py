@@ -8,7 +8,6 @@ from vecchrom import graphs, identities, params
 from vecchrom.errors import CapacityError, DimensionError, VecchromError
 from vecchrom.identities import (
     chain_checks,
-    chi_cartesian_exact,
     hedetniemi_checks,
     product_checks,
     run_suite,
@@ -98,16 +97,6 @@ def test_identity_check_serialization(cfg, param_cache):
     assert {"name", "lhs", "rhs", "residual", "tolerance", "passed", "comparison"} <= set(data)
 
 
-def test_chi_cartesian_factor_bound_verifies_coloring():
-    G = random_graph(7, seed=301)
-    H = random_graph(7, seed=302)
-    value, method = chi_cartesian_exact(G, H, graphs.product("cartesian", G, H), cap=30)
-    assert method == "factor-bound"
-    from vecchrom.params import chromatic_number
-
-    assert value == max(chromatic_number(G), chromatic_number(H))
-
-
 # --- certificates in place of product solves ------------------------------------
 
 C5 = graphs.generate("cycle", 5)
@@ -140,19 +129,28 @@ def test_sabidussi_builds_cartesian_once(cfg, param_cache, monkeypatch):
 
 
 def test_sabidussi_computes_each_factor_chromatic_number_once(cfg, param_cache, monkeypatch):
-    G, H = random_graph(7, seed=301), random_graph(7, seed=302)
     calls = {"chromatic_number": [], "proper_coloring": []}
     for name, seen in calls.items():
         def counting(F, *args, f=getattr(identities, name), seen=seen, **kwargs):
             seen.append(F.n)
             return f(F, *args, **kwargs)
         monkeypatch.setattr(identities, name, counting)
-    # the 49-vertex product is above the cap: the factor-bound route
-    checks = sabidussi_checks(G, H, cfg, cache=param_cache, chromatic_cap=30)
-    chi = checks[-1]
-    assert chi.passed and chi.detail["method"] == "factor-bound"
-    assert calls == {"chromatic_number": [7, 7], "proper_coloring": [7, 7]}
-    assert chi.detail["factors"] == [params.chromatic_number(G), params.chromatic_number(H)]
+    # one product within the chromatic cap and one (49 vertices) above it:
+    # both are certified from the factors, with no search on the product
+    for G, H in ((C5, K3), (random_graph(7, seed=301), random_graph(7, seed=302))):
+        for seen in calls.values():
+            seen.clear()
+        chi = run_suite("sabidussi", G, H, cfg, cache=param_cache)[-1]
+        assert calls == {"chromatic_number": [G.n, H.n], "proper_coloring": [G.n, H.n]}
+        factors = [params.chromatic_number(G), params.chromatic_number(H)]
+        m = max(factors)
+        assert chi.passed and chi.detail["factors"] == factors
+        assert chi.lhs == chi.rhs == m and chi.detail["interval"] == [m, m]
+        assert chi.detail["certificates"] == {"lower": "factor subgraph",
+                                              "upper": "modular coloring"}
+        assert "method" not in chi.detail
+    # the search on the product agrees where the cap allows it
+    assert params.chromatic_number(graphs.product("cartesian", C5, K3)) == 3
 
 
 @pytest.mark.parametrize("pair", [(C5, K3), (PETERSEN, C5), "stiff"])

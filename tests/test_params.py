@@ -1,16 +1,15 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import random_graph, small_graph, star
 from vecchrom import graphs, params
 from vecchrom.graphs import graph_from_edges
 from vecchrom.errors import CapacityError, DomainError, LimitExceededError
-from vecchrom.identities import chi_cartesian_exact
 from vecchrom.linalg import eig_sym
 from vecchrom.params import (
     chi_vec,
@@ -362,6 +361,29 @@ def test_chromatic_cap_and_limit():
     assert err.value.limit == 3
 
 
+def _brute_force_chromatic(G):
+    """The least k for which some map of the vertices into range(k) is a
+    proper coloring, by scanning all of them."""
+    edges = list(G.edges())
+    k = 0
+    while not any(all(c[u] != c[v] for u, v in edges)
+                  for c in product(range(k), repeat=G.n)):
+        k += 1
+    return k
+
+
+@given(small_graph())
+# odd cycle and odd wheel: chromatic number one above the clique number
+@example(graphs.generate("cycle", 5))
+@example(graph_from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]))
+def test_chromatic_number_matches_brute_force(G):
+    k = _brute_force_chromatic(G)
+    assert chromatic_number(G) == chromatic_number(G, limit=k) == k
+    with pytest.raises(LimitExceededError) as err:
+        chromatic_number(G, limit=k - 1)
+    assert err.value.limit == k - 1
+
+
 def test_proper_coloring_search():
     G = graphs.generate("petersen")
     col = proper_coloring(G, 3)
@@ -376,16 +398,6 @@ def test_chromatic_cartesian_max_small_pairs():
     for G, H in rng_pairs:
         P = graphs.product("cartesian", G, H)
         assert chromatic_number(P) == max(chromatic_number(G), chromatic_number(H))
-
-
-def test_chi_cartesian_exact_routes_agree():
-    G = random_graph(5, seed=91)
-    H = random_graph(6, seed=92)
-    F = graphs.product("cartesian", G, H)
-    direct, m1 = chi_cartesian_exact(G, H, F, cap=30)
-    bounded, m2 = chi_cartesian_exact(G, H, F, cap=10)
-    assert m1 == "backtracking" and m2 == "factor-bound"
-    assert direct == bounded
 
 
 def test_sandwich_chain_on_corpus(theta, chivec, corpus):
