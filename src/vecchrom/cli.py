@@ -166,7 +166,7 @@ def cmd_param(args) -> tuple[dict, int]:
             record["result"] = {"value": f"> {exc.limit}"}
     elif args.which == "spectral":
         result = {}
-        if G.edge_count == 0:
+        if G.n and G.edge_count == 0:
             result["vector_chromatic"] = 1.0
             result["method"] = "convention"
         else:
@@ -178,8 +178,8 @@ def cmd_param(args) -> tuple[dict, int]:
                 # degree and the average-degree bound is the same float
                 result["lower_bound"] = res.value
             except DomainError:
-                flag, _ = is_bipartite(G)
-                if flag:
+                # K_0 has no edge and no value: its DomainError stands
+                if G.edge_count and is_bipartite(G)[0]:
                     result["vector_chromatic"] = 2.0
                     result["method"] = "convention"
                 else:

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 
-#: Largest n accepted by the omega family by default (2**n vertices).
+#: Largest n accepted by the omega family (2**n vertices).
 OMEGA_CAP_DEFAULT = 10
 
 #: Largest vertex count a graph is built with from a declared order (an
@@ -84,9 +84,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return self.adj.sum(axis=1).astype(int)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u, v])
-
     def adjacency(self, dtype=float) -> np.ndarray:
         """A writable copy of the adjacency matrix in the given dtype."""
         return self.adj.astype(dtype)
@@ -120,7 +117,7 @@ def graph_from_edges(n: int, edges, label: str = "") -> Graph:
     return Graph(n, adj, label)
 
 
-def generate(family: str, size: int = 0, *, omega_cap: int = OMEGA_CAP_DEFAULT) -> Graph:
+def generate(family: str, size: int = 0) -> Graph:
     """Named graph generator.
 
     Families: complete, cycle, path, empty, petersen (size ignored), and
@@ -156,9 +153,9 @@ def generate(family: str, size: int = 0, *, omega_cap: int = OMEGA_CAP_DEFAULT) 
         return graph_from_edges(10, outer + spokes + inner, "petersen")
 
     # omega family
-    if size > omega_cap:
+    if size > OMEGA_CAP_DEFAULT:
         raise CapacityError(
-            f"omega size {size} exceeds cap {omega_cap} (2**{size} vertices)"
+            f"omega size {size} exceeds cap {OMEGA_CAP_DEFAULT} (2**{size} vertices)"
         )
     count = 1 << size
     ids = np.arange(count)

@@ -56,7 +56,6 @@ from .errors import (
     CapacityError,
     ConvergenceError,
     DimensionError,
-    DomainError,
     VecchromError,
 )
 from .graphs import Graph, generate, is_homomorphism, product, union
@@ -168,8 +167,6 @@ def _check(name: str, low: float, up: float, rhs: float, tol: float,
 
 def _factor(G: Graph, which: str, cfg, cache):
     """(value, P, Z) of one factor, with Z = M + J."""
-    if G.n == 0:
-        raise DomainError("the identity suites need factors with at least one vertex")
     res = cached_param(G, which, cfg, cache)
     if res.method == "convention":
         return res.value, _corner(G.n), np.ones((G.n, G.n))

@@ -6,15 +6,15 @@ request the result also carries the primal certificate that the same
 solve produced with its dual bound: the Gram matrix from which a vector
 coloring is extracted.
 
-Edgeless graphs take the conventional value 1 for both parameters, with
-no SDP run.
+Edgeless graphs with at least one vertex take the conventional value 1
+for both parameters, with no SDP run; the SDP builder refuses the graph
+with no vertex (:class:`DomainError`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,6 +36,8 @@ from .sdp import (
 )
 
 CHROMATIC_CAP_DEFAULT = 30
+# interpreter frames left to the callers of the recursive chromatic searches
+_CALLER_FRAMES = 200
 
 
 @dataclass
@@ -72,7 +74,7 @@ def _from_solution(sol: SdpSolution, want_primal: bool) -> ParamResult:
 
 
 def _sdp_param(G: Graph, cfg, builder, want_primal: bool) -> ParamResult:
-    if G.edge_count == 0:
+    if G.n and G.edge_count == 0:
         return ParamResult(value=1.0, gap=0.0, method="convention")
     try:
         sol = solve(builder(G), cfg or SolverConfig())
@@ -122,8 +124,12 @@ def spectral_lower_bound(G: Graph) -> float:
 # the rank of every set of its rows.  Powers of the symmetric A are
 # symmetric, so (j, i) always duplicates (i, j) and only the upper
 # triangle i <= j is classified.  The classes are refined at each power
-# with one sort keyed on (class, value), and one representative column
-# per class is reduced exactly.
+# with one sort keyed on (class, value).
+#
+# A power that splits a class is not in the span: every lower power, and
+# so every combination of them, is constant on each class it was refined
+# by.  Only a power that splits no class needs a rank test, and that
+# test is one fraction-free elimination over one column per class.
 
 
 @dataclass
@@ -133,43 +139,27 @@ class OneHomReport:
     failing_witness: tuple | None = None  # (k, "vertex"|"edge", index or pair)
 
 
-class _ExactEchelon:
-    """Incremental exact rank test over the rationals for integer vectors."""
+def _independent(rows) -> bool:
+    """Whether integer vectors are linearly independent over the rationals.
 
-    def __init__(self):
-        self.rows = []  # (pivot index, vector of Fractions with 1 at pivot)
-
-    def split(self, parent) -> None:
-        """Re-index the basis after columns were duplicated.
-
-        New column j is a copy of old column ``parent[j]``, with ``parent``
-        sorted ascending.  Copying a column commutes with the row
-        operations, so each row stays reduced and keeps its pivot at the
-        first copy of its old pivot column.
-        """
-        parent = parent.tolist()
-        self.rows = [
-            (bisect_left(parent, pivot), [row[p] for p in parent])
-            for pivot, row in self.rows
-        ]
-
-    def contains(self, vec) -> bool:
-        """Reduce vec against the basis; absorb it if independent.
-
-        Returns True when vec was already in the span.
-        """
-        v = [Fraction(int(x)) for x in vec]
-        for pivot, row in self.rows:
-            coeff = v[pivot]
-            if coeff:
-                v = [a - coeff * b for a, b in zip(v, row)]
-        for idx, a in enumerate(v):
-            if a:
-                inv = a
-                v = [x / inv for x in v]
-                self.rows.append((idx, v))
-                return False
-        return True
+    Fraction-free (Bareiss) elimination in Python integers: each entry
+    below the pivot rows is a minor of the input, so the division by the
+    previous pivot is exact.  A row that reduces to zero is a combination
+    of the rows above it.
+    """
+    M = [[int(x) for x in row] for row in rows]
+    prev = 1
+    for i in range(len(M)):
+        row = M[i]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            return False
+        pivot = row[col]
+        for r in range(i + 1, len(M)):
+            q = M[r][col]
+            M[r] = [(pivot * x - q * y) // prev for x, y in zip(M[r], row)]
+        prev = pivot
+    return True
 
 
 def _integer_power_iter(A_bool: np.ndarray):
@@ -207,18 +197,19 @@ def one_homogeneous_check(G: Graph) -> OneHomReport:
     """Exact combinatorial test of the two walk-count conditions.
 
     Powers are checked up to the degree of the minimal polynomial.  That
-    degree is decided by an exact rational rank test on one column per
-    class of coordinates with equal walk counts so far, which gives the
-    same answer as the test on all n^2 coordinates.
+    degree is decided by an exact rank test on one column per class of
+    coordinates with equal walk counts so far, which gives the same
+    answer as the test on all n^2 coordinates; it runs only at powers
+    that split no class.
     """
     n = G.n
     if n == 0:
         return OneHomReport(True, [(0, 1, 0)])
     adj = G.adj
     edge_idx = np.argwhere(np.triu(adj))
-    echelon = _ExactEchelon()
     upper = np.triu(np.ones((n, n), dtype=bool))
     labels = np.zeros(n * (n + 1) // 2, dtype=np.int64)  # coordinate class so far
+    columns = []  # each power so far at one coordinate per class
     constants = []
     for k, P in enumerate(_integer_power_iter(adj)):
         diag = P.diagonal()
@@ -242,9 +233,10 @@ def one_homogeneous_check(G: Graph) -> OneHomReport:
         starts = np.ones(len(order), dtype=bool)
         starts[1:] = (cls[1:] != cls[:-1]) | (val[1:] != val[:-1])
         reps = order[starts]
-        echelon.split(labels[reps])
+        split = k == 0 or len(reps) > len(columns[0])  # I != 0 is independent
+        columns = [row[labels[reps]] for row in columns] + [flat[reps]]
         labels[order] = np.cumsum(starts) - 1
-        if echelon.contains(flat[reps]):
+        if not split and not _independent(columns):
             # k is the minimal-polynomial degree; all higher powers are
             # combinations of the checked ones
             return OneHomReport(True, constants)
@@ -362,16 +354,23 @@ def _search_coloring(masks: list[int], n: int, k: int, clique: list[int]):
     return None
 
 
-def proper_coloring(G: Graph, k: int, *, cap: int = CHROMATIC_CAP_DEFAULT):
-    """A proper k-coloring as an array, or None when no such coloring exists."""
+def _search_setup(G: Graph, cap: int):
+    """Neighbour masks and a maximum clique of a graph within the vertex
+    cap and the search depth: the clique and coloring searches recurse
+    once per vertex at most, so a graph with more vertices than the
+    recursion limit leaves them is refused before either starts."""
     if G.n > cap:
         raise CapacityError(f"graph order {G.n} exceeds chromatic cap {cap}")
-    if G.n == 0:
-        return np.zeros(0, dtype=int)
-    if k <= 0:
-        return None
+    depth = sys.getrecursionlimit() - _CALLER_FRAMES
+    if G.n > depth:
+        raise CapacityError(f"graph order {G.n} exceeds the chromatic search depth {depth}")
     masks = _neighbor_masks(G)
-    clique = _max_clique(masks, G.n)
+    return masks, _max_clique(masks, G.n)
+
+
+def proper_coloring(G: Graph, k: int, *, cap: int = CHROMATIC_CAP_DEFAULT):
+    """A proper k-coloring as an array, or None when no such coloring exists."""
+    masks, clique = _search_setup(G, cap)
     return _search_coloring(masks, G.n, k, clique)
 
 
@@ -380,12 +379,10 @@ def chromatic_number(G: Graph, limit: int | None = None, *, cap: int = CHROMATIC
     which deterministic backtracking finds a proper k-coloring.
 
     Raises :class:`LimitExceededError` before searching any k above
-    ``limit`` and :class:`CapacityError` above the vertex cap.
+    ``limit`` and :class:`CapacityError` above the vertex cap or the
+    search depth.
     """
-    if G.n > cap:
-        raise CapacityError(f"graph order {G.n} exceeds chromatic cap {cap}")
-    masks = _neighbor_masks(G)
-    clique = _max_clique(masks, G.n)
+    masks, clique = _search_setup(G, cap)
     k = len(clique)
     while True:
         if limit is not None and k > limit:

@@ -166,6 +166,28 @@ def test_param_capacity_error(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("spec", ["empty:1500", "complete:1200"])
+def test_param_chromatic_past_the_search_depth_is_refused(capsys, spec):
+    code, record, err = run_cli(capsys, "param", spec, "--which", "chromatic",
+                                "--chromatic-cap", "5000")
+    assert (code, record) == (3, None)
+    assert "search depth" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "empty:0"),
+    ("param", "empty:0", "--which", "theta-bar"),
+    ("param", "empty:0", "--which", "chi-vec"),
+    ("param", "empty:0", "--which", "spectral"),
+    ("verify", "--suite", "chain", "--random-pairs", "1", "--size", "0"),
+    ("verify", "empty:0", "cycle:5", "--suite", "sabidussi"),
+])
+def test_zero_vertex_graph_is_refused(capsys, argv):
+    code, record, err = run_cli(capsys, *argv)
+    assert (code, record) == (3, None)
+    assert "validation error" in err
+
+
 # --- verify ----------------------------------------------------------------------
 
 def test_verify_hedetniemi_pair(capsys):

@@ -47,7 +47,7 @@ def test_omega_matches_orthogonality_oracle():
         vecs = {i: [(-1 if (i >> b) & 1 else 1) for b in range(n)] for i in range(count)}
         for i, j in itertools.combinations(range(count), 2):
             dot = sum(a * b for a, b in zip(vecs[i], vecs[j]))
-            assert G.has_edge(i, j) == (dot == 0)
+            assert G.adj[i, j] == (dot == 0)
     G = generate("omega", 2)
     assert G.n == 4
     assert G.edge_count == 4
@@ -68,7 +68,6 @@ def test_omega_regularity_even():
 def test_omega_capacity():
     with pytest.raises(CapacityError):
         generate("omega", 11)
-    generate("omega", 11, omega_cap=11)  # raising the cap unlocks it
 
 
 def test_complete_one_vertex():
@@ -123,7 +122,7 @@ def test_cartesian_k2_k2_is_square():
     cycle_order = [0, 1, 3, 2]
     C4 = generate("cycle", 4)
     assert all(
-        G.has_edge(cycle_order[i], cycle_order[(i + 1) % 4]) for i in range(4)
+        G.adj[cycle_order[i], cycle_order[(i + 1) % 4]] for i in range(4)
     )
     assert G.edge_count == C4.edge_count == 4
 
@@ -167,7 +166,7 @@ def test_products_match_definitions(kind):
         P = product(kind, G, H)
         for a in range(P.n):
             for b in range(a + 1, P.n):
-                assert P.has_edge(a, b) == _definition_adjacent(kind, G, H, a, b)
+                assert P.adj[a, b] == _definition_adjacent(kind, G, H, a, b)
 
 
 def test_strong_is_union_of_categorical_and_cartesian():
@@ -250,7 +249,7 @@ def test_is_homomorphism():
     ok, witness = is_homomorphism(C4, K2, f)
     assert not ok and witness is not None
     u, v = witness
-    assert C4.has_edge(u, v) and not K2.adj[f[u], f[v]]
+    assert C4.adj[u, v] and not K2.adj[f[u], f[v]]
 
 
 # --- construction validation ------------------------------------------------

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
@@ -35,6 +36,10 @@ def test_theta_bar_empty_convention():
     assert res.value == 1.0 and res.method == "convention"
     res = theta_bar(graphs.generate("omega", 3))  # empty for odd n
     assert res.value == 1.0 and res.method == "convention"
+    # the convention needs a vertex; K_0 reaches the SDP builder
+    for param in (theta_bar, chi_vec):
+        with pytest.raises(DomainError, match="order must be positive"):
+            param(graphs.generate("empty", 0))
 
 
 def test_theta_bar_c4_bipartite(theta):
@@ -304,6 +309,37 @@ def test_one_homogeneous_matches_reference_random(G):
     assert _report(one_homogeneous_check(G)) == _reference_one_homogeneous(G)
 
 
+def test_independent_exact_past_int64():
+    # entries near 2^72: the last row differs from an exact combination of
+    # the first two by 1, which no float64 elimination can see
+    big = 2**72
+    a = [big + 1, 3, -5 * big, 7, 0]
+    b = [2, big - 1, 11, -big, big + 5]
+    combo = [3 * x - 2 * y for x, y in zip(a, b)]
+    off_by_one = combo[:-1] + [combo[-1] + 1]
+    assert not params._independent([a, b, combo])
+    assert params._independent([a, b, off_by_one])
+    assert params._independent(np.array([a, b, off_by_one], dtype=object))
+    assert not params._independent([b, combo, a])  # a dependent row anywhere
+    assert not params._independent([a, [0] * 5])
+
+
+def test_rank_test_runs_only_where_no_class_splits(monkeypatch):
+    # C_160 has 81 distinct eigenvalues; every power below A^80 splits a
+    # class, so only A^80 (independent) and A^81 (dependent) are tested
+    calls = []
+    independent = params._independent
+
+    def counting(rows):
+        calls.append(len(rows))
+        return independent(rows)
+
+    monkeypatch.setattr(params, "_independent", counting)
+    rep = one_homogeneous_check(graphs.generate("cycle", 160))
+    assert rep.is_one_homogeneous and len(rep.constants) == 82
+    assert len(calls) <= 2 and calls[-1] == 82
+
+
 # --- spectral formula ----------------------------------------------------------
 
 def test_spectral_vector_chromatic_values():
@@ -384,12 +420,36 @@ def test_chromatic_number_matches_brute_force(G):
     assert err.value.limit == k - 1
 
 
+def test_chromatic_search_depth_refused_before_search(monkeypatch):
+    depth = sys.getrecursionlimit() - params._CALLER_FRAMES
+    # at the bound the clique search and the coloring search each recurse
+    # about once per vertex
+    assert chromatic_number(graphs.generate("complete", depth), cap=depth) == depth
+    assert chromatic_number(graphs.generate("empty", depth), cap=depth) == 1
+
+    def no_search(*args):
+        raise AssertionError("searched past the depth bound")
+
+    monkeypatch.setattr(params, "_max_clique", no_search)
+    for family in ("empty", "complete"):
+        G = graphs.generate(family, depth + 1)
+        with pytest.raises(CapacityError, match="search depth"):
+            chromatic_number(G, cap=depth + 1)
+        with pytest.raises(CapacityError, match="search depth"):
+            proper_coloring(G, 1, cap=depth + 1)
+
+
 def test_proper_coloring_search():
     G = graphs.generate("petersen")
     col = proper_coloring(G, 3)
     assert col is not None
     assert all(col[u] != col[v] for u, v in G.edges())
     assert proper_coloring(G, 2) is None
+    # the clique decides the degenerate cases
+    K0 = graphs.generate("empty", 0)
+    assert np.array_equal(proper_coloring(K0, 0), np.zeros(0, dtype=int))
+    assert proper_coloring(K0, -1) is None
+    assert proper_coloring(graphs.generate("empty", 3), 0) is None
 
 
 def test_chromatic_cartesian_max_small_pairs():
