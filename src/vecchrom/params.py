@@ -299,6 +299,15 @@ def _max_clique(masks: list[int], n: int) -> list[int]:
     return best
 
 
+def _bits(m: int) -> list[int]:
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
 def _search_coloring(masks: list[int], n: int, k: int, clique: list[int]):
     """Backtracking k-colorability with clique seeding and symmetry breaking.
 
@@ -307,30 +316,39 @@ def _search_coloring(masks: list[int], n: int, k: int, clique: list[int]):
     if len(clique) > k:
         return None
     colors = [-1] * n
+    used = [0] * n  # per vertex, the colors of its colored neighbours
+    neighbours = [_bits(m) for m in masks]
+    # the choice key (free colors, -degree) as one integer
+    tiebreak = [n - 1 - len(nb) for nb in neighbours]
+
+    def assign(u: int, c: int) -> list[int]:
+        """Color u with c; the neighbours that c is new to."""
+        colors[u] = c
+        bit = 1 << c
+        fresh = [v for v in neighbours[u] if not used[v] & bit]
+        for v in fresh:
+            used[v] |= bit
+        return fresh
+
     for i, v in enumerate(clique):
-        colors[v] = i
+        assign(v, i)
     max_used = len(clique) - 1
 
     def choose():
-        best_u, best_opts, best_deg = -1, None, -1
+        """The uncolored vertex with the fewest free colors, of highest
+        degree among those, lowest-numbered among those; and its colors."""
+        allowed = (1 << min(k, max_used + 2)) - 1
+        best_u, best_free, best_key = -1, 0, None
         for u in range(n):
             if colors[u] >= 0:
                 continue
-            used = 0
-            m = masks[u]
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                if colors[v] >= 0:
-                    used |= 1 << colors[v]
-            limit = min(k, max_used + 2)
-            opts = [c for c in range(limit) if not (used >> c) & 1]
-            deg = bin(masks[u]).count("1")
-            if best_opts is None or (len(opts), -deg) < (len(best_opts), -best_deg):
-                best_u, best_opts, best_deg = u, opts, deg
-                if not opts:
+            free = allowed & ~used[u]
+            key = free.bit_count() * n + tiebreak[u]
+            if best_key is None or key < best_key:
+                best_u, best_free, best_key = u, free, key
+                if not free:
                     break
-        return best_u, best_opts
+        return best_u, [c for c in range(k) if best_free >> c & 1]
 
     def backtrack(remaining: int) -> bool:
         nonlocal max_used
@@ -341,11 +359,13 @@ def _search_coloring(masks: list[int], n: int, k: int, clique: list[int]):
             return False
         saved = max_used
         for c in opts:
-            colors[u] = c
+            fresh = assign(u, c)
             max_used = max(max_used, c)
             if backtrack(remaining - 1):
                 return True
             colors[u] = -1
+            for v in fresh:
+                used[v] &= ~(1 << c)
             max_used = saved
         return False
 

@@ -452,6 +452,76 @@ def test_proper_coloring_search():
     assert proper_coloring(graphs.generate("empty", 3), 0) is None
 
 
+def _rescanning_search_coloring(masks, n, k, clique):
+    # the search as it was before the used-color masks were kept
+    # incrementally: each node rescans every uncolored vertex's neighbours
+    if len(clique) > k:
+        return None
+    colors = [-1] * n
+    for i, v in enumerate(clique):
+        colors[v] = i
+    max_used = len(clique) - 1
+
+    def choose():
+        best_u, best_opts, best_deg = -1, None, -1
+        for u in range(n):
+            if colors[u] >= 0:
+                continue
+            used = 0
+            m = masks[u]
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                if colors[v] >= 0:
+                    used |= 1 << colors[v]
+            limit = min(k, max_used + 2)
+            opts = [c for c in range(limit) if not (used >> c) & 1]
+            deg = bin(masks[u]).count("1")
+            if best_opts is None or (len(opts), -deg) < (len(best_opts), -best_deg):
+                best_u, best_opts, best_deg = u, opts, deg
+                if not opts:
+                    break
+        return best_u, best_opts
+
+    def backtrack(remaining):
+        nonlocal max_used
+        if remaining == 0:
+            return True
+        u, opts = choose()
+        if not opts:
+            return False
+        saved = max_used
+        for c in opts:
+            colors[u] = c
+            max_used = max(max_used, c)
+            if backtrack(remaining - 1):
+                return True
+            colors[u] = -1
+            max_used = saved
+        return False
+
+    if backtrack(n - len(clique)):
+        return np.array(colors, dtype=int)
+    return None
+
+
+def test_search_matches_rescanning_search():
+    # same choice rule and tie-breaks: the same coloring, or None, at every k
+    # from below the clique number to above the chromatic number
+    rng = np.random.default_rng(4)
+    for n in range(31):
+        for p in (0.2, 0.5, 0.8):
+            G = graphs.erdos_renyi(n, p, rng=rng)
+            masks = params._neighbor_masks(G)
+            clique = params._max_clique(masks, n)
+            chi = chromatic_number(G)
+            for k in range(max(len(clique) - 1, 0), chi + 2):
+                new = params._search_coloring(masks, n, k, clique)
+                old = _rescanning_search_coloring(masks, n, k, clique)
+                assert (new is None) == (old is None) == (k < chi), (n, p, k)
+                assert new is None or np.array_equal(new, old), (n, p, k)
+
+
 def test_chromatic_cartesian_max_small_pairs():
     # direct backtracking on products small enough for the cap
     rng_pairs = [(random_graph(4, seed=s), random_graph(5, seed=s + 40)) for s in range(10)]

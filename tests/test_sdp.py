@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -282,18 +286,21 @@ def _petersen_box_c5():
     return graphs.product("cartesian", graphs.generate("petersen"), graphs.generate("cycle", 5))
 
 
-# Below the iteration counts of the plain splitting iteration (100, 100, 125
-# and 250; accelerated 50, 50, 50 and 150, counted in steps of CHECK_EVERY):
-# a change that silently stops the acceleration fails here.
+# At the iteration counts of the accelerated iteration (20, 15, 10, 20 and
+# 150), below those of the plain splitting iteration (100, 50, 10, 125
+# and 250), all counted at the checks of the schedule: a change that
+# silently stops the acceleration fails here (P x K3 aside, which the
+# plain iteration solves as fast).
 @pytest.mark.parametrize("which, G, bound", [
-    ("theta_bar", _petersen_box_c5(), 75),
+    ("theta_bar", _petersen_box_c5(), 20),
+    ("chi_vec", _petersen_box_c5(), 15),
     ("chi_vec", graphs.product("cartesian", graphs.generate("petersen"),
-                               graphs.generate("complete", 3)), 50),
+                               graphs.generate("complete", 3)), 10),
     ("theta_bar", graphs.product("strong", graphs.generate("cycle", 5),
-                                 graphs.generate("cycle", 5)), 100),
+                                 graphs.generate("cycle", 5)), 20),
     ("theta_bar", graphs.product("categorical", graphs.generate("cycle", 5),
-                                 graphs.generate("cycle", 7)), 200),
-], ids=["theta-PxC5", "chivec-PxK3", "theta-C5sC5", "theta-C5cC7"])
+                                 graphs.generate("cycle", 7)), 150),
+], ids=["theta-PxC5", "chivec-PxC5", "chivec-PxK3", "theta-C5sC5", "theta-C5cC7"])
 def test_acceleration_iteration_counts(which, G, bound):
     builder = build_theta_bar if which == "theta_bar" else build_chi_vec
     sol = solve(builder(G), CFG)
@@ -337,9 +344,98 @@ def test_eigh_once_per_iteration(monkeypatch):
         calls.append(1)
         return eigh(Y, *args, **kwargs)
 
+    extrapolate = sdp._Anderson._extrapolate
+    extrapolated = []
+
+    def counting_extrapolate(self, f, g):
+        x = extrapolate(self, f, g)
+        extrapolated.append(x is not None)
+        return x
+
     monkeypatch.setattr(sdp.np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(sdp._Anderson, "_extrapolate", counting_extrapolate)
     sol = solve(build_chi_vec(_petersen_box_c5()), CFG)
-    assert sol.status == OPTIMAL and len(calls) == sol.iterations > sdp.CHECK_EVERY
+    # the solve runs past its first extrapolated point, and every
+    # iteration, plain or extrapolated, costs one eigh
+    assert sol.status == OPTIMAL and any(extrapolated)
+    assert len(calls) == sol.iterations
+
+
+# --- the check schedule -------------------------------------------------------
+
+def _scheduled_checks(last):
+    return [it for it in range(1, last + 1) if sdp._is_check(it)]
+
+
+def test_check_schedule():
+    assert _scheduled_checks(sdp.EARLY_CHECKS_UNTIL) == list(
+        range(sdp.EARLY_CHECK_EVERY, sdp.EARLY_CHECKS_UNTIL + 1, sdp.EARLY_CHECK_EVERY))
+    late = _scheduled_checks(200)[len(_scheduled_checks(sdp.EARLY_CHECKS_UNTIL)):]
+    assert late == list(range(sdp.EARLY_CHECKS_UNTIL + sdp.CHECK_EVERY, 201, sdp.CHECK_EVERY))
+
+
+@pytest.mark.parametrize("problem", [
+    build_theta_bar(graphs.generate("petersen")),
+    build_chi_vec(graphs.generate("cycle", 5)),
+    build_theta_bar(_petersen_box_c5()),
+    build_chi_vec(_petersen_box_c5()),
+], ids=["theta-P", "chivec-C5", "theta-PxC5", "chivec-PxC5"])
+def test_solve_stops_at_first_passing_check(problem, caplog):
+    caplog.set_level("DEBUG", logger="vecchrom")
+    sol = solve(problem, CFG)
+    assert sol.status == OPTIMAL and sdp._is_check(sol.iterations)
+    assert sol.iterations > sdp.EARLY_CHECK_EVERY
+    # the iterates do not depend on max_iter, so stopping one check
+    # earlier ends at the best of those checks, none of which passed
+    early = solve(problem, SolverConfig(max_iter=sol.iterations - sdp.EARLY_CHECK_EVERY))
+    assert early.status == MAX_ITER
+    assert early.iterations == sol.iterations - sdp.EARLY_CHECK_EVERY
+    assert early.gap > CFG.gap_tol
+    events = [r for r in caplog.records if r.name == "vecchrom"]
+    assert [(r.status, r.iterations, r.checks) for r in events] == [
+        (OPTIMAL, sol.iterations, len(_scheduled_checks(sol.iterations))),
+        (MAX_ITER, early.iterations, len(_scheduled_checks(early.iterations))),
+    ]
+
+
+def test_stop_at_first_check_runs_plain_iteration(monkeypatch):
+    calls = []
+    next_point = sdp._Anderson.next_point
+
+    def counting_next_point(self, V):
+        calls.append(1)
+        return next_point(self, V)
+
+    monkeypatch.setattr(sdp._Anderson, "next_point", counting_next_point)
+    sol = solve(build_theta_bar(graphs.generate("complete", 5)), CFG)
+    assert sol.status == OPTIMAL and sol.iterations == sdp.EARLY_CHECK_EVERY
+    assert calls == []
+    # past the first check the acceleration runs on every iteration
+    sol = solve(build_theta_bar(graphs.generate("petersen")), CFG)
+    assert len(calls) == sol.iterations - sdp.EARLY_CHECK_EVERY
+
+
+def test_eigensolver_failure_is_logged(monkeypatch, caplog):
+    def failing_eigh(Y, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    caplog.set_level("DEBUG", logger="vecchrom")
+    monkeypatch.setattr(sdp.np.linalg, "eigh", failing_eigh)
+    with pytest.raises(ConvergenceError) as err:
+        solve(build_theta_bar(graphs.generate("petersen")), CFG)
+    assert err.value.partial is None
+    [event] = [r for r in caplog.records if r.name == "vecchrom"]
+    assert (event.status, event.iterations, event.checks) == (MAX_ITER, 1, 0)
+
+
+def test_solve_does_not_import_logging():
+    # the events go out once the caller has imported logging; a run that
+    # never does pays nothing for them
+    code = ("import sys; from vecchrom import graphs, params; "
+            "params.theta_bar(graphs.generate('petersen')); "
+            "assert 'logging' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # --- error and status handling ----------------------------------------------
@@ -350,10 +446,10 @@ def test_zero_vertex_graph_rejected():
 
 
 def test_max_iter_reports_best_iterate():
-    # below the check interval: the one check at max_iter records the best iterate
-    cfg = SolverConfig(max_iter=10)
+    # below the first check: the one check at max_iter records the best iterate
+    cfg = SolverConfig(max_iter=sdp.EARLY_CHECK_EVERY - 1)
     sol = solve(build_theta_bar(graphs.generate("petersen")), cfg)
-    assert sol.status == MAX_ITER
+    assert sol.status == MAX_ITER and sol.iterations == cfg.max_iter
     assert np.isfinite(sol.objective)
     assert sol.gap > 0
 
@@ -369,8 +465,10 @@ def test_lapack_failure_is_a_convergence_error(monkeypatch):
         return eigh(Y, *args, **kwargs)
 
     monkeypatch.setattr(sdp.np.linalg, "eigh", failing_eigh)
+    # C5 x C7 converges at iteration 150: the failure comes first
     with pytest.raises(ConvergenceError) as err:
-        solve(build_theta_bar(graphs.generate("petersen")), CFG)
+        solve(build_theta_bar(graphs.product("categorical", graphs.generate("cycle", 5),
+                                             graphs.generate("cycle", 7))), CFG)
     assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
     partial = err.value.partial
     assert partial.status == MAX_ITER and partial.iterations == 31
