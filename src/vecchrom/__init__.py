@@ -30,13 +30,13 @@ from .graphs import (
     write_edge_list,
 )
 from .linalg import Spectrum, eig_sym
+from .certificates import dual_form_bound, eigenvalue_bound, witness_bound
 from .sdp import (
     SdpProblem,
     SdpSolution,
     SolverConfig,
     build_chi_vec,
     build_theta_bar,
-    check_feasibility,
     solve,
 )
 from .params import (

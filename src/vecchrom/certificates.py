@@ -1,0 +1,74 @@
+"""Checkers for certificates of theta-bar and chi-vec bounds.
+
+Each checker takes a graph F and a matrix, checks the matrix against F
+afresh (so a product certificate built from its factors' certificates is
+checked on the product graph), and returns the bound it certifies on F,
+or None.  Every matrix must have F's order, finite entries and symmetry
+within ``CERT_TOL``; the conditions each checker names hold to
+``CERT_TOL`` as well.  The Cholesky and ``eigvalsh`` tests are plain
+floating point, not a verified bound, and a LAPACK failure in
+``eigvalsh`` raises :class:`ConvergenceError`, as in the SDP solver.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import ConvergenceError
+from .graphs import Graph
+
+CERT_TOL = 1e-9  # entry tolerance of every certificate condition
+
+
+def _well_formed(F: Graph, X: np.ndarray) -> bool:
+    """Shape (n, n) for n > 0, finite, and symmetric within CERT_TOL."""
+    return (F.n > 0 and X.shape == (F.n, F.n) and bool(np.isfinite(X).all())
+            and float(np.abs(X - X.T).max()) <= CERT_TOL)
+
+
+def _eigvalsh(X: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.eigvalsh(X)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed on a certificate: {exc}") from exc
+
+
+def dual_form_bound(F: Graph, P: np.ndarray, nonneg: bool) -> float | None:
+    """Entry sum of P, a lower bound, when P has unit trace, vanishes on
+    F's non-edges, is PSD (a Cholesky of ``P + CERT_TOL I``) and, with
+    ``nonneg``, is entrywise nonnegative; else None."""
+    if not _well_formed(F, P) or abs(float(np.trace(P)) - 1.0) > CERT_TOL:
+        return None
+    off = ~(F.adj | np.eye(F.n, dtype=bool))
+    if (float(np.abs(P[off]).max(initial=0.0)) > CERT_TOL
+            or nonneg and float(P.min()) < -CERT_TOL):
+        return None
+    try:
+        np.linalg.cholesky(P + CERT_TOL * np.eye(F.n))
+    except np.linalg.LinAlgError:
+        return None
+    return float(P.sum())
+
+
+def witness_bound(F: Graph, M: np.ndarray, nonneg: bool) -> float | None:
+    """1 + diagonal of a primal witness M on F, an upper bound widened by
+    max(0, -lmin(M)), when the diagonal is constant and the edge entries
+    are -1, or at most -1 with ``nonneg``; else None."""
+    if not _well_formed(F, M) or float(np.ptp(M.diagonal())) > CERT_TOL:
+        return None
+    edges = M[F.adj]
+    off = edges > -1.0 + CERT_TOL if nonneg else np.abs(edges + 1.0) > CERT_TOL
+    if off.any():
+        return None
+    lmin = float(_eigvalsh(M)[0])
+    return 1.0 + float(M.diagonal().max()) + max(0.0, -lmin)
+
+
+def eigenvalue_bound(F: Graph, W: np.ndarray) -> float | None:
+    """Lovasz's eigenvalue form (IEEE Trans. Inf. Theory 1979, Thm. 6):
+    1 - lmax(W) / lmin(W), a lower bound on theta-bar, when W vanishes
+    off F's edges (diagonal included); else None."""
+    if not _well_formed(F, W) or float(np.abs(W[~F.adj]).max()) > CERT_TOL:
+        return None
+    w = _eigvalsh(W)
+    return 1.0 - float(w[-1] / w[0]) if w[0] < 0.0 else 1.0

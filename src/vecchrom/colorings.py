@@ -120,16 +120,15 @@ def verify_coloring(G: Graph, c: VectorColoring, tol: float = 1e-6) -> ColoringR
         raise DimensionError(f"coloring covers {c.n} vertices, graph has {G.n}")
     norms = np.linalg.norm(c.vectors, axis=1) if c.n else np.array([])
     worst_norm = float(np.abs(norms - 1.0).max()) if c.n else 0.0
-    target = c.edge_target
-    worst_edge = None
-    worst_res = 0.0
     gram = c.vectors @ c.vectors.T if c.n else np.zeros((0, 0))
-    for u, v in G.edges():
-        inner = float(gram[u, v])
-        res = abs(inner - target) if c.strict else max(inner - target, 0.0)
-        if res > worst_res:
-            worst_res = res
-            worst_edge = (u, v)
+    # the edges in G.edges() order, so argmax picks the first worst edge
+    e0, e1 = np.nonzero(np.triu(G.adj))
+    res = gram[e0, e1] - c.edge_target
+    res = np.abs(res) if c.strict else np.maximum(res, 0.0)
+    worst_edge, worst_res = None, 0.0
+    if res.size and res.max() > 0.0:
+        i = int(np.argmax(res))
+        worst_edge, worst_res = (int(e0[i]), int(e1[i])), float(res[i])
     ok = worst_res <= tol and worst_norm <= max(tol, UNIT_NORM_TOL)
     return ColoringReport(ok, c.k, c.strict, worst_edge, worst_res, worst_norm)
 

@@ -14,29 +14,23 @@ certificates for the product from those of the factors:
   one fiber, ``P_G (x) e_0 e_0^T``.  Upper: both witnesses lifted to the
   larger value ``t``, ``A = (t / t_G) Z_G - J`` (diagonal ``t - 1``, edge
   entries unchanged), then tensored, ``(A (x) B) / (t - 1)``.
-* Categorical, theta-bar.  Lower: Lovasz's eigenvalue form (IEEE Trans.
-  Inf. Theory 1979, Thm. 6): a nonzero symmetric ``W`` that vanishes off
-  the edges bounds theta-bar by ``1 - lmax(W) / lmin(W)``.  A factor's
-  ``W`` is its ``P`` scaled to unit diagonal with the diagonal zeroed,
-  and ``W_G (x) W_H`` attains the factor minimum.  Upper: the smaller
-  factor's witness pulled back along the projection, ``M_G (x) J``.
+* Categorical, theta-bar.  Lower: Lovasz's eigenvalue form
+  ``W_G (x) W_H``, where a factor's ``W`` is its ``P`` scaled to unit
+  diagonal with the diagonal zeroed; the tensor attains the factor
+  minimum.  Upper: the smaller factor's witness pulled back along the
+  projection, ``M_G (x) J``.
 * Strong and disjunctive, theta-bar.  Lower: ``P_G (x) P_H``.  Upper:
   ``Z_G (x) Z_H - J``.
 * Edge union, theta-bar, one-sided.  Upper: the Schur product
   ``Z_G o Z_H - J``.  Lower, for the record: the larger factor's ``P``.
 
-Every certificate is checked again on the product graph, never by
-reusing the factor-side arithmetic: ``sdp.check_feasibility`` for a
-dual-form matrix; symmetry, support and diagonal for ``M`` and ``W``;
-and a fresh ``eigvalsh``, which gives the eigenvalue-form bound and
-widens a witness's bound ``1 + diagonal`` by ``max(0, -lmin)``.  Entry
-conditions hold to ``CERT_TOL``; the eigenvalue and Cholesky tests are
-plain floating point.  A certificate that fails leaves the trivial bound
-(1 below, the order above) and fails its check.  A check records the
-interval ``[lower, upper]`` and the certificate kinds in ``detail``; its
-``lhs`` is the interval midpoint (the upper bound for the one-sided
-union check) and its ``residual`` the larger distance of an endpoint
-from ``rhs``.
+Every certificate is checked again on the product graph by
+:mod:`vecchrom.certificates`, which gives the bound it certifies there.
+A certificate that fails leaves the trivial bound (1 below, the order
+above) and fails its check.  A check records the interval ``[lower,
+upper]`` and the certificate kinds in ``detail``; its ``lhs`` is the
+interval midpoint (the upper bound for the one-sided union check) and
+its ``residual`` the larger distance of an endpoint from ``rhs``.
 
 The chromatic number of a Cartesian product is checked the same way,
 with no search on the product: each factor is a subgraph of it (lower
@@ -51,13 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .certificates import dual_form_bound, eigenvalue_bound, witness_bound
 from .colorings import ClassicalColoring, modular_coloring
-from .errors import (
-    CapacityError,
-    ConvergenceError,
-    DimensionError,
-    VecchromError,
-)
+from .errors import CapacityError, DimensionError, VecchromError
 from .graphs import Graph, generate, is_homomorphism, product, union
 from .params import (
     CHROMATIC_CAP_DEFAULT,
@@ -68,12 +58,11 @@ from .params import (
     spectral_lower_bound,
     theta_bar,
 )
-from .sdp import SdpProblem, SolverConfig, check_feasibility
+from .sdp import SolverConfig
 
 SUITES = ("sabidussi", "hedetniemi", "products", "union", "chain")
 IDENTITY_TOL_DEFAULT = 1e-3
 SDP_CAP_DEFAULT = 120
-CERT_TOL = 1e-9  # entry tolerance of the product-side certificate checks
 # vertices whose P diagonal is below this share of the largest leave the
 # eigenvalue form: rounding leaves some at 1e-16 where the optimum has 0
 EIGENVALUE_FORM_CUTOFF = 1e-8
@@ -207,49 +196,6 @@ def _eigenvalue_form(P: np.ndarray) -> np.ndarray:
     return W
 
 
-def _symmetric(X: np.ndarray) -> bool:
-    return bool(np.isfinite(X).all()) and float(np.abs(X - X.T).max()) <= CERT_TOL
-
-
-def _dual_form_bound(F: Graph, P: np.ndarray, nonneg: bool) -> float | None:
-    """Entry sum of a dual-form matrix feasible on F, else None."""
-    if not check_feasibility(SdpProblem(F.adj, nonneg), P, CERT_TOL).ok:
-        return None
-    return float(P.sum())
-
-
-def _eigenvalues(X: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a product-side certificate; a LAPACK failure is a
-    solver failure, as inside the SDP solver."""
-    try:
-        return np.linalg.eigvalsh(X)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed on a product certificate: {exc}") from exc
-
-
-def _eigenvalue_bound(F: Graph, W: np.ndarray) -> float | None:
-    """1 - lmax(W) / lmin(W) for a symmetric W vanishing off F's edges
-    (diagonal included), else None."""
-    if not _symmetric(W) or float(np.abs(W[~F.adj]).max()) > CERT_TOL:
-        return None
-    w = _eigenvalues(W)
-    return 1.0 - float(w[-1] / w[0]) if w[0] < 0.0 else 1.0
-
-
-def _witness_bound(F: Graph, M: np.ndarray, nonneg: bool) -> float | None:
-    """1 + diagonal of a primal witness on F, widened by max(0, -lmin),
-    else None.  The diagonal must be constant and the edge entries -1,
-    or at most -1 with ``nonneg``."""
-    if not _symmetric(M) or float(np.ptp(M.diagonal())) > CERT_TOL:
-        return None
-    edges = M[F.adj]
-    off = edges > -1.0 + CERT_TOL if nonneg else np.abs(edges + 1.0) > CERT_TOL
-    if off.any():
-        return None
-    lmin = float(_eigenvalues(M)[0])
-    return 1.0 + float(M.diagonal().max()) + max(0.0, -lmin)
-
-
 def _interval_check(name: str, F: Graph, rhs: float, tol: float, factors: list,
                     lower: tuple, upper: tuple, comparison: str = "eq") -> IdentityCheck:
     """Check ``rhs`` against the interval certified on F.
@@ -290,8 +236,8 @@ def sabidussi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
             fiber = np.kron(_corner(G.n), Ph)
         checks.append(_interval_check(
             f"{which}(G[]H) = max", F, max(rg, rh), tol, [rg, rh],
-            ("fiber", _dual_form_bound(F, fiber, nonneg)),
-            ("lifted tensor", _witness_bound(F, _cartesian_witness(Zg, Zh), nonneg)),
+            ("fiber", dual_form_bound(F, fiber, nonneg)),
+            ("lifted tensor", witness_bound(F, _cartesian_witness(Zg, Zh), nonneg)),
         ))
     cg = chromatic_number(G, cap=chromatic_cap)
     ch = chromatic_number(H, cap=chromatic_cap)
@@ -321,8 +267,8 @@ def hedetniemi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
         pullback = np.kron(np.ones((G.n, G.n)), Zh) - 1.0
     return [_interval_check(
         "theta_bar(GxH) = min", F, min(rg, rh), tol, [rg, rh],
-        ("eigenvalue tensor", _eigenvalue_bound(F, eigenvalue_form)),
-        ("pull-back", _witness_bound(F, pullback, False)),
+        ("eigenvalue tensor", eigenvalue_bound(F, eigenvalue_form)),
+        ("pull-back", witness_bound(F, pullback, False)),
     )]
 
 
@@ -344,8 +290,8 @@ def product_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
         F = product(kind, G, H)
         checks.append(_interval_check(
             f"theta_bar(G{sym}H) = product", F, rg * rh, tol, [rg, rh],
-            ("dual tensor", _dual_form_bound(F, dual, False)),
-            ("primal tensor", _witness_bound(F, witness, False)),
+            ("dual tensor", dual_form_bound(F, dual, False)),
+            ("primal tensor", witness_bound(F, witness, False)),
         ))
     return checks
 
@@ -362,8 +308,8 @@ def union_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
     rh, Ph, Zh = _factor(H, "theta_bar", cfg, cache)
     return [_interval_check(
         "theta_bar(GuH) <= product", U, rg * rh, tol, [rg, rh],
-        ("factor", _dual_form_bound(U, Pg if Pg.sum() >= Ph.sum() else Ph, False)),
-        ("Schur product", _witness_bound(U, Zg * Zh - 1.0, False)),
+        ("factor", dual_form_bound(U, Pg if Pg.sum() >= Ph.sum() else Ph, False)),
+        ("Schur product", witness_bound(U, Zg * Zh - 1.0, False)),
         comparison="le",
     )]
 

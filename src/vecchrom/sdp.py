@@ -150,14 +150,6 @@ class SdpSolution:
     certificate: np.ndarray  # primal witness of dual_objective
 
 
-@dataclass
-class FeasibilityReport:
-    ok: bool
-    affine: float
-    cone: float
-    entrywise: float
-
-
 def build_theta_bar(G: Graph) -> SdpProblem:
     """SDP whose optimum is theta-bar of G (Lovasz theta of the complement)."""
     return SdpProblem(G.adj, label=f"theta-bar dual ({G.label or G.n})")
@@ -398,30 +390,3 @@ def _solution(best, it: int, status: str, cone: float | None = None) -> SdpSolut
         status=status,
         certificate=certificate,
     )
-
-
-def check_feasibility(problem: SdpProblem, X, tol: float) -> FeasibilityReport:
-    """Independent check of a candidate against the stated constraints.
-
-    Deliberately a fresh code path: symmetry, unit trace and the
-    non-edge zeros count as affine, the sign condition of chi-vec as
-    entrywise, and the cone is tested by a Cholesky factorization of
-    X + tol I (``cone`` is 0 when it succeeds and inf when it fails).
-    """
-    X = np.asarray(X, dtype=float)
-    n = problem.order
-    if X.shape != (n, n) or not np.isfinite(X).all():
-        inf = float("inf")
-        return FeasibilityReport(False, inf, inf, inf)
-    off = ~problem.adj
-    np.fill_diagonal(off, False)
-    affine = max(abs(float(np.trace(X)) - 1.0), float(np.abs(X - X.T).max()),
-                 float(np.abs(X[off]).max(initial=0.0)))
-    entrywise = max(0.0, -float(X.min())) if problem.nonneg else 0.0
-    try:
-        np.linalg.cholesky(X + tol * np.eye(n))
-        cone = 0.0
-    except np.linalg.LinAlgError:
-        cone = float("inf")
-    ok = affine <= tol and entrywise <= tol and cone <= tol
-    return FeasibilityReport(ok, affine, cone, entrywise)

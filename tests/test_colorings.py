@@ -94,6 +94,46 @@ def test_rotation_invariance():
     assert rep.worst_residual <= 1e-9
 
 
+def _edge_residuals(G, c):
+    gram = c.vectors @ c.vectors.T
+    for u, v in G.edges():
+        inner = float(gram[u, v])
+        yield (u, v), abs(inner - c.edge_target) if c.strict else max(inner - c.edge_target, 0.0)
+
+
+def _scan_worst_edge(G, c):
+    # the per-edge loop that the gather over the upper triangle replaced
+    worst_edge, worst_res = None, 0.0
+    for edge, res in _edge_residuals(G, c):
+        if res > worst_res:
+            worst_edge, worst_res = edge, res
+    return worst_edge, worst_res
+
+
+def test_worst_edge_matches_edge_scan_with_ties():
+    # four unit vectors have two inner products, so most edges tie
+    palette = simplex_coloring(4).vectors
+    rng = np.random.default_rng(11)
+    seen_none = seen_tie = 0
+    for trial in range(200):
+        G = graphs.erdos_renyi(int(rng.integers(0, 9)), 0.5, seed=trial)
+        c = VectorColoring(palette[rng.integers(0, 4, G.n)], float(rng.choice([2, 3, 4])),
+                           strict=bool(trial % 2))
+        rep = verify_coloring(G, c)
+        assert (rep.worst_edge, rep.worst_residual) == _scan_worst_edge(G, c)
+        seen_none += rep.worst_edge is None
+        ties = sum(res == rep.worst_residual for _, res in _edge_residuals(G, c))
+        seen_tie += rep.worst_edge is not None and ties > 1
+    assert seen_none and seen_tie
+    # every edge ties: the first one is the worst
+    same = VectorColoring(np.ones((5, 1)), 2.0, strict=True)
+    assert verify_coloring(graphs.generate("cycle", 5), same).worst_edge == (0, 1)
+    # every residual 0: no worst edge
+    path = VectorColoring(np.array([[1.0], [-1.0]] * 2), 2.0, strict=True)
+    rep = verify_coloring(graphs.generate("path", 4), path)
+    assert rep.ok and rep.worst_edge is None and rep.worst_residual == 0.0
+
+
 def test_unit_norm_enforced():
     with pytest.raises(DomainError):
         VectorColoring(np.array([[2.0, 0.0]]), 2.0, True)

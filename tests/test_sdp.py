@@ -15,7 +15,6 @@ from vecchrom.sdp import (
     SolverConfig,
     build_chi_vec,
     build_theta_bar,
-    check_feasibility,
     solve,
 )
 
@@ -131,69 +130,6 @@ def _assert_primal_certificate(G, which, sol):
         assert np.all(edges <= -1.0)
     np.linalg.cholesky(M + 1e-9 * np.eye(G.n))
     assert sol.dual_objective - sol.objective == sol.gap <= CFG.gap_tol
-
-
-def test_returned_solutions_pass_independent_recheck():
-    for G in (graphs.generate("complete", 5), graphs.generate("cycle", 7)):
-        for builder in (build_theta_bar, build_chi_vec):
-            prob = builder(G)
-            sol = solve(prob, CFG)
-            assert sol.status == OPTIMAL
-            report = check_feasibility(prob, sol.X, 10 * CFG.tol)
-            assert report.ok, report
-
-
-def test_independent_recheck_names_each_violation():
-    C5 = graphs.generate("cycle", 5)
-    theta, chivec = build_theta_bar(C5), build_chi_vec(C5)
-    good = np.eye(5) / 5
-    assert check_feasibility(chivec, good, 1e-9).ok
-    # trace 2: affine
-    report = check_feasibility(theta, 2 * good, 1e-9)
-    assert not report.ok and report.affine == pytest.approx(1.0)
-    # weight on the non-edge {0, 2}: affine
-    bad = good.copy()
-    bad[0, 2] = bad[2, 0] = 0.01
-    assert check_feasibility(theta, bad, 1e-9).affine == pytest.approx(0.01)
-    # a negative edge entry: entrywise for chi-vec only, and still PSD
-    neg = good.copy()
-    neg[0, 1] = neg[1, 0] = -0.05
-    assert check_feasibility(theta, neg, 1e-9).ok
-    report = check_feasibility(chivec, neg, 1e-9)
-    assert not report.ok and report.entrywise == pytest.approx(0.05)
-    # an indefinite unit-trace matrix on the edge pattern: cone
-    indef = good.copy()
-    indef[0, 1] = indef[1, 0] = 0.5
-    report = check_feasibility(theta, indef, 1e-9)
-    assert not report.ok and report.affine <= 1e-15 and report.cone == float("inf")
-    # non-finite entries fail everything
-    nan = good.copy()
-    nan[3, 3] = np.nan
-    assert not check_feasibility(theta, nan, 1e-9).ok
-
-
-def _loop_affine(problem, X):
-    # the per-entry scan that check_feasibility's masked maximum replaced
-    affine = max(abs(float(np.trace(X)) - 1.0), float(np.abs(X - X.T).max()))
-    for u in range(problem.order):
-        for v in range(problem.order):
-            if u != v and not problem.adj[u, v]:
-                affine = max(affine, abs(float(X[u, v])))
-    return affine
-
-
-def test_affine_residual_matches_entry_scan():
-    rng = np.random.default_rng(17)
-    graphs_ = [graphs.generate("complete", 4), graphs.generate("empty", 3),
-               graphs.generate("petersen")] + [random_graph(n, seed=60 + n) for n in (2, 5, 9)]
-    for G in graphs_:
-        for builder in (build_theta_bar, build_chi_vec):
-            prob = builder(G)
-            for scale in (1.0, 1e-6, 1e-12):
-                X = scale * rng.standard_normal((G.n, G.n))
-                X = X + X.T if scale < 1.0 else X
-                report = check_feasibility(prob, X, 1e-9)
-                assert report.affine == _loop_affine(prob, X)
 
 
 def _simplex_by_bisection(y):
