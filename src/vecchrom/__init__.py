@@ -57,7 +57,6 @@ from .colorings import (
     load_coloring,
     modular_coloring,
     save_coloring,
-    simplex_coloring,
     verify_coloring,
 )
 from .quantum import (

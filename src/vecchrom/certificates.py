@@ -5,9 +5,9 @@ afresh (so a product certificate built from its factors' certificates is
 checked on the product graph), and returns the bound it certifies on F,
 or None.  Every matrix must have F's order, finite entries and symmetry
 within ``CERT_TOL``; the conditions each checker names hold to
-``CERT_TOL`` as well.  The Cholesky and ``eigvalsh`` tests are plain
-floating point, not a verified bound, and a LAPACK failure in
-``eigvalsh`` raises :class:`ConvergenceError`, as in the SDP solver.
+``CERT_TOL`` as well.  The ``eigvalsh`` tests are plain floating point,
+not a verified bound, and a LAPACK failure in ``eigvalsh`` raises
+:class:`ConvergenceError`, as in the SDP solver.
 """
 
 from __future__ import annotations
@@ -34,20 +34,22 @@ def _eigvalsh(X: np.ndarray) -> np.ndarray:
 
 
 def dual_form_bound(F: Graph, P: np.ndarray, nonneg: bool) -> float | None:
-    """Entry sum of P, a lower bound, when P has unit trace, vanishes on
-    F's non-edges, is PSD (a Cholesky of ``P + CERT_TOL I``) and, with
-    ``nonneg``, is entrywise nonnegative; else None."""
+    """A lower bound from P when P has unit trace, vanishes on F's
+    non-edges, has lmin(P) above ``-CERT_TOL`` and, with ``nonneg``, is
+    entrywise nonnegative; else None.  The bound is the entry sum of the
+    repaired point ``(P + d I) / (1 + n d)``, d = max(0, -lmin(P)), which is
+    PSD: ``(S + n d) / (1 + n d)`` for the entry sum S of P."""
     if not _well_formed(F, P) or abs(float(np.trace(P)) - 1.0) > CERT_TOL:
         return None
     off = ~(F.adj | np.eye(F.n, dtype=bool))
     if (float(np.abs(P[off]).max(initial=0.0)) > CERT_TOL
             or nonneg and float(P.min()) < -CERT_TOL):
         return None
-    try:
-        np.linalg.cholesky(P + CERT_TOL * np.eye(F.n))
-    except np.linalg.LinAlgError:
+    lmin = float(_eigvalsh(P)[0])
+    if lmin <= -CERT_TOL:
         return None
-    return float(P.sum())
+    nd = F.n * max(0.0, -lmin)
+    return (float(P.sum()) + nd) / (1.0 + nd)
 
 
 def witness_bound(F: Graph, M: np.ndarray, nonneg: bool) -> float | None:

@@ -138,12 +138,13 @@ def _param_payload(res) -> dict:
     return out
 
 
-def _sdp_value(G: Graph, which: str, cfg: SolverConfig) -> tuple[dict | None, int]:
+def _sdp_value(G: Graph, which: str, cfg: SolverConfig,
+               chromatic_cap: int) -> tuple[dict | None, int]:
     """Payload of one SDP value ("theta_bar" or "chi_vec") and its exit code;
     a solver failure gives the partial payload (None before the first
     convergence check) and exit 2."""
     try:
-        return _param_payload(cached_param(G, which, cfg)), EXIT_OK
+        return _param_payload(cached_param(G, which, cfg, chromatic_cap=chromatic_cap)), EXIT_OK
     except ConvergenceError as exc:
         return (_param_payload(exc.partial) if exc.partial else None), EXIT_SOLVER
 
@@ -155,7 +156,8 @@ def cmd_param(args) -> tuple[dict, int]:
     record["which"] = args.which
     if args.which in ("theta-bar", "chi-vec"):
         check_sdp_cap(G.n, args.cap)
-        record["result"], code = _sdp_value(G, args.which.replace("-", "_"), cfg)
+        record["result"], code = _sdp_value(G, args.which.replace("-", "_"), cfg,
+                                            args.chromatic_cap)
         if code:
             record["status"] = "solver_failure"
             return record, code
@@ -272,7 +274,7 @@ def cmd_report(args) -> tuple[dict, int]:
     params = record["params"] = {}
     # each value is computed once; the chain checks reuse them
     for which in ("theta_bar", "chi_vec"):
-        payload, code = _sdp_value(G, which, cfg)
+        payload, code = _sdp_value(G, which, cfg, args.chromatic_cap)
         if code:
             if payload:
                 params["partial"] = payload

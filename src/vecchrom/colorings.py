@@ -1,5 +1,5 @@
-"""Vector colorings: the simplex construction, extraction from a primal
-SDP matrix, verification, and the JSON file format.
+"""Vector colorings: extraction from a primal SDP matrix, verification,
+and the JSON file format.
 
 A (strict) vector k-coloring assigns a unit vector to every vertex so
 that each edge's inner product equals (is at most) -1/(k-1).  The
@@ -86,27 +86,6 @@ class ColoringReport:
     worst_edge: tuple | None
     worst_residual: float
     worst_norm_residual: float
-
-
-def simplex_coloring(n: int) -> VectorColoring:
-    """The n vertices of the regular simplex in dimension n-1.
-
-    All pairwise inner products equal -1/(n-1); this is a strict vector
-    n-coloring of the complete graph.
-    """
-    if n < 2:
-        raise DomainError("simplex coloring needs n >= 2")
-    # rows of the Helmert matrix span the orthogonal complement of the
-    # all-ones vector; centered standard basis vectors expressed there
-    W = np.zeros((n - 1, n))
-    for k in range(1, n):
-        W[k - 1, :k] = 1.0
-        W[k - 1, k] = -float(k)
-        W[k - 1] /= np.sqrt(k * (k + 1.0))
-    vectors = W.T * np.sqrt(n / (n - 1.0))
-    norms = np.linalg.norm(vectors, axis=1)
-    vectors = vectors / norms[:, None]
-    return VectorColoring(vectors, float(n), strict=True)
 
 
 def verify_coloring(G: Graph, c: VectorColoring, tol: float = 1e-6) -> ColoringReport:

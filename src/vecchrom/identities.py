@@ -2,9 +2,9 @@
 factor certificates.
 
 No check solves an SDP on a product or union graph.  Each factor's value
-comes from one cached dual solve with two certificates: the dual-form
-matrix ``P``, whose entry sum bounds the value from below, and the
-primal witness ``M``, PSD with constant diagonal ``t - 1`` and edge
+comes from one cached pin or dual solve with two certificates: the
+dual-form matrix ``P``, whose entry sum bounds the value from below, and
+the primal witness ``M``, PSD with constant diagonal ``t - 1`` and edge
 entries -1 (at most -1 for chi-vec), which bounds it by ``t`` from
 above.  Write ``Z = M + J``.  An edgeless factor has ``P = e_0 e_0^T``
 and ``M = 0`` (value 1).  As in the paper's proofs, the checks build
@@ -110,18 +110,20 @@ class ParamCache(dict):
 
 
 def cached_param(G: Graph, which: str, cfg: SolverConfig | None = None,
-                 cache: dict | None = None) -> ParamResult:
+                 cache: dict | None = None, *,
+                 chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> ParamResult:
     """Memoized parameter lookup keyed by the graph's canonical identity.
 
-    SDP results carry the primal certificate of their dual bound.
+    SDP and pinned results carry the primal certificate of their upper
+    bound; ``chromatic_cap`` bounds the order of the graphs pinned.
     """
     key = (G.key(), which)
     if cache is not None and key in cache:
         return cache[key]
     if which == "theta_bar":
-        result = theta_bar(G, cfg, want_primal=True)
+        result = theta_bar(G, cfg, want_primal=True, chromatic_cap=chromatic_cap)
     elif which == "chi_vec":
-        result = chi_vec(G, cfg, want_primal=True)
+        result = chi_vec(G, cfg, want_primal=True, chromatic_cap=chromatic_cap)
     else:
         raise VecchromError(f"unknown parameter {which!r}")
     if cache is not None:
@@ -154,9 +156,19 @@ def _check(name: str, low: float, up: float, rhs: float, tol: float,
 # factor certificates and their product-side checks
 
 
-def _factor(G: Graph, which: str, cfg, cache):
+def _lookup(G: Graph, which: str, cfg, cache, chromatic_cap: int) -> ParamResult:
+    """:func:`cached_param` at ``chromatic_cap``.  The cap goes by keyword
+    only when it is not the default, so that wrappers written against the
+    four-argument signature, such as the benchmark's tracer, still see
+    every lookup made at the default."""
+    if chromatic_cap == CHROMATIC_CAP_DEFAULT:
+        return cached_param(G, which, cfg, cache)
+    return cached_param(G, which, cfg, cache, chromatic_cap=chromatic_cap)
+
+
+def _factor(G: Graph, which: str, cfg, cache, chromatic_cap: int):
     """(value, P, Z) of one factor, with Z = M + J."""
-    res = cached_param(G, which, cfg, cache)
+    res = _lookup(G, which, cfg, cache, chromatic_cap)
     if res.method == "convention":
         return res.value, _corner(G.n), np.ones((G.n, G.n))
     return res.value, res.dual_certificate, res.primal_certificate + 1.0
@@ -228,8 +240,8 @@ def sabidussi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
     checks = []
     for which in ("theta_bar", "chi_vec"):
         nonneg = which == "chi_vec"
-        rg, Pg, Zg = _factor(G, which, cfg, cache)
-        rh, Ph, Zh = _factor(H, which, cfg, cache)
+        rg, Pg, Zg = _factor(G, which, cfg, cache, chromatic_cap)
+        rh, Ph, Zh = _factor(H, which, cfg, cache, chromatic_cap)
         if Pg.sum() >= Ph.sum():
             fiber = np.kron(Pg, _corner(H.n))
         else:
@@ -254,12 +266,13 @@ def sabidussi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
 
 def hedetniemi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
                       tol: float = IDENTITY_TOL_DEFAULT, cache: dict | None = None,
-                      sdp_cap: int = SDP_CAP_DEFAULT) -> list[IdentityCheck]:
+                      sdp_cap: int = SDP_CAP_DEFAULT,
+                      chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> list[IdentityCheck]:
     """Categorical product equals the factor minimum for theta-bar."""
     check_sdp_cap(G.n * H.n, sdp_cap, "categorical product")
     F = product("categorical", G, H)
-    rg, Pg, Zg = _factor(G, "theta_bar", cfg, cache)
-    rh, Ph, Zh = _factor(H, "theta_bar", cfg, cache)
+    rg, Pg, Zg = _factor(G, "theta_bar", cfg, cache, chromatic_cap)
+    rh, Ph, Zh = _factor(H, "theta_bar", cfg, cache, chromatic_cap)
     eigenvalue_form = np.kron(_eigenvalue_form(Pg), _eigenvalue_form(Ph))
     if Zg.diagonal().max() <= Zh.diagonal().max():
         pullback = np.kron(Zg, np.ones((H.n, H.n))) - 1.0
@@ -274,12 +287,13 @@ def hedetniemi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
 
 def product_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
                    tol: float = IDENTITY_TOL_DEFAULT, cache: dict | None = None,
-                   sdp_cap: int = SDP_CAP_DEFAULT) -> list[IdentityCheck]:
+                   sdp_cap: int = SDP_CAP_DEFAULT,
+                   chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> list[IdentityCheck]:
     """Strong and disjunctive products are multiplicative for theta-bar."""
     # both products have order G.n * H.n
     check_sdp_cap(G.n * H.n, sdp_cap, "strong product")
-    rg, Pg, Zg = _factor(G, "theta_bar", cfg, cache)
-    rh, Ph, Zh = _factor(H, "theta_bar", cfg, cache)
+    rg, Pg, Zg = _factor(G, "theta_bar", cfg, cache, chromatic_cap)
+    rh, Ph, Zh = _factor(H, "theta_bar", cfg, cache, chromatic_cap)
     # one pair of certificates serves both products: P_G (x) P_H lives on
     # the strong product's edges, which the disjunctive product contains,
     # and Z_G (x) Z_H vanishes on the disjunctive product's edges
@@ -298,14 +312,15 @@ def product_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
 
 def union_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
                  tol: float = IDENTITY_TOL_DEFAULT, cache: dict | None = None,
-                 sdp_cap: int = SDP_CAP_DEFAULT) -> list[IdentityCheck]:
+                 sdp_cap: int = SDP_CAP_DEFAULT,
+                 chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> list[IdentityCheck]:
     """Edge union is submultiplicative for theta-bar (same vertex set)."""
     if G.n != H.n:
         raise DimensionError("union suite needs graphs on the same vertex count")
     check_sdp_cap(G.n, sdp_cap, "union")
     U = union(G, H)
-    rg, Pg, Zg = _factor(G, "theta_bar", cfg, cache)
-    rh, Ph, Zh = _factor(H, "theta_bar", cfg, cache)
+    rg, Pg, Zg = _factor(G, "theta_bar", cfg, cache, chromatic_cap)
+    rh, Ph, Zh = _factor(H, "theta_bar", cfg, cache, chromatic_cap)
     return [_interval_check(
         "theta_bar(GuH) <= product", U, rg * rh, tol, [rg, rh],
         ("factor", dual_form_bound(U, Pg if Pg.sum() >= Ph.sum() else Ph, False)),
@@ -319,8 +334,8 @@ def chain_checks(G: Graph, cfg: SolverConfig | None = None,
                  chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> list[IdentityCheck]:
     """Sandwich chain for one graph: average-degree bound, chi_vec,
     theta_bar, and (when computable) the chromatic number."""
-    cv = cached_param(G, "chi_vec", cfg, cache).value
-    tb = cached_param(G, "theta_bar", cfg, cache).value
+    cv = _lookup(G, "chi_vec", cfg, cache, chromatic_cap).value
+    tb = _lookup(G, "theta_bar", cfg, cache, chromatic_cap).value
     lb = spectral_lower_bound(G) if G.edge_count else None
     chi = chromatic_number(G, cap=chromatic_cap) if G.n <= chromatic_cap else None
     return sandwich_checks(G, lb, cv, tb, chi, tol)
@@ -346,11 +361,11 @@ def run_suite(suite: str, G: Graph, H: Graph, cfg: SolverConfig | None = None,
     if suite == "sabidussi":
         return sabidussi_checks(G, H, cfg, tol, cache, sdp_cap, chromatic_cap)
     if suite == "hedetniemi":
-        return hedetniemi_checks(G, H, cfg, tol, cache, sdp_cap)
+        return hedetniemi_checks(G, H, cfg, tol, cache, sdp_cap, chromatic_cap)
     if suite == "products":
-        return product_checks(G, H, cfg, tol, cache, sdp_cap)
+        return product_checks(G, H, cfg, tol, cache, sdp_cap, chromatic_cap)
     if suite == "union":
-        return union_checks(G, H, cfg, tol, cache, sdp_cap)
+        return union_checks(G, H, cfg, tol, cache, sdp_cap, chromatic_cap)
     if suite == "chain":
         check_sdp_cap(G.n, sdp_cap)
         check_sdp_cap(H.n, sdp_cap)

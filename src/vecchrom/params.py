@@ -9,6 +9,13 @@ coloring is extracted.
 Edgeless graphs with at least one vertex take the conventional value 1
 for both parameters, with no SDP run; the SDP builder refuses the graph
 with no vertex (:class:`DomainError`).
+
+Before any solve, both parameters are pinned on graphs within the
+chromatic cap: by the sandwich omega <= chi_vec <= theta-bar <= chi
+(Lovasz 1979; Karger, Motwani and Sudan 1998), a maximum clique of size
+k and a proper k-coloring fix both values at k, and each gives a
+certificate of one side.  A graph with no such coloring, or above the
+cap, is solved.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificates import dual_form_bound, witness_bound
 from .errors import (
     CapacityError,
     ConvergenceError,
@@ -30,6 +38,7 @@ from .sdp import (
     OPTIMAL,
     SdpSolution,
     SolverConfig,
+    _log_solve,
     build_chi_vec,
     build_theta_bar,
     solve,
@@ -44,12 +53,17 @@ _CALLER_FRAMES = 200
 class ParamResult:
     """A parameter value with machine-checkable certificates.
 
-    ``method`` is "sdp", "spectral" (1-homogeneous formula) or
+    ``method`` is "sdp", "pin" (a maximum clique of size k and a proper
+    k-coloring: value k), "spectral" (1-homogeneous formula) or
     "convention" (edgeless value 1, bipartite value 2).  When an SDP ran,
     ``gap`` is its duality gap, ``residuals`` mirrors its (affine,
     cone, entrywise) report and ``iterations`` its iteration count (0
     when no SDP ran); ``primal_certificate`` is PSD with constant
-    diagonal ``value + gap - 1``.
+    diagonal ``value + gap - 1``.  A pin's dual certificate is
+    ``1_K 1_K^T / k`` on the clique K and its primal certificate is
+    ``k [c(u) = c(v)] - 1`` for the coloring c, the Gram matrix of simplex
+    vectors indexed by color, with diagonal ``k - 1``; ``gap`` is the
+    width of the interval the two certify, at rounding level.
     """
 
     value: float
@@ -73,11 +87,40 @@ def _from_solution(sol: SdpSolution, want_primal: bool) -> ParamResult:
     )
 
 
-def _sdp_param(G: Graph, cfg, builder, want_primal: bool) -> ParamResult:
+def _pin(G: Graph, nonneg: bool, want_primal: bool, cap: int) -> ParamResult | None:
+    """The value k of a graph whose maximum clique has size k and which
+    has a proper k-coloring, with both certificates checked on G; None
+    above the cap or the search depth, without such a coloring, or when
+    a checker refuses a certificate."""
+    try:
+        masks, clique = _search_setup(G, cap)
+    except CapacityError:
+        return None
+    k = len(clique)
+    colors = _search_coloring(masks, G.n, k, clique)
+    if colors is None:
+        return None
+    P = np.zeros((G.n, G.n))
+    P[np.ix_(clique, clique)] = 1.0 / k
+    M = k * (colors[:, None] == colors[None, :]) - 1.0
+    lower, upper = dual_form_bound(G, P, nonneg), witness_bound(G, M, nonneg)
+    if lower is None or upper is None:
+        return None
+    _log_solve("pin %s: value %d from a clique and a coloring", G.label or G.n, k,
+               method="pin", k=k, iterations=0)
+    return ParamResult(value=float(k), gap=abs(upper - lower), method="pin",
+                       primal_certificate=M if want_primal else None, dual_certificate=P)
+
+
+def _sdp_param(G: Graph, cfg, builder, want_primal: bool, cap: int) -> ParamResult:
     if G.n and G.edge_count == 0:
         return ParamResult(value=1.0, gap=0.0, method="convention")
+    problem = builder(G)
+    pinned = _pin(G, problem.nonneg, want_primal, cap)
+    if pinned is not None:
+        return pinned
     try:
-        sol = solve(builder(G), cfg or SolverConfig())
+        sol = solve(problem, cfg or SolverConfig())
     except ConvergenceError as exc:
         partial = exc.partial and _from_solution(exc.partial, want_primal)
         raise ConvergenceError(str(exc), exc.residual, partial) from exc
@@ -91,14 +134,18 @@ def _sdp_param(G: Graph, cfg, builder, want_primal: bool) -> ParamResult:
     return result
 
 
-def theta_bar(G: Graph, cfg: SolverConfig | None = None, *, want_primal: bool = False) -> ParamResult:
-    """Strict vector chromatic number (Lovasz theta of the complement)."""
-    return _sdp_param(G, cfg, build_theta_bar, want_primal)
+def theta_bar(G: Graph, cfg: SolverConfig | None = None, *, want_primal: bool = False,
+              chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> ParamResult:
+    """Strict vector chromatic number (Lovasz theta of the complement);
+    pinned without a solve on graphs of at most ``chromatic_cap`` vertices
+    where a maximum clique and a coloring agree."""
+    return _sdp_param(G, cfg, build_theta_bar, want_primal, chromatic_cap)
 
 
-def chi_vec(G: Graph, cfg: SolverConfig | None = None, *, want_primal: bool = False) -> ParamResult:
-    """Vector chromatic number."""
-    return _sdp_param(G, cfg, build_chi_vec, want_primal)
+def chi_vec(G: Graph, cfg: SolverConfig | None = None, *, want_primal: bool = False,
+            chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> ParamResult:
+    """Vector chromatic number, pinned as :func:`theta_bar` is."""
+    return _sdp_param(G, cfg, build_chi_vec, want_primal, chromatic_cap)
 
 
 def spectral_lower_bound(G: Graph) -> float:

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, star
+from test_colorings import simplex_coloring
 from vecchrom import graphs
-from vecchrom.colorings import extract_coloring, simplex_coloring, verify_coloring
+from vecchrom.colorings import extract_coloring, verify_coloring
 from vecchrom.identities import (
     _cartesian_witness,
     _lift,
@@ -40,7 +41,7 @@ from vecchrom.quantum import (
     tensor_with_identity,
     verify_quantum_hom,
 )
-from vecchrom.sdp import SolverConfig
+from vecchrom.sdp import OPTIMAL, SolverConfig, build_chi_vec, build_theta_bar, solve
 
 SQRT5 = 2.2360680
 PAIR_SEED = 20250808
@@ -335,14 +336,37 @@ def test_c12_quantum_certificates():
                   "with correct witnesses, product constructions verify at 1e-7")
 
 
+def _pinned(param_cache, runs):
+    """(graph, parameter, value) of each graph of the runs whose recorded
+    value is pinned, once per graph and parameter."""
+    out = {}
+    for G, H, _, crossed in runs:
+        for F in [G, H] + [F for _, F, _ in crossed]:
+            for which in ("theta_bar", "chi_vec"):
+                res = param_cache.get((F.key(), which))
+                if res is not None and res.method == "pin":
+                    out[F.key(), which] = (F, which, res.value)
+    return list(out.values())
+
+
 def test_c13_strong_duality_certification(param_cache, cfg, sabidussi_runs,
                                           hedetniemi_runs, product_union_runs):
     sdp_results = [
         res for res in param_cache.values() if res.method == "sdp"
     ]
+    # the pinned graphs are solved here all the same: each solve is held
+    # to the same bounds, and its certified interval must hold the pin
+    pinned = _pinned(param_cache, sabidussi_runs + hedetniemi_runs + product_union_runs)
+    for F, which, k in pinned:
+        sol = solve((build_chi_vec if which == "chi_vec" else build_theta_bar)(F), cfg)
+        assert sol.status == OPTIMAL, (F.label, which)
+        assert sol.objective - cfg.gap_tol <= k <= sol.dual_objective + cfg.gap_tol, (
+            F.label, which, k, sol.objective, sol.dual_objective)
+        sdp_results.append(sol)
     assert len(sdp_results) >= 80, "expected the suite to have recorded many solves"
     for res in sdp_results:
         assert res.gap <= 2 * cfg.gap_tol
         if res.residuals is not None:
             assert max(res.residuals) <= 10 * cfg.tol
-    _conclude(13, f"duality gap <= 2*gap_tol on all {len(sdp_results)} SDP solves recorded")
+    _conclude(13, f"duality gap <= 2*gap_tol on all {len(sdp_results)} SDP solves, "
+                  f"{len(pinned)} of them cross-checking a pinned value")

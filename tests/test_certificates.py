@@ -55,6 +55,21 @@ def test_solver_certificates_give_their_values(name, nonneg):
     assert abs(witness_bound(G, sol.certificate, nonneg) - sol.dual_objective) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [30, 120])
+@pytest.mark.parametrize("nonneg", NONNEG)
+def test_dual_form_bound_repairs_a_slightly_indefinite_matrix(n, nonneg):
+    # lmin(P) = -0.9e-9 passes the PSD test, but the raw entry sum
+    # n + 0.9e-9 n (n - 1) overclaims; P + 0.9e-9 I, rescaled, has sum n
+    K = graphs.generate("complete", n)
+    J = np.ones((n, n))
+    P = J / n + 0.9e-9 * (J - np.eye(n))
+    assert P.sum() - n > 7e-7
+    bound = dual_form_bound(K, P, nonneg)
+    assert n - 1e-10 <= bound <= n
+    # past -CERT_TOL the matrix is refused
+    assert dual_form_bound(K, J / n + 1.1e-9 * (J - np.eye(n)), nonneg) is None
+
+
 def test_c5_adjacency_is_an_eigenvalue_form_of_sqrt5():
     assert abs(eigenvalue_bound(C5, C5.adjacency()) - np.sqrt(5.0)) <= 1e-14
 

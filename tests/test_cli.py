@@ -66,6 +66,23 @@ def test_param_theta_bar_c5(capsys):
     assert record["result"]["iterations"] > 0
 
 
+def test_param_pinned_value(capsys):
+    code, record, _ = run_cli(capsys, "param", "complete:5", "--which", "theta-bar")
+    assert code == 0
+    result = record["result"]
+    assert (result["method"], result["value"]) == ("pin", 5.0)
+    assert result["gap"] <= 1e-12
+    assert "iterations" not in result and "residuals" not in result
+    # above the chromatic cap the same graph is solved, by report as well
+    code, record, _ = run_cli(capsys, "param", "complete:5", "--which", "theta-bar",
+                              "--chromatic-cap", "4")
+    assert code == 0 and record["result"]["method"] == "sdp"
+    for cap, method in (("5", "pin"), ("4", "sdp")):
+        code, record, _ = run_cli(capsys, "report", "complete:5", "--chromatic-cap", cap)
+        assert code == 0
+        assert [record["params"][w]["method"] for w in ("theta_bar", "chi_vec")] == [method] * 2
+
+
 def test_param_onehom_omega4(capsys):
     code, record, _ = run_cli(capsys, "param", "omega:4", "--which", "onehom")
     assert code == 0

@@ -16,7 +16,6 @@ from vecchrom.colorings import (
     load_coloring,
     modular_coloring,
     save_coloring,
-    simplex_coloring,
     verify_coloring,
 )
 from vecchrom.errors import DomainError, FeasibilityError, ParseError
@@ -26,6 +25,27 @@ from vecchrom.sdp import SolverConfig
 
 SQRT5 = np.sqrt(5.0)
 CFG = SolverConfig()
+
+
+def simplex_coloring(n: int) -> VectorColoring:
+    """The n vertices of the regular simplex in dimension n-1.
+
+    All pairwise inner products equal -1/(n-1); this is a strict vector
+    n-coloring of the complete graph.
+    """
+    if n < 2:
+        raise DomainError("simplex coloring needs n >= 2")
+    # rows of the Helmert matrix span the orthogonal complement of the
+    # all-ones vector; centered standard basis vectors expressed there
+    W = np.zeros((n - 1, n))
+    for k in range(1, n):
+        W[k - 1, :k] = 1.0
+        W[k - 1, k] = -float(k)
+        W[k - 1] /= np.sqrt(k * (k + 1.0))
+    vectors = W.T * np.sqrt(n / (n - 1.0))
+    norms = np.linalg.norm(vectors, axis=1)
+    vectors = vectors / norms[:, None]
+    return VectorColoring(vectors, float(n), strict=True)
 
 
 def _simplex_gram(n):

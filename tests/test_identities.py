@@ -177,6 +177,18 @@ def test_pair_suites_solve_no_product(cfg, param_cache, monkeypatch, pair):
     assert set(orders) <= {G.n, H.n}
 
 
+@pytest.mark.parametrize("suite", ["hedetniemi", "products", "union", "chain"])
+def test_suites_pin_factors_within_the_chromatic_cap(cfg, suite):
+    # K4 and C4 are pinned at their clique numbers, 4 and 2, below a cap
+    # of 4 and solved above one of 3
+    G, H = graphs.generate("complete", 4), graphs.generate("cycle", 4)
+    for cap, method in ((4, "pin"), (3, "sdp")):
+        cache = {}
+        checks = run_suite(suite, G, H, cfg, cache=cache, chromatic_cap=cap)
+        assert all(c.passed for c in checks)
+        assert cache and {res.method for res in cache.values()} == {method}
+
+
 def test_pair_suites_record_certified_intervals(cfg, param_cache):
     checks = _pair_checks(C5, K3, cfg, param_cache)
     checks += run_suite("union", C5, C5, cfg, cache=param_cache)

@@ -9,11 +9,13 @@ from hypothesis import example, given
 
 from conftest import random_graph, small_graph, star
 from vecchrom import graphs, params
-from vecchrom.certificates import witness_bound
+from vecchrom.certificates import dual_form_bound, witness_bound
 from vecchrom.graphs import graph_from_edges
 from vecchrom.errors import CapacityError, DomainError, LimitExceededError
 from vecchrom.linalg import eig_sym
+from vecchrom.sdp import SolverConfig, build_chi_vec, build_theta_bar, solve
 from vecchrom.params import (
+    CHROMATIC_CAP_DEFAULT,
     chi_vec,
     chromatic_number,
     one_homogeneous_check,
@@ -73,6 +75,96 @@ def test_want_primal_attaches_certificate(cfg):
     assert np.abs(M * A + A).max() <= 1e-6
     assert res.gap <= 2 * cfg.gap_tol
     assert theta_bar(graphs.generate("cycle", 5), cfg).primal_certificate is None
+
+
+# --- the pin: a maximum clique and a coloring of the same size ------------------
+
+PARAMS = [(theta_bar, build_theta_bar, False), (chi_vec, build_chi_vec, True)]
+
+
+def _pinned_graphs():
+    gen = graphs.generate
+    C5, K3, P = gen("cycle", 5), gen("complete", 3), gen("petersen")
+    return ([gen("complete", n) for n in range(3, 9)]
+            + [gen("cycle", 6), gen("path", 4), graphs.product("cartesian", C5, K3),
+               gen("omega", 4), graphs.product("cartesian", P, K3)])
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    calls = []
+
+    def counting_solve(problem, cfg=None):
+        calls.append(problem.label)
+        return solve(problem, cfg)
+
+    monkeypatch.setattr(params, "solve", counting_solve)
+    return calls
+
+
+@pytest.mark.parametrize("param, builder, nonneg", PARAMS)
+def test_pin_needs_no_solve(param, builder, nonneg, solve_calls):
+    for G in _pinned_graphs():
+        res = param(G, want_primal=True)
+        k = len(params._search_setup(G, CHROMATIC_CAP_DEFAULT)[1])
+        assert (res.method, res.value, res.iterations) == ("pin", k, 0), G.label
+        assert res.residuals is None
+        # each certificate passes its checker on G, and the two bracket k
+        lower = dual_form_bound(G, res.dual_certificate, nonneg)
+        upper = witness_bound(G, res.primal_certificate, nonneg)
+        assert k - 1e-12 <= lower <= k + 1e-12 and k - 1e-12 <= upper <= k + 1e-12, G.label
+        assert res.gap == abs(upper - lower) <= 1e-12
+        assert param(G).primal_certificate is None
+    assert solve_calls == []
+
+
+@pytest.mark.parametrize("param, builder, nonneg", PARAMS)
+def test_pin_settles_a_graph_the_solver_stalls_on(param, builder, nonneg, solve_calls):
+    # omega = chi = 4; the dual-form solve of chi_vec runs into max_iter
+    G = graphs.erdos_renyi(20, 0.3, rng=np.random.default_rng(3))
+    res = param(G, want_primal=True)
+    assert (res.method, res.value) == ("pin", 4.0)
+    assert solve_calls == []
+
+
+@pytest.mark.parametrize("param, builder, nonneg", PARAMS)
+def test_unpinned_graphs_solve_unchanged(param, builder, nonneg, solve_calls):
+    # C_5, C_7 and Petersen have omega = 2 < chi = 3; the complement of
+    # Petersen has omega = 4 < chi = 5, though theta-bar is 4
+    P = graphs.generate("petersen")
+    cfg = SolverConfig()
+    for G in (graphs.generate("cycle", 5), P, graphs.generate("cycle", 7), graphs.complement(P)):
+        res = param(G, cfg)
+        assert res.method == "sdp", G.label
+        assert res.value == solve(builder(G), cfg).objective, G.label
+    assert len(solve_calls) == 4
+
+
+@pytest.mark.parametrize("param, builder, nonneg", PARAMS)
+def test_graphs_above_the_cap_solve(param, builder, nonneg, solve_calls):
+    K5 = graphs.generate("complete", 5)
+    res = param(K5, chromatic_cap=4)
+    assert res.method == "sdp" and abs(res.value - 5.0) <= 1e-4
+    assert len(solve_calls) == 1
+
+
+@pytest.mark.parametrize("param, builder, nonneg", PARAMS)
+def test_refused_pin_certificate_falls_through(param, builder, nonneg, solve_calls, monkeypatch):
+    def one_color(masks, n, k, clique):
+        return np.zeros(n, dtype=int)  # improper: every edge inside one class
+
+    monkeypatch.setattr(params, "_search_coloring", one_color)
+    K4 = graphs.generate("complete", 4)
+    res = param(K4)
+    assert res.method == "sdp" and abs(res.value - 4.0) <= 1e-4
+    assert len(solve_calls) == 1
+
+
+def test_pin_logs_one_event(caplog):
+    caplog.set_level("DEBUG", logger="vecchrom")
+    theta_bar(graphs.generate("complete", 5))
+    [event] = [r for r in caplog.records if r.name == "vecchrom"]
+    assert (event.method, event.k, event.iterations) == ("pin", 5, 0)
 
 
 # --- spectral bounds ----------------------------------------------------------
@@ -547,4 +639,7 @@ def test_theta_invariant_under_isolated_removal():
     tight = SolverConfig(tol=1e-9, gap_tol=2e-7)
     G = graphs.graph_from_edges(6, [(0, 1), (1, 2), (0, 2)])
     H = graphs.graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert abs(theta_bar(G, tight).value - theta_bar(H, tight).value) <= 1e-6
+    # a cap of 0 keeps the triangles from the pin, so both values are solved
+    G_res, H_res = theta_bar(G, tight, chromatic_cap=0), theta_bar(H, tight, chromatic_cap=0)
+    assert G_res.method == H_res.method == "sdp"
+    assert abs(G_res.value - H_res.value) <= 1e-6

@@ -369,6 +369,7 @@ def test_solve_does_not_import_logging():
     # never does pays nothing for them
     code = ("import sys; from vecchrom import graphs, params; "
             "params.theta_bar(graphs.generate('petersen')); "
+            "params.theta_bar(graphs.generate('complete', 5)); "  # pinned
             "assert 'logging' not in sys.modules")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
