@@ -36,20 +36,25 @@ def _eigvalsh(X: np.ndarray) -> np.ndarray:
 def dual_form_bound(F: Graph, P: np.ndarray, nonneg: bool) -> float | None:
     """A lower bound from P when P has unit trace, vanishes on F's
     non-edges, has lmin(P) above ``-CERT_TOL`` and, with ``nonneg``, is
-    entrywise nonnegative; else None.  The bound is the entry sum of the
-    repaired point ``(P + d I) / (1 + n d)``, d = max(0, -lmin(P)), which is
-    PSD: ``(S + n d) / (1 + n d)`` for the entry sum S of P."""
-    if not _well_formed(F, P) or abs(float(np.trace(P)) - 1.0) > CERT_TOL:
+    entrywise nonnegative; else None.  The repaired point
+    ``(P + d I) / (t + n d)``, d = max(0, -lmin(P)) and t the trace of P, is
+    PSD with unit trace and has entry sum ``(S + n d) / (t + n d)`` for the
+    entry sum S of P.  The bound takes max(t, 1) in place of t: a trace
+    above 1 is divided out, while one below 1 can only lower a positive
+    sum (a negative one bounds nothing), so the solver's own rounded
+    points certify exactly their objective."""
+    if not _well_formed(F, P):
         return None
+    trace = float(np.trace(P))
     off = ~(F.adj | np.eye(F.n, dtype=bool))
-    if (float(np.abs(P[off]).max(initial=0.0)) > CERT_TOL
+    if (abs(trace - 1.0) > CERT_TOL or float(np.abs(P[off]).max(initial=0.0)) > CERT_TOL
             or nonneg and float(P.min()) < -CERT_TOL):
         return None
     lmin = float(_eigvalsh(P)[0])
     if lmin <= -CERT_TOL:
         return None
     nd = F.n * max(0.0, -lmin)
-    return (float(P.sum()) + nd) / (1.0 + nd)
+    return (float(P.sum()) + nd) / (max(trace, 1.0) + nd)
 
 
 def witness_bound(F: Graph, M: np.ndarray, nonneg: bool) -> float | None:

@@ -14,8 +14,13 @@ Before any solve, both parameters are pinned on graphs within the
 chromatic cap: by the sandwich omega <= chi_vec <= theta-bar <= chi
 (Lovasz 1979; Karger, Motwani and Sudan 1998), a maximum clique of size
 k and a proper k-coloring fix both values at k, and each gives a
-certificate of one side.  A graph with no such coloring, or above the
-cap, is solved.
+certificate of one side.  A regular graph that this misses, at any
+order, is tried next against the closed form 1 - k/tau of its degree k
+and least adjacency eigenvalue tau, which holds on every edge-transitive
+graph (Lovasz 1979): Hoffman's dual-form matrix (I - A/tau)/n certifies
+it from below and the scaled projector onto the least eigenspace from
+above.  Any other graph, or one whose certificates a checker refuses or
+leave an interval wider than the solver's gap tolerance, is solved.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .errors import (
     LimitExceededError,
 )
 from .graphs import Graph
-from .linalg import eig_sym
+from .linalg import Spectrum, eig_sym
 from .sdp import (
     OPTIMAL,
     SdpSolution,
@@ -54,7 +59,9 @@ class ParamResult:
     """A parameter value with machine-checkable certificates.
 
     ``method`` is "sdp", "pin" (a maximum clique of size k and a proper
-    k-coloring: value k), "spectral" (1-homogeneous formula) or
+    k-coloring: value k), "spectral" (the closed form 1 - k/tau of a
+    k-regular graph, certified from its least eigenspace, or the
+    1-homogeneous formula of :func:`spectral_vector_chromatic`) or
     "convention" (edgeless value 1, bipartite value 2).  When an SDP ran,
     ``gap`` is its duality gap, ``residuals`` mirrors its (affine,
     cone, entrywise) report and ``iterations`` its iteration count (0
@@ -63,7 +70,11 @@ class ParamResult:
     ``1_K 1_K^T / k`` on the clique K and its primal certificate is
     ``k [c(u) = c(v)] - 1`` for the coloring c, the Gram matrix of simplex
     vectors indexed by color, with diagonal ``k - 1``; ``gap`` is the
-    width of the interval the two certify, at rounding level.
+    width of the interval the two certify, at rounding level.  A spectral
+    pin of ``theta_bar`` or ``chi_vec`` carries Hoffman's dual-form matrix
+    ``(I - A/tau) / n`` and the scaled projector ``-(n k / (rank tau))
+    E_tau``; its value is the lower bound the first certifies and ``gap``
+    the excess of the second's upper bound, at rounding level.
     """
 
     value: float
@@ -112,15 +123,46 @@ def _pin(G: Graph, nonneg: bool, want_primal: bool, cap: int) -> ParamResult | N
                        primal_certificate=M if want_primal else None, dual_certificate=P)
 
 
+def _hoffman_witness(spec: Spectrum, n: int, degree: int) -> np.ndarray:
+    """The scaled projector ``-(n k / (rank tau)) E_tau`` onto the least
+    eigenspace of a k-regular graph's adjacency: PSD with diagonal
+    ``-k / tau`` when E_tau has a constant diagonal."""
+    E_tau, rank = spec.least_eigenspace()
+    return -(n * degree) / (rank * spec.least) * E_tau
+
+
+def _spectral_pin(G: Graph, nonneg: bool, want_primal: bool, gap_tol: float) -> ParamResult | None:
+    """The value 1 - k/tau of a k-regular graph where Hoffman's dual-form
+    matrix ``(I - A/tau) / n`` and the scaled projector both pass their
+    checkers on G and certify an interval of width at most ``gap_tol``;
+    None on any other graph."""
+    degrees = G.degrees()
+    if degrees.min() != degrees.max():
+        return None
+    A = G.adjacency()
+    spec = eig_sym(A)
+    P = (np.eye(G.n) - A / spec.least) / G.n
+    M = _hoffman_witness(spec, G.n, int(degrees[0]))
+    lower, upper = dual_form_bound(G, P, nonneg), witness_bound(G, M, nonneg)
+    if lower is None or upper is None or upper - lower > gap_tol:
+        return None
+    _log_solve("pin %s: value %.12g from the least eigenspace", G.label or G.n, lower,
+               method="spectral", iterations=0)
+    return ParamResult(value=lower, gap=max(0.0, upper - lower), method="spectral",
+                       primal_certificate=M if want_primal else None, dual_certificate=P)
+
+
 def _sdp_param(G: Graph, cfg, builder, want_primal: bool, cap: int) -> ParamResult:
     if G.n and G.edge_count == 0:
         return ParamResult(value=1.0, gap=0.0, method="convention")
     problem = builder(G)
-    pinned = _pin(G, problem.nonneg, want_primal, cap)
+    cfg = cfg or SolverConfig()
+    pinned = (_pin(G, problem.nonneg, want_primal, cap)
+              or _spectral_pin(G, problem.nonneg, want_primal, cfg.gap_tol))
     if pinned is not None:
         return pinned
     try:
-        sol = solve(problem, cfg or SolverConfig())
+        sol = solve(problem, cfg)
     except ConvergenceError as exc:
         partial = exc.partial and _from_solution(exc.partial, want_primal)
         raise ConvergenceError(str(exc), exc.residual, partial) from exc
@@ -138,7 +180,8 @@ def theta_bar(G: Graph, cfg: SolverConfig | None = None, *, want_primal: bool = 
               chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> ParamResult:
     """Strict vector chromatic number (Lovasz theta of the complement);
     pinned without a solve on graphs of at most ``chromatic_cap`` vertices
-    where a maximum clique and a coloring agree."""
+    where a maximum clique and a coloring agree, and on regular graphs of
+    any order whose spectral certificates close within ``cfg.gap_tol``."""
     return _sdp_param(G, cfg, build_theta_bar, want_primal, chromatic_cap)
 
 
@@ -294,6 +337,8 @@ def spectral_vector_chromatic(G: Graph) -> ParamResult:
 
     The certificate is the scaled projector onto the least eigenspace,
     a feasible primal matrix: PSD, diagonal value - 1, edge entries -1.
+    It is checked by :func:`witness_bound`, and a graph whose projector
+    the checker refuses raises :class:`DomainError`.
     """
     if G.edge_count == 0:
         raise DomainError("spectral formula needs at least one edge")
@@ -304,11 +349,11 @@ def spectral_vector_chromatic(G: Graph) -> ParamResult:
         )
     degree = int(G.degrees()[0])
     spec = eig_sym(G.adjacency())
-    tau = spec.least
-    value = 1.0 - degree / tau
-    E_tau, rank = spec.least_eigenspace()
-    M = -(G.n * degree) / (rank * tau) * E_tau
-    return ParamResult(value=value, gap=0.0, method="spectral", primal_certificate=M)
+    M = _hoffman_witness(spec, G.n, degree)
+    if witness_bound(G, M, nonneg=True) is None:
+        raise DomainError("the scaled least-eigenspace projector fails the witness check")
+    return ParamResult(value=1.0 - degree / spec.least, gap=0.0, method="spectral",
+                       primal_certificate=M)
 
 
 # ---------------------------------------------------------------------------

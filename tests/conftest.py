@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from vecchrom import graphs
+from vecchrom import graphs, params
 from vecchrom.graphs import Graph, graph_from_edges
 from vecchrom.identities import cached_param
 from vecchrom.sdp import SolverConfig
@@ -35,6 +35,13 @@ def small_graph(draw, min_n=1, max_n=6):
     adj[np.triu_indices(n, k=1)] = bits
     adj |= adj.T
     return Graph(n, adj)
+
+
+@pytest.fixture
+def no_spectral_pin(monkeypatch):
+    """Switch the spectral pin off, so that regular graphs the clique and
+    coloring pin misses reach the solver."""
+    monkeypatch.setattr(params, "_spectral_pin", lambda *args: None)
 
 
 @pytest.fixture(scope="session")

@@ -71,10 +71,12 @@ def test_c01_complete_graphs(theta, chivec):
     _conclude(1, "theta_bar(K_n) = chi_vec(K_n) = n for n = 2..8 at 1e-4")
 
 
-def test_c02_five_cycle_two_methods(theta, chivec):
+def test_c02_five_cycle_two_methods(cfg):
+    # solved directly: theta_bar and chi_vec would take the spectral pin,
+    # which is the formula's own certificate
     C5 = graphs.generate("cycle", 5)
-    sdp_theta = theta(C5).value
-    sdp_chivec = chivec(C5).value
+    sdp_theta = solve(build_theta_bar(C5), cfg).objective
+    sdp_chivec = solve(build_chi_vec(C5), cfg).objective
     formula = spectral_vector_chromatic(C5).value
     for value in (sdp_theta, sdp_chivec, formula):
         assert abs(value - SQRT5) <= 1e-4
@@ -338,13 +340,14 @@ def test_c12_quantum_certificates():
 
 def _pinned(param_cache, runs):
     """(graph, parameter, value) of each graph of the runs whose recorded
-    value is pinned, once per graph and parameter."""
+    value is pinned, by a clique and a coloring or by the spectral
+    certificates, once per graph and parameter."""
     out = {}
     for G, H, _, crossed in runs:
         for F in [G, H] + [F for _, F, _ in crossed]:
             for which in ("theta_bar", "chi_vec"):
                 res = param_cache.get((F.key(), which))
-                if res is not None and res.method == "pin":
+                if res is not None and res.method in ("pin", "spectral"):
                     out[F.key(), which] = (F, which, res.value)
     return list(out.values())
 

@@ -55,6 +55,18 @@ def test_solver_certificates_give_their_values(name, nonneg):
     assert abs(witness_bound(G, sol.certificate, nonneg) - sol.dual_objective) <= 1e-14
 
 
+@pytest.mark.parametrize("nonneg", NONNEG)
+def test_dual_form_bound_divides_out_a_trace_above_one(nonneg):
+    # trace 1 + 0.9e-9 passes the trace test, but the raw entry sum
+    # 30 (1 + 0.9e-9) overclaims; P divided by its trace has sum 30
+    K = graphs.generate("complete", 30)
+    P = (1.0 + 0.9e-9) * np.ones((30, 30)) / 30
+    assert P.sum() - 30 > 2.6e-8
+    assert 30 - 1e-12 <= dual_form_bound(K, P, nonneg) <= 30
+    # past CERT_TOL the trace is refused
+    assert dual_form_bound(K, (1.0 + 1.1e-9) * np.ones((30, 30)) / 30, nonneg) is None
+
+
 @pytest.mark.parametrize("n", [30, 120])
 @pytest.mark.parametrize("nonneg", NONNEG)
 def test_dual_form_bound_repairs_a_slightly_indefinite_matrix(n, nonneg):

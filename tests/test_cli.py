@@ -24,6 +24,16 @@ def run_cli(capsys, *argv):
     return code, record, out.err
 
 
+@pytest.fixture
+def unpinned_graph(tmp_path):
+    """C_5 with a pendant vertex, as a file: omega = 2 < chi = 3 and not
+    regular, so neither pin reaches it and every value is solved."""
+    path = tmp_path / "c5_pendant.txt"
+    graphs.save_graph(path, graphs.graph_from_edges(
+        6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)]))
+    return str(path)
+
+
 # --- graph argument handling ---------------------------------------------------
 
 def test_parse_graph_file_text_and_path(tmp_path):
@@ -56,7 +66,7 @@ def test_resolve_graph_specs():
 
 # --- param ----------------------------------------------------------------------
 
-def test_param_theta_bar_c5(capsys):
+def test_param_theta_bar_c5(capsys, no_spectral_pin):
     code, record, _ = run_cli(capsys, "param", "cycle:5", "--which", "theta-bar")
     assert code == 0
     assert abs(record["result"]["value"] - 2.23607) <= 1e-4
@@ -66,7 +76,7 @@ def test_param_theta_bar_c5(capsys):
     assert record["result"]["iterations"] > 0
 
 
-def test_param_pinned_value(capsys):
+def test_param_pinned_value(capsys, no_spectral_pin):
     code, record, _ = run_cli(capsys, "param", "complete:5", "--which", "theta-bar")
     assert code == 0
     result = record["result"]
@@ -81,6 +91,17 @@ def test_param_pinned_value(capsys):
         code, record, _ = run_cli(capsys, "report", "complete:5", "--chromatic-cap", cap)
         assert code == 0
         assert [record["params"][w]["method"] for w in ("theta_bar", "chi_vec")] == [method] * 2
+
+
+def test_param_spectral_pinned_value(capsys):
+    # C_5 has omega = 2 < chi = 3, so the clique and coloring pin misses it
+    # and the closed form 1 - 2/tau = sqrt(5) is certified with no solve
+    code, record, _ = run_cli(capsys, "param", "cycle:5", "--which", "theta-bar")
+    assert code == 0
+    result = record["result"]
+    assert result["method"] == "spectral"
+    assert abs(result["value"] - np.sqrt(5.0)) <= 1e-12 and result["gap"] <= 1e-12
+    assert "iterations" not in result and "residuals" not in result
 
 
 def test_param_onehom_omega4(capsys):
@@ -141,9 +162,18 @@ def test_param_spectral_one_eigendecomposition(capsys, monkeypatch, spec):
     assert result["vector_chromatic"] == expected.get("vector_chromatic", 2.0)
 
 
-def test_param_solver_failure_exit_code(capsys):
+def test_param_spectral_refuses_a_failed_witness(capsys, monkeypatch):
+    hoffman = params._hoffman_witness
+    monkeypatch.setattr(params, "_hoffman_witness",
+                        lambda *args: hoffman(*args) + 1e-6 * np.diag([1.0, 0, 0, 0, 0]))
+    code, record, err = run_cli(capsys, "param", "cycle:5", "--which", "spectral")
+    assert (code, record) == (3, None)
+    assert "witness check" in err and "Traceback" not in err
+
+
+def test_param_solver_failure_exit_code(capsys, unpinned_graph):
     code, record, _ = run_cli(
-        capsys, "param", "petersen", "--which", "theta-bar", "--max-iter", "5"
+        capsys, "param", unpinned_graph, "--which", "theta-bar", "--max-iter", "5"
     )
     assert code == 2
     assert record["status"] == "solver_failure"
@@ -151,15 +181,28 @@ def test_param_solver_failure_exit_code(capsys):
     assert record["result"]["iterations"] == 5
 
 
-def test_param_lapack_failure_exits_as_solver_failure(capsys, monkeypatch):
+def test_param_lapack_failure_exits_as_solver_failure(capsys, monkeypatch, unpinned_graph):
     def failing_eigh(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(sdp.np.linalg, "eigh", failing_eigh)
-    code, record, _ = run_cli(capsys, "param", "petersen", "--which", "chi-vec")
+    code, record, _ = run_cli(capsys, "param", unpinned_graph, "--which", "chi-vec")
     assert code == 2
     assert record["status"] == "solver_failure"
     assert record["result"] is None  # failed before the first check
+
+
+def test_spectral_pin_lapack_failure_exits_as_solver_failure(capsys, monkeypatch):
+    # Petersen is regular: its one eigendecomposition fails before any solve
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    monkeypatch.setattr(params, "solve", None)
+    code, record, err = run_cli(capsys, "param", "petersen", "--which", "chi-vec")
+    assert code == 2
+    assert (record["status"], record["result"]) == ("solver_failure", None)
+    assert "Traceback" not in err
 
 
 def test_param_spectral_lapack_failure_exits_as_solver_failure(capsys, monkeypatch):
@@ -521,7 +564,7 @@ def test_report_record(capsys):
     assert all(c["passed"] for c in record["identities"])
 
 
-def test_report_solves_each_value_once(capsys, monkeypatch):
+def test_report_solves_each_value_once(capsys, monkeypatch, no_spectral_pin):
     calls = []
     solve = params.solve
 
@@ -554,8 +597,8 @@ def test_report_matches_values_computed_apart(capsys):
     assert record["status"] == "ok"
 
 
-def test_report_solver_failure_keeps_theta_bar_partial(capsys):
-    code, record, _ = run_cli(capsys, "report", "petersen", "--max-iter", "5")
+def test_report_solver_failure_keeps_theta_bar_partial(capsys, unpinned_graph):
+    code, record, _ = run_cli(capsys, "report", unpinned_graph, "--max-iter", "5")
     assert code == 2
     assert record["status"] == "solver_failure"
     assert list(record["params"]) == ["partial"]  # theta-bar fails first

@@ -178,9 +178,10 @@ def test_pair_suites_solve_no_product(cfg, param_cache, monkeypatch, pair):
 
 
 @pytest.mark.parametrize("suite", ["hedetniemi", "products", "union", "chain"])
-def test_suites_pin_factors_within_the_chromatic_cap(cfg, suite):
+def test_suites_pin_factors_within_the_chromatic_cap(cfg, suite, no_spectral_pin):
     # K4 and C4 are pinned at their clique numbers, 4 and 2, below a cap
-    # of 4 and solved above one of 3
+    # of 4 and solved above one of 3 (both are regular, so the spectral
+    # pin is switched off)
     G, H = graphs.generate("complete", 4), graphs.generate("cycle", 4)
     for cap, method in ((4, "pin"), (3, "sdp")):
         cache = {}

@@ -1,6 +1,6 @@
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import numpy as np
@@ -128,9 +128,10 @@ def test_pin_settles_a_graph_the_solver_stalls_on(param, builder, nonneg, solve_
 
 
 @pytest.mark.parametrize("param, builder, nonneg", PARAMS)
-def test_unpinned_graphs_solve_unchanged(param, builder, nonneg, solve_calls):
+def test_unpinned_graphs_solve_unchanged(param, builder, nonneg, solve_calls, no_spectral_pin):
     # C_5, C_7 and Petersen have omega = 2 < chi = 3; the complement of
-    # Petersen has omega = 4 < chi = 5, though theta-bar is 4
+    # Petersen has omega = 4 < chi = 5, though theta-bar is 4 (all four are
+    # regular, so the spectral pin is switched off)
     P = graphs.generate("petersen")
     cfg = SolverConfig()
     for G in (graphs.generate("cycle", 5), P, graphs.generate("cycle", 7), graphs.complement(P)):
@@ -141,7 +142,7 @@ def test_unpinned_graphs_solve_unchanged(param, builder, nonneg, solve_calls):
 
 
 @pytest.mark.parametrize("param, builder, nonneg", PARAMS)
-def test_graphs_above_the_cap_solve(param, builder, nonneg, solve_calls):
+def test_graphs_above_the_cap_solve(param, builder, nonneg, solve_calls, no_spectral_pin):
     K5 = graphs.generate("complete", 5)
     res = param(K5, chromatic_cap=4)
     assert res.method == "sdp" and abs(res.value - 5.0) <= 1e-4
@@ -149,7 +150,8 @@ def test_graphs_above_the_cap_solve(param, builder, nonneg, solve_calls):
 
 
 @pytest.mark.parametrize("param, builder, nonneg", PARAMS)
-def test_refused_pin_certificate_falls_through(param, builder, nonneg, solve_calls, monkeypatch):
+def test_refused_pin_certificate_falls_through(param, builder, nonneg, solve_calls, monkeypatch,
+                                               no_spectral_pin):
     def one_color(masks, n, k, clique):
         return np.zeros(n, dtype=int)  # improper: every edge inside one class
 
@@ -165,6 +167,107 @@ def test_pin_logs_one_event(caplog):
     theta_bar(graphs.generate("complete", 5))
     [event] = [r for r in caplog.records if r.name == "vecchrom"]
     assert (event.method, event.k, event.iterations) == ("pin", 5, 0)
+
+
+# --- the spectral pin: Hoffman's certificates on regular graphs -----------------
+
+def _cycle_value(n):
+    return 1.0 + 1.0 / np.cos(np.pi / n)
+
+
+def _kneser(n, k):
+    sets = [frozenset(c) for c in combinations(range(n), k)]
+    edges = [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))
+             if not sets[i] & sets[j]]
+    return graph_from_edges(len(sets), edges, f"K({n},{k})")
+
+
+def _paley(q):
+    squares = {x * x % q for x in range(1, q)}
+    return graph_from_edges(q, [(i, j) for i in range(q) for j in range(i + 1, q)
+                                if (j - i) % q in squares], f"Paley({q})")
+
+
+def _circulant(n, jumps):
+    return graph_from_edges(n, sorted({tuple(sorted((i, (i + j) % n)))
+                                       for i in range(n) for j in jumps}), f"C{n}{jumps}")
+
+
+def _spectral_graphs():
+    """Regular graphs with omega < chi or above the chromatic cap whose
+    value is the closed form 1 - k/tau: edge-transitive graphs, and the
+    circulant C15{3,7}, which is not 1-homogeneous."""
+    gen = graphs.generate
+    C5, P = gen("cycle", 5), gen("petersen")
+    return ([(gen("cycle", n), _cycle_value(n)) for n in (5, 7, 9, 11)]
+            + [(P, 2.5), (graphs.complement(P), 4.0),
+               (graphs.product("categorical", C5, gen("cycle", 7)), _cycle_value(7)),
+               (_kneser(7, 3), 7.0 / 3.0), (_paley(17), np.sqrt(17.0)),
+               (_circulant(15, (3, 7)), np.sqrt(5.0))])
+
+
+@pytest.fixture
+def perturbed_witness(monkeypatch):
+    """Raise the scaled projector's entry on the edge (0, 1) by 1e-6."""
+    hoffman = params._hoffman_witness
+
+    def perturbed(spec, n, degree):
+        M = hoffman(spec, n, degree)
+        M[0, 1] += 1e-6
+        M[1, 0] += 1e-6
+        return M
+
+    monkeypatch.setattr(params, "_hoffman_witness", perturbed)
+
+
+@pytest.mark.parametrize("param, builder, nonneg", PARAMS)
+def test_spectral_pin_needs_no_solve(param, builder, nonneg, solve_calls):
+    cases = _spectral_graphs()
+    # C5 x C7 and K(7,3), of 35 vertices each, are above the chromatic cap
+    assert [G.n for G, _ in cases if G.n > CHROMATIC_CAP_DEFAULT] == [35, 35]
+    assert not one_homogeneous_check(cases[-1][0]).is_one_homogeneous
+    for G, value in cases:
+        res = param(G, want_primal=True)
+        assert (res.method, res.iterations, res.residuals) == ("spectral", 0, None), G.label
+        assert abs(res.value - value) <= 1e-12, G.label
+        # each certificate passes its checker on G, and the two bracket the value
+        lower = dual_form_bound(G, res.dual_certificate, nonneg)
+        upper = witness_bound(G, res.primal_certificate, nonneg)
+        assert res.value == lower and res.gap == max(0.0, upper - lower) <= 1e-12, G.label
+        assert param(G).primal_certificate is None
+    assert solve_calls == []
+
+
+@pytest.mark.parametrize("param, builder, nonneg", PARAMS)
+def test_regular_graphs_off_the_closed_form_solve_unchanged(param, builder, nonneg, solve_calls):
+    # both are regular with omega < chi, and 1 - k/tau is not their value:
+    # theta-bar of C5 strong C5 is 5 and of Petersen [] C5 is 2.5
+    gen = graphs.generate
+    C5 = gen("cycle", 5)
+    cfg = SolverConfig()
+    for G, iterations in ((graphs.product("strong", C5, C5), (20, 20)),
+                          (graphs.product("cartesian", gen("petersen"), C5), (20, 15))):
+        res = param(G, cfg)
+        sol = solve(builder(G), cfg)
+        assert (res.method, res.value, res.iterations) == ("sdp", sol.objective, iterations[nonneg])
+    assert len(solve_calls) == 2
+
+
+@pytest.mark.parametrize("param, builder, nonneg", PARAMS)
+def test_refused_spectral_certificate_falls_through(param, builder, nonneg, solve_calls,
+                                                    perturbed_witness):
+    C5 = graphs.generate("cycle", 5)
+    cfg = SolverConfig()
+    res = param(C5, cfg)
+    assert (res.method, res.value) == ("sdp", solve(builder(C5), cfg).objective)
+    assert len(solve_calls) == 1
+
+
+def test_spectral_pin_logs_one_event(caplog):
+    caplog.set_level("DEBUG", logger="vecchrom")
+    theta_bar(graphs.generate("petersen"))
+    [event] = [r for r in caplog.records if r.name == "vecchrom"]
+    assert (event.method, event.iterations) == ("spectral", 0)
 
 
 # --- spectral bounds ----------------------------------------------------------
@@ -454,6 +557,11 @@ def test_spectral_certificate_is_primal_feasible():
         assert abs(witness_bound(G, res.primal_certificate, False) - res.value) <= 1e-12
 
 
+def test_spectral_vector_chromatic_refuses_a_failed_witness(perturbed_witness):
+    with pytest.raises(DomainError, match="witness check"):
+        spectral_vector_chromatic(graphs.generate("cycle", 5))
+
+
 def test_spectral_vector_chromatic_preconditions():
     with pytest.raises(DomainError):
         spectral_vector_chromatic(graphs.generate("path", 3))
@@ -461,11 +569,12 @@ def test_spectral_vector_chromatic_preconditions():
         spectral_vector_chromatic(graphs.generate("empty", 4))
 
 
-def test_spectral_matches_sdp(chivec, theta):
+def test_spectral_matches_sdp(cfg):
+    # solved directly: theta_bar and chi_vec would take the spectral pin
     for G in (graphs.generate("cycle", 7), graphs.generate("petersen")):
         formula = spectral_vector_chromatic(G).value
-        assert abs(chivec(G).value - formula) <= 1e-3
-        assert abs(theta(G).value - formula) <= 1e-3
+        assert abs(solve(build_chi_vec(G), cfg).objective - formula) <= 1e-3
+        assert abs(solve(build_theta_bar(G), cfg).objective - formula) <= 1e-3
 
 
 # --- chromatic number -----------------------------------------------------------
@@ -633,13 +742,14 @@ def test_sandwich_chain_on_corpus(theta, chivec, corpus):
             assert tb <= chromatic_number(G) + 2e-4, G.label
 
 
-def test_theta_invariant_under_isolated_removal():
+def test_theta_invariant_under_isolated_removal(no_spectral_pin):
     from vecchrom.sdp import SolverConfig
 
     tight = SolverConfig(tol=1e-9, gap_tol=2e-7)
     G = graphs.graph_from_edges(6, [(0, 1), (1, 2), (0, 2)])
     H = graphs.graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    # a cap of 0 keeps the triangles from the pin, so both values are solved
+    # a cap of 0 keeps the triangles from the pin, and the regular H is kept
+    # from the spectral pin, so both values are solved
     G_res, H_res = theta_bar(G, tight, chromatic_cap=0), theta_bar(H, tight, chromatic_cap=0)
     assert G_res.method == H_res.method == "sdp"
     assert abs(G_res.value - H_res.value) <= 1e-6

@@ -97,7 +97,7 @@ def _certificate_graphs():
 
 @pytest.mark.parametrize("graph", list(_certificate_graphs()))
 @pytest.mark.parametrize("which", ["theta_bar", "chi_vec"])
-def test_dual_certificate_satisfies_primal_constraints(monkeypatch, which, graph):
+def test_dual_certificate_satisfies_primal_constraints(monkeypatch, no_spectral_pin, which, graph):
     G = _certificate_graphs()[graph]
     solutions = []
 
@@ -368,7 +368,9 @@ def test_solve_does_not_import_logging():
     # the events go out once the caller has imported logging; a run that
     # never does pays nothing for them
     code = ("import sys; from vecchrom import graphs, params; "
-            "params.theta_bar(graphs.generate('petersen')); "
+            "params.theta_bar(graphs.graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), "
+            "(4, 0), (0, 5)])); "  # solved: C_5 with a pendant vertex
+            "params.theta_bar(graphs.generate('petersen')); "  # spectral pin
             "params.theta_bar(graphs.generate('complete', 5)); "  # pinned
             "assert 'logging' not in sys.modules")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
