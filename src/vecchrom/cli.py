@@ -3,7 +3,9 @@
 Subcommands:
 
 * ``param``   one graph, one parameter (theta-bar, chi-vec, chromatic,
-              spectral, onehom)
+              spectral, onehom); ``spectral`` is the closed form
+              1 - k/tau of a regular graph, certified by Hoffman's two
+              certificates with no 1-homogeneity test
 * ``verify``  identity suite over a pair of graphs, or over seeded
               random pairs
 * ``qverify`` a quantum coloring certificate file
@@ -19,6 +21,7 @@ failed identity or certificate checks).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -176,7 +179,7 @@ def cmd_param(args) -> tuple[dict, int]:
                 res = spectral_vector_chromatic(G)
                 result["vector_chromatic"] = res.value
                 result["method"] = res.method
-                # a 1-homogeneous graph is regular, so 2e/n is exactly its
+                # a certified graph is regular, so 2e/n is exactly its
                 # degree and the average-degree bound is the same float
                 result["lower_bound"] = res.value
             except DomainError:
@@ -345,6 +348,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _emit(record: dict, out: str | None):
     text = json.dumps(record, indent=2, sort_keys=False)
     if out:
@@ -355,9 +364,8 @@ def _emit(record: dict, out: str | None):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         record, code = args.func(args)
         _emit(record, args.out)
         return code

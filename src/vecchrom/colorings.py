@@ -101,7 +101,7 @@ def verify_coloring(G: Graph, c: VectorColoring, tol: float = 1e-6) -> ColoringR
     worst_norm = float(np.abs(norms - 1.0).max()) if c.n else 0.0
     gram = c.vectors @ c.vectors.T if c.n else np.zeros((0, 0))
     # the edges in G.edges() order, so argmax picks the first worst edge
-    e0, e1 = np.nonzero(np.triu(G.adj))
+    e0, e1 = G.edge_index
     res = gram[e0, e1] - c.edge_target
     res = np.abs(res) if c.strict else np.maximum(res, 0.0)
     worst_edge, worst_res = None, 0.0

@@ -13,9 +13,12 @@ this ordering.
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import chain, islice, takewhile
 
 import numpy as np
 
@@ -73,13 +76,26 @@ class Graph:
         adj.setflags(write=False)
         object.__setattr__(self, "adj", adj)
 
+    @cached_property
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only endpoint arrays (u, v) of the edges, u < v, in
+        row-major order; computed on first use and kept, as the
+        adjacency never changes."""
+        u, v = np.divmod(np.flatnonzero(self.adj), max(self.n, 1))
+        upper = u < v
+        u, v = u[upper], v[upper]
+        u.setflags(write=False)
+        v.setflags(write=False)
+        return u, v
+
     @property
     def edge_count(self) -> int:
-        return int(np.triu(self.adj).sum())
+        return len(self.edge_index[0])
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as sorted (u, v) pairs with u < v."""
-        return [tuple(e) for e in np.argwhere(np.triu(self.adj)).tolist()]
+        u, v = self.edge_index
+        return list(zip(u.tolist(), v.tolist()))
 
     def degrees(self) -> np.ndarray:
         return self.adj.sum(axis=1).astype(int)
@@ -107,14 +123,27 @@ def graph_from_edges(n: int, edges, label: str = "") -> Graph:
         raise DomainError("vertex count must be nonnegative")
     if n > MAX_ORDER:
         raise DomainError(f"vertex count {n} exceeds the order cap {MAX_ORDER}")
-    adj = np.zeros((n, n), dtype=bool)
-    for u, v in edges:
+    pairs = list(edges)
+    ends = np.asarray(pairs)  # dtype object when an endpoint exceeds int64
+    if not ends.size:
+        ends = np.zeros((0, 2), dtype=np.intp)
+    elif ends.dtype.kind not in "iuO":
+        raise ValidationError(f"edge endpoints must be integers, got dtype {ends.dtype}")
+    u, v = ends.reshape(len(pairs), 2).T
+    bad = np.flatnonzero((u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n))
+    if bad.size:
+        u, v = int(u[bad[0]]), int(v[bad[0]])
         if u == v:
             raise ValidationError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValidationError(f"edge endpoint out of range: ({u}, {v})")
-        adj[u, v] = adj[v, u] = True
-    return Graph(n, adj, label)
+        raise ValidationError(f"edge endpoint out of range: ({u}, {v})")
+    return Graph(n, _adjacency(n, u, v), label)
+
+
+def _adjacency(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The n x n adjacency of in-range, loop-free edges (u[i], v[i])."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.concatenate((u, v)), np.concatenate((v, u))] = True
+    return adj
 
 
 def generate(family: str, size: int = 0) -> Graph:
@@ -279,62 +308,98 @@ def erdos_renyi(n: int, p: float = 0.5, *, seed=None, rng=None, label: str = "")
 # lexicographic order.
 
 
+# a comment runs up to the next of the line breaks str.splitlines knows; it
+# is replaced by a space, which ends a token but, unlike nothing, cannot
+# join a "\r" before it and a "\n" after it into one line break
+_COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
+
+
+def _is_integer(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry of a boolean array, or its length."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else len(mask)
+
+
 def parse_edge_list(text: str, label: str = "") -> Graph:
-    """Parse the edge-list text format into a graph."""
-    header = None
-    n = m = 0
-    adj = None
-    seen_edges = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2:
-                raise ParseError(f"line {lineno}: expected header 'n m'", line=lineno)
-            try:
-                n, m = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: header entries must be integers", line=lineno)
-            if n < 0 or m < 0:
-                raise ParseError(f"line {lineno}: negative header entry", line=lineno)
-            if n > MAX_ORDER:
-                raise ParseError(
-                    f"line {lineno}: vertex count {n} exceeds the order cap {MAX_ORDER}",
-                    line=lineno,
-                )
-            header = (n, m)
-            adj = np.zeros((n, n), dtype=bool)
-            continue
-        if len(fields) != 2:
-            raise ParseError(f"line {lineno}: expected edge 'u v'", line=lineno)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: edge endpoints must be integers", line=lineno)
-        seen_edges += 1
-        if seen_edges > m:
-            raise ParseError(f"line {lineno}: more than {m} edges listed", line=lineno)
-        if u == v:
-            raise ValidationError(f"line {lineno}: self-loop at vertex {u}", line=lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValidationError(
-                f"line {lineno}: endpoint out of range for n={n}: ({u}, {v})",
-                line=lineno,
-            )
-        adj[u, v] = adj[v, u] = True
-    if header is None:
+    """Parse the edge-list text format into a graph.
+
+    The text is split into lines and tokens once, and the edge lines are
+    checked as arrays.  The error raised is the one the first offending
+    line gives, each line checked in the order: two fields, integers, no
+    more edges than the header promised, no self-loop, endpoints in range.
+    """
+    lines = list(map(str.split, _COMMENT.sub(" ", text).splitlines()))
+    counts = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
+    filled = np.flatnonzero(counts)
+    if not filled.size:
         raise ParseError("empty graph file", line=1)
-    if seen_edges != m:
-        raise ParseError(f"header promised {m} edges but {seen_edges} were listed")
-    return Graph(n, adj, label)
+    lineno, rows = int(filled[0]) + 1, filled[1:]  # rows: edge lines, 0-based
+    fields = lines[lineno - 1]
+    if len(fields) != 2:
+        raise ParseError(f"line {lineno}: expected header 'n m'", line=lineno)
+    try:
+        n, m = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise ParseError(f"line {lineno}: header entries must be integers", line=lineno)
+    if n < 0 or m < 0:
+        raise ParseError(f"line {lineno}: negative header entry", line=lineno)
+    if n > MAX_ORDER:
+        raise ParseError(
+            f"line {lineno}: vertex count {n} exceeds the order cap {MAX_ORDER}",
+            line=lineno,
+        )
+
+    # edge lines before `paired` have two fields, those before `integral`
+    # two integers
+    paired = _first(counts[rows] != 2)
+    tokens = list(islice(chain.from_iterable(lines[lineno:]), 2 * paired))
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        values = list(map(int, takewhile(_is_integer, tokens)))
+    integral = len(values) // 2
+    try:
+        ends = np.array(values[:2 * integral], dtype=np.int64)
+    except OverflowError:  # an endpoint beyond int64, which no order reaches
+        ends = np.array(values[:2 * integral], dtype=object)
+    u, v = ends[0::2], ends[1::2]
+    # the first failure of each check, as (edge line, check); a check
+    # that finds none reports a line that an earlier check fails or that
+    # does not exist
+    k, check = min((paired, 0), (integral, 1), (m, 2), (_first(u == v), 3),
+                   (_first((u < 0) | (u >= n) | (v < 0) | (v >= n)), 4))
+    if k < len(rows):
+        lineno = int(rows[k]) + 1
+        if check == 0:
+            raise ParseError(f"line {lineno}: expected edge 'u v'", line=lineno)
+        if check == 1:
+            raise ParseError(f"line {lineno}: edge endpoints must be integers", line=lineno)
+        if check == 2:
+            raise ParseError(f"line {lineno}: more than {m} edges listed", line=lineno)
+        a, b = values[2 * k], values[2 * k + 1]
+        if check == 3:
+            raise ValidationError(f"line {lineno}: self-loop at vertex {a}", line=lineno)
+        raise ValidationError(
+            f"line {lineno}: endpoint out of range for n={n}: ({a}, {b})",
+            line=lineno,
+        )
+    if len(rows) != m:
+        raise ParseError(f"header promised {m} edges but {len(rows)} were listed")
+    return Graph(n, _adjacency(n, u, v), label)
 
 
 def write_edge_list(G: Graph) -> str:
-    lines = [f"{G.n} {G.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in G.edges())
-    return "\n".join(lines) + "\n"
+    u, v = G.edge_index
+    ends = np.column_stack((u, v)).ravel().tolist()
+    return f"{G.n} {len(u)}\n" + ("%d %d\n" * len(u)) % tuple(ends)
 
 
 def load_graph(path, label: str = "") -> Graph:

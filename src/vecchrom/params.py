@@ -38,7 +38,7 @@ from .errors import (
     LimitExceededError,
 )
 from .graphs import Graph
-from .linalg import Spectrum, eig_sym
+from .linalg import eig_sym
 from .sdp import (
     OPTIMAL,
     SdpSolution,
@@ -50,6 +50,9 @@ from .sdp import (
 )
 
 CHROMATIC_CAP_DEFAULT = 30
+#: Widest interval, relative to max(1, value), around the closed form
+#: 1 - k/tau that :func:`spectral_vector_chromatic` accepts as certified.
+SPECTRAL_WIDTH = 1e-9
 # interpreter frames left to the callers of the recursive chromatic searches
 _CALLER_FRAMES = 200
 
@@ -60,14 +63,14 @@ class ParamResult:
 
     ``method`` is "sdp", "pin" (a maximum clique of size k and a proper
     k-coloring: value k), "spectral" (the closed form 1 - k/tau of a
-    k-regular graph, certified from its least eigenspace, or the
-    1-homogeneous formula of :func:`spectral_vector_chromatic`) or
-    "convention" (edgeless value 1, bipartite value 2).  When an SDP ran,
-    ``gap`` is its duality gap, ``residuals`` mirrors its (affine,
-    cone, entrywise) report and ``iterations`` its iteration count (0
-    when no SDP ran); ``primal_certificate`` is PSD with constant
-    diagonal ``value + gap - 1``.  A pin's dual certificate is
-    ``1_K 1_K^T / k`` on the clique K and its primal certificate is
+    k-regular graph, certified by Hoffman's two certificates: a spectral
+    pin, or :func:`spectral_vector_chromatic`, which runs no
+    1-homogeneity test) or "convention" (edgeless value 1, bipartite
+    value 2).  When an SDP ran, ``gap`` is its duality gap, ``residuals``
+    mirrors its (affine, cone, entrywise) report and ``iterations`` its
+    iteration count (0 when no SDP ran); ``primal_certificate`` is PSD
+    with constant diagonal ``value + gap - 1``.  A pin's dual certificate
+    is ``1_K 1_K^T / k`` on the clique K and its primal certificate is
     ``k [c(u) = c(v)] - 1`` for the coloring c, the Gram matrix of simplex
     vectors indexed by color, with diagonal ``k - 1``; ``gap`` is the
     width of the interval the two certify, at rounding level.  A spectral
@@ -75,6 +78,8 @@ class ParamResult:
     ``(I - A/tau) / n`` and the scaled projector ``-(n k / (rank tau))
     E_tau``; its value is the lower bound the first certifies and ``gap``
     the excess of the second's upper bound, at rounding level.
+    :func:`spectral_vector_chromatic` carries the same two certificates
+    with the value 1 - k/tau itself.
     """
 
     value: float
@@ -123,26 +128,29 @@ def _pin(G: Graph, nonneg: bool, want_primal: bool, cap: int) -> ParamResult | N
                        primal_certificate=M if want_primal else None, dual_certificate=P)
 
 
-def _hoffman_witness(spec: Spectrum, n: int, degree: int) -> np.ndarray:
-    """The scaled projector ``-(n k / (rank tau)) E_tau`` onto the least
-    eigenspace of a k-regular graph's adjacency: PSD with diagonal
-    ``-k / tau`` when E_tau has a constant diagonal."""
+def _hoffman_pair(G: Graph, degree: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The least adjacency eigenvalue tau of a k-regular graph with an
+    edge and Hoffman's two certificates, from one eigendecomposition:
+    the dual-form matrix ``(I - A/tau) / n``, with entry sum 1 - k/tau,
+    and the scaled projector ``-(n k / (rank tau)) E_tau`` onto the least
+    eigenspace, PSD with diagonal ``-k / tau`` when E_tau has a constant
+    diagonal."""
+    A = G.adjacency()
+    spec = eig_sym(A)
+    P = (np.eye(G.n) - A / spec.least) / G.n
     E_tau, rank = spec.least_eigenspace()
-    return -(n * degree) / (rank * spec.least) * E_tau
+    return spec.least, P, -(G.n * degree) / (rank * spec.least) * E_tau
 
 
 def _spectral_pin(G: Graph, nonneg: bool, want_primal: bool, gap_tol: float) -> ParamResult | None:
     """The value 1 - k/tau of a k-regular graph where Hoffman's dual-form
-    matrix ``(I - A/tau) / n`` and the scaled projector both pass their
+    matrix and scaled projector (:func:`_hoffman_pair`) both pass their
     checkers on G and certify an interval of width at most ``gap_tol``;
     None on any other graph."""
     degrees = G.degrees()
     if degrees.min() != degrees.max():
         return None
-    A = G.adjacency()
-    spec = eig_sym(A)
-    P = (np.eye(G.n) - A / spec.least) / G.n
-    M = _hoffman_witness(spec, G.n, int(degrees[0]))
+    _, P, M = _hoffman_pair(G, int(degrees[0]))
     lower, upper = dual_form_bound(G, P, nonneg), witness_bound(G, M, nonneg)
     if lower is None or upper is None or upper - lower > gap_tol:
         return None
@@ -296,7 +304,7 @@ def one_homogeneous_check(G: Graph) -> OneHomReport:
     if n == 0:
         return OneHomReport(True, [(0, 1, 0)])
     adj = G.adj
-    edge_idx = np.argwhere(np.triu(adj))
+    eu, ev = G.edge_index
     upper = np.triu(np.ones((n, n), dtype=bool))
     labels = np.zeros(n * (n + 1) // 2, dtype=np.int64)  # coordinate class so far
     columns = []  # each power so far at one coordinate per class
@@ -307,13 +315,13 @@ def one_homogeneous_check(G: Graph) -> OneHomReport:
         mism = np.nonzero(diag != diag[0])[0]
         if mism.size:
             return OneHomReport(False, constants, (k, "vertex", int(mism[0])))
-        if len(edge_idx):
-            vals = P[edge_idx[:, 0], edge_idx[:, 1]]
+        if len(eu):
+            vals = P[eu, ev]
             c_k = int(vals[0])
             mism = np.nonzero(vals != vals[0])[0]
             if mism.size:
-                u, v = edge_idx[int(mism[0])]
-                return OneHomReport(False, constants, (k, "edge", (int(u), int(v))))
+                i = int(mism[0])
+                return OneHomReport(False, constants, (k, "edge", (int(eu[i]), int(ev[i]))))
         else:
             c_k = 0
         constants.append((k, b_k, c_k))
@@ -333,27 +341,39 @@ def one_homogeneous_check(G: Graph) -> OneHomReport:
 
 
 def spectral_vector_chromatic(G: Graph) -> ParamResult:
-    """Closed-form value 1 - k/tau for 1-homogeneous graphs with an edge.
+    """Certified closed-form value 1 - k/tau of a k-regular graph with an
+    edge, where k is the degree and tau the least adjacency eigenvalue.
 
-    The certificate is the scaled projector onto the least eigenspace,
-    a feasible primal matrix: PSD, diagonal value - 1, edge entries -1.
-    It is checked by :func:`witness_bound`, and a graph whose projector
-    the checker refuses raises :class:`DomainError`.
+    One eigendecomposition gives Hoffman's dual-form matrix and the
+    scaled projector onto the least eigenspace (:func:`_hoffman_pair`).
+    :func:`dual_form_bound` and :func:`witness_bound`, both with the
+    vector chromatic number's sign conditions, check them on G; the
+    result carries both, with ``gap`` the width of the interval they
+    certify.  No 1-homogeneity test runs: a graph that is not regular,
+    whose certificates a checker refuses, or whose interval, widened to
+    hold 1 - k/tau, is wider than ``SPECTRAL_WIDTH * max(1, value)``
+    raises :class:`DomainError`.
     """
     if G.edge_count == 0:
         raise DomainError("spectral formula needs at least one edge")
-    report = one_homogeneous_check(G)
-    if not report.is_one_homogeneous:
-        raise DomainError(
-            f"graph is not 1-homogeneous (witness {report.failing_witness})"
-        )
-    degree = int(G.degrees()[0])
-    spec = eig_sym(G.adjacency())
-    M = _hoffman_witness(spec, G.n, degree)
-    if witness_bound(G, M, nonneg=True) is None:
+    degrees = G.degrees()
+    if degrees.min() != degrees.max():
+        raise DomainError("spectral formula needs a regular graph")
+    degree = int(degrees[0])
+    tau, P, M = _hoffman_pair(G, degree)
+    value = 1.0 - degree / tau
+    lower = dual_form_bound(G, P, nonneg=True)
+    if lower is None:
+        raise DomainError("Hoffman's dual-form matrix fails the dual-form check")
+    upper = witness_bound(G, M, nonneg=True)
+    if upper is None:
         raise DomainError("the scaled least-eigenspace projector fails the witness check")
-    return ParamResult(value=1.0 - degree / spec.least, gap=0.0, method="spectral",
-                       primal_certificate=M)
+    width = max(upper, value) - min(lower, value)
+    if width > SPECTRAL_WIDTH * max(1.0, value):
+        raise DomainError(f"the spectral certificates leave [{lower!r}, {upper!r}] "
+                          f"around 1 - k/tau = {value!r}, wider than {SPECTRAL_WIDTH:g}")
+    return ParamResult(value=value, gap=max(0.0, upper - lower), method="spectral",
+                       primal_certificate=M, dual_certificate=P)
 
 
 # ---------------------------------------------------------------------------

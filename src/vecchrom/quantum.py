@@ -15,6 +15,7 @@ classical embedding work.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import os
@@ -143,7 +144,7 @@ def verify_quantum_hom(q: QuantumHomomorphism, tol: float = ADJ_TOL) -> QuantumH
     (herm, idem, sums, ortho), u, witness = _check_tuples(A, struct_tol)
     if witness is not None:
         witness["vertex"] = u
-    e0, e1 = np.nonzero(np.triu(q.source.adj))  # Graph.edges() order
+    e0, e1 = q.source.edge_index  # Graph.edges() order
     pairs = np.argwhere(~q.target.adj)
     residual = np.zeros((len(e0), len(pairs)))
     step = max(1, GATHER_ENTRIES // max(1, q.d * q.d))
@@ -299,7 +300,7 @@ def certificate_to_json(q: QuantumHomomorphism) -> dict:
     return {
         "d": int(q.d),
         "n_colors": int(n_colors),
-        "graph": {"n": int(q.source.n), "edges": [[int(u), int(v)] for u, v in q.source.edges()]},
+        "graph": {"n": int(q.source.n), "edges": np.column_stack(q.source.edge_index).tolist()},
         "assignment": assignment,
     }
 
@@ -319,11 +320,34 @@ def _source_graph(spec, base_dir: str | None) -> Graph:
     if not isinstance(spec, dict) or "n" not in spec:
         raise ParseError('malformed certificate: graph must be a path or an {"n", "edges"} object')
     edges = spec.get("edges", [])
-    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+    if (not isinstance(edges, list) or set(map(type, edges)) - {list}
+            or set(map(len, edges)) - {2}):
         raise ParseError("malformed certificate: graph edges must be [u, v] pairs")
-    return graph_from_edges(_json_int(spec["n"], "graph.n"),
-                            [(_json_int(u, "edge endpoint"), _json_int(v, "edge endpoint"))
-                             for u, v in edges])
+    n = _json_int(spec["n"], "graph.n")
+    ends = list(itertools.chain.from_iterable(edges))
+    if set(map(type, ends)) - {int}:  # bool is not int here
+        _json_int(next(e for e in ends if type(e) is not int), "edge endpoint")
+    return graph_from_edges(n, edges)
+
+
+def _number_array(raw) -> np.ndarray:
+    """A float array of nested JSON lists of numbers, built one nesting
+    level at a time: each level must hold only lists of one length, or
+    only numbers (int or float; bool and null are not numbers)."""
+    shape, level = [], [raw]
+    while level and set(map(type, level)) == {list}:
+        lengths = set(map(len, level))
+        if len(lengths) != 1:
+            raise ParseError("malformed certificate: assignment is not an array "
+                             f"(lists of lengths {sorted(lengths)} at depth {len(shape)})")
+        shape.append(lengths.pop())
+        level = list(itertools.chain.from_iterable(level))
+    if set(map(type, level)) - {int, float}:
+        raise ParseError("malformed certificate: assignment entries must be numbers")
+    try:
+        return np.fromiter(level, dtype=float, count=len(level)).reshape(shape)
+    except OverflowError:  # an integer beyond the float range
+        raise ParseError("malformed certificate: assignment entries must be numbers")
 
 
 def certificate_from_json(data: dict, base_dir: str | None = None) -> QuantumHomomorphism:
@@ -337,19 +361,13 @@ def certificate_from_json(data: dict, base_dir: str | None = None) -> QuantumHom
     if d < 1:
         raise ValidationError(f"certificate declares dimension d = {d}, expected d >= 1")
     source = _source_graph(graph_spec, base_dir)
-    try:
-        arr = np.asarray(raw)
-    except ValueError as exc:  # ragged nesting
-        raise ParseError(f"malformed certificate: assignment is not an array ({exc})")
-    if arr.dtype.kind not in "iuf":
-        raise ParseError("malformed certificate: assignment entries must be numbers")
-    arr = arr.astype(float)
+    arr = _number_array(raw)
     expected = (source.n, n_colors, d, d, 2)
     if arr.shape != expected:
         raise ValidationError(
             f"assignment shape {arr.shape} does not match declared sizes {expected}"
         )
-    assignment = arr[..., 0] + 1j * arr[..., 1]
+    assignment = arr.view(complex)[..., 0]  # [re, im] pairs as complex entries
     return QuantumHomomorphism(source, generate("complete", n_colors), d, assignment)
 
 
@@ -362,8 +380,16 @@ def save_certificate(path, q: QuantumHomomorphism) -> None:
 
 def load_certificate(path) -> QuantumHomomorphism:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"certificate is not valid JSON: {exc}")
+        text = fh.read()
+    # the decoded lists hold no cycles, so the cyclic collector is paused
+    # while they are made: its passes over them would find nothing
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"certificate is not valid JSON: {exc}")
+    finally:
+        if collecting:
+            gc.enable()
     return certificate_from_json(data, base_dir=os.path.dirname(os.fspath(path)))

@@ -7,7 +7,7 @@ from vecchrom import cli, graphs, identities, params, sdp
 from vecchrom.cli import main, resolve_graph
 from vecchrom.identities import chain_checks
 from vecchrom.graphs import parse_edge_list
-from vecchrom.errors import ParseError, ValidationError
+from vecchrom.errors import DomainError, ParseError, ValidationError
 from vecchrom.colorings import ClassicalColoring
 from vecchrom.quantum import (
     certificate_to_json,
@@ -146,8 +146,10 @@ def test_param_spectral_one_eigendecomposition(capsys, monkeypatch, spec):
     # eigendecomposition of the adjacency matrix per call
     G = resolve_graph(spec)
     expected = {"lower_bound": params.spectral_lower_bound(G)}
-    if params.one_homogeneous_check(G).is_one_homogeneous:
+    try:
         expected["vector_chromatic"] = params.spectral_vector_chromatic(G).value
+    except DomainError:  # path:3 is not regular; it takes the bipartite value
+        expected["vector_chromatic"] = 2.0
     eig_sym, calls = params.eig_sym, []
 
     def counted(M, *args, **kwargs):
@@ -159,16 +161,63 @@ def test_param_spectral_one_eigendecomposition(capsys, monkeypatch, spec):
     assert code == 0 and len(calls) == 1
     result = record["result"]
     assert result["lower_bound"] == expected["lower_bound"]
-    assert result["vector_chromatic"] == expected.get("vector_chromatic", 2.0)
+    assert result["vector_chromatic"] == expected["vector_chromatic"]
 
 
 def test_param_spectral_refuses_a_failed_witness(capsys, monkeypatch):
-    hoffman = params._hoffman_witness
-    monkeypatch.setattr(params, "_hoffman_witness",
-                        lambda *args: hoffman(*args) + 1e-6 * np.diag([1.0, 0, 0, 0, 0]))
+    hoffman = params._hoffman_pair
+
+    def perturbed(G, degree):
+        tau, P, M = hoffman(G, degree)
+        return tau, P, M + 1e-6 * np.diag([1.0, 0, 0, 0, 0])
+
+    monkeypatch.setattr(params, "_hoffman_pair", perturbed)
     code, record, err = run_cli(capsys, "param", "cycle:5", "--which", "spectral")
     assert (code, record) == (3, None)
     assert "witness check" in err and "Traceback" not in err
+
+
+def _scale_toward_identity(tau, P, M):
+    return tau, (1 - 1e-6) * P + 1e-6 * np.eye(len(P)) / len(P), M
+
+
+def _raise_non_edge(tau, P, M):
+    P[0, 2] += 1e-6  # (0, 2) is not an edge of C_5
+    P[2, 0] += 1e-6
+    return tau, P, M
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(_raise_non_edge, id="P-refused"),
+    # each keeps its checker's conditions and moves its bound by about 1e-6
+    pytest.param(_scale_toward_identity, id="P-lower"),
+    pytest.param(lambda tau, P, M: (tau, P, M + 1e-6 * np.eye(len(M))), id="M-higher"),
+    # the certificates agree, but the value 1 - k/tau leaves their interval
+    pytest.param(lambda tau, P, M: (tau * (1 + 1e-6), P, M), id="tau"),
+])
+def test_param_spectral_refuses_an_uncertified_value(capsys, monkeypatch, mutate):
+    hoffman = params._hoffman_pair
+    monkeypatch.setattr(params, "_hoffman_pair", lambda G, degree: mutate(*hoffman(G, degree)))
+    code, record, err = run_cli(capsys, "param", "cycle:5", "--which", "spectral")
+    assert (code, record) == (3, None)
+    assert err.startswith("validation error:") and "Traceback" not in err
+
+
+def test_param_spectral_certifies_a_graph_that_is_not_one_homogeneous(capsys, monkeypatch,
+                                                                      tmp_path):
+    # the circulant C15{3,7} is regular but not 1-homogeneous; both
+    # certificates close at sqrt(5), and no 1-homogeneity test runs
+    G = graphs.graph_from_edges(15, [(i, (i + j) % 15) for i in range(15) for j in (3, 7)])
+    assert not params.one_homogeneous_check(G).is_one_homogeneous
+    path = tmp_path / "c15.txt"
+    graphs.save_graph(path, G)
+    monkeypatch.setattr(params, "one_homogeneous_check", None)
+    code, record, _ = run_cli(capsys, "param", str(path), "--which", "spectral")
+    assert code == 0
+    result = record["result"]
+    assert result["method"] == "spectral"
+    assert abs(result["vector_chromatic"] - np.sqrt(5.0)) <= 1e-9
+    assert result["lower_bound"] == result["vector_chromatic"]
 
 
 def test_param_solver_failure_exit_code(capsys, unpinned_graph):
@@ -503,12 +552,22 @@ def _malformed(mutate):
     pytest.param(_malformed(lambda d: d["graph"]["edges"].__setitem__(0, [0.5, 1])),
                  id="edge-float"),
     pytest.param(_malformed(lambda d: d["graph"]["edges"].__setitem__(0, 3)), id="edge-scalar"),
+    pytest.param(_malformed(lambda d: d["graph"]["edges"].__setitem__(0, [True, 1])),
+                 id="edge-true"),
+    pytest.param(_malformed(lambda d: d["graph"]["edges"].__setitem__(0, [0, 1.0])),
+                 id="edge-integral-float"),
+    pytest.param(_malformed(lambda d: d["graph"]["edges"].__setitem__(0, ["1", 2])),
+                 id="edge-digit-string"),
+    pytest.param(_malformed(lambda d: d["graph"]["edges"].__setitem__(0, [0, 1, 2])),
+                 id="edge-triple"),
     pytest.param(_malformed(lambda d: d["assignment"][0][0][0].__setitem__(0, ["x", 0])),
                  id="entry-string"),
     pytest.param(_malformed(lambda d: d["assignment"][0][0][0].__setitem__(0, [None, 0])),
                  id="entry-null"),
     pytest.param(_malformed(lambda d: d["assignment"][0][0][0].__setitem__(0, [1.0])),
                  id="entry-ragged"),
+    pytest.param(_malformed(lambda d: d["assignment"][0][0][0].__setitem__(0, [True, 0.0])),
+                 id="entry-true"),
     pytest.param(_malformed(lambda d: d.update(d=1.5)), id="d-float"),
 ])
 def test_qverify_malformed_certificate_is_a_parse_error(tmp_path, capsys, data):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph, small_graph
@@ -349,3 +349,183 @@ def test_write_then_read_roundtrip():
 @given(small_graph())
 def test_roundtrip_property(G):
     assert np.array_equal(parse_edge_list(write_edge_list(G)).adj, G.adj)
+
+
+# --- bulk edge-list parser against a line-by-line reference -------------------
+
+def _reference_parse_edge_list(text, label=""):
+    """Line-by-line edge-list parser, one line and one token at a time: the
+    reference the bulk parser must match graph for graph and error for
+    error."""
+    header = None
+    n = m = 0
+    adj = None
+    seen_edges = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if header is None:
+            if len(fields) != 2:
+                raise ParseError(f"line {lineno}: expected header 'n m'", line=lineno)
+            try:
+                n, m = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise ParseError(f"line {lineno}: header entries must be integers", line=lineno)
+            if n < 0 or m < 0:
+                raise ParseError(f"line {lineno}: negative header entry", line=lineno)
+            if n > graphs.MAX_ORDER:
+                raise ParseError(
+                    f"line {lineno}: vertex count {n} exceeds the order cap {graphs.MAX_ORDER}",
+                    line=lineno,
+                )
+            header = (n, m)
+            adj = np.zeros((n, n), dtype=bool)
+            continue
+        if len(fields) != 2:
+            raise ParseError(f"line {lineno}: expected edge 'u v'", line=lineno)
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: edge endpoints must be integers", line=lineno)
+        seen_edges += 1
+        if seen_edges > m:
+            raise ParseError(f"line {lineno}: more than {m} edges listed", line=lineno)
+        if u == v:
+            raise ValidationError(f"line {lineno}: self-loop at vertex {u}", line=lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValidationError(
+                f"line {lineno}: endpoint out of range for n={n}: ({u}, {v})",
+                line=lineno,
+            )
+        adj[u, v] = adj[v, u] = True
+    if header is None:
+        raise ParseError("empty graph file", line=1)
+    if seen_edges != m:
+        raise ParseError(f"header promised {m} edges but {seen_edges} were listed")
+    return Graph(n, adj, label)
+
+
+def _outcome(parse, text):
+    try:
+        G = parse(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), exc.line
+    return G.n, G.adj.tobytes()
+
+
+# tokens int() reads differently from a plain digit string, and tokens it refuses
+_ODD_TOKENS = ["+1", "-0", "007", "1_0", "\u0663", "99999999999999999999",
+               "-99999999999999999999", "x", "1.0", "1e0", "0x1", "_1", "--1", ""]
+# separators inside a line ("\x0b" is also a line break to str.splitlines)
+# and line breaks that str.splitlines knows
+_SPACES = [" "] * 6 + ["\t", "  ", "\u00a0", "\x0b"]
+_BREAKS = ["\n", "\n", "\r\n", "\r", "\x0c", "\x1c", "\u2028"]
+
+
+@st.composite
+def edge_list_text(draw):
+    """An edge-list text, valid or with mutations: wrong field counts,
+    non-integer, negative, out-of-range or oversized endpoints, self-loops,
+    too many or too few edges, comments and blank lines."""
+    n = draw(st.integers(0, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+                          max_size=8))
+    pairs = [p for p in pairs if p[0] != p[1]] if n > 1 else []
+    m = len(pairs) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    lines = [[str(n), str(max(m, 0))]] + [[str(u), str(v)] for u, v in pairs]
+    endpoint = st.one_of(st.integers(-2, n + 2).map(str), st.sampled_from(_ODD_TOKENS))
+    for _ in range(draw(st.integers(0, 3))):
+        # mostly edge lines: a broken header hides every later check
+        i = draw(st.integers(min(1, len(lines) - 1) if draw(st.integers(0, 4)) else 0,
+                             len(lines) - 1))
+        kind = draw(st.sampled_from(["token", "drop", "extra", "loop", "blank", "line"]))
+        if kind == "token" and lines[i]:
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(endpoint)
+        elif kind == "drop":
+            lines[i] = lines[i][:1]
+        elif kind == "extra":
+            lines[i] = lines[i] + [draw(endpoint)]
+        elif kind == "loop" and i and lines[i]:
+            lines[i] = [lines[i][0], lines[i][0]]
+        elif kind == "blank":
+            lines.insert(i, [])
+        else:
+            lines.insert(i, [draw(endpoint), draw(endpoint)])
+    text = []
+    for fields in lines:
+        line = draw(st.sampled_from(_SPACES)).join(fields)
+        if draw(st.integers(0, 5)) == 0:
+            line = draw(st.sampled_from(["", " ", "\t"])) + line + " # " + draw(endpoint)
+        if draw(st.integers(0, 11)) == 0:
+            line = "# " + line
+        text.append(line + draw(st.sampled_from(_BREAKS)))
+    return "".join(text)
+
+
+@settings(max_examples=200)
+@given(edge_list_text())
+def test_bulk_parser_matches_line_by_line_reference(text):
+    assert _outcome(parse_edge_list, text) == _outcome(_reference_parse_edge_list, text)
+
+
+@pytest.mark.parametrize("text", [
+    "3 2\n0 1\n1 2\n",
+    "3 1\n0 1 2\n",                           # field count before everything else
+    "3 1\n0 x\n1 1\n",                        # non-integer before a later self-loop
+    "3 1\n0 1\n2 2\n",                        # one edge too many before its self-loop
+    "3 2\n0 1\n1 1\n0 9\n",                   # self-loop before a later range error
+    "3 2\n0 9\n1 1\n",                        # range error before a later self-loop
+    "3 1\n0 -1\n", "3 1\n-1 0\n", "3 1\n3 0\n",
+    "3 2\n0 1\n0 x\n",                        # non-integer after a valid edge line
+    "3 2\n0 1\n0\n",                          # one field after a valid edge line
+    "# c\n3 1\r# c\n0 9\n",                   # "\r# c\n" is two line breaks
+    "3 2\n5 5\n",                             # self-loop is checked before range
+    "5 1\n0 99999999999999999999\n",          # beyond int64: out of range
+    "5 1\n99999999999999999999 99999999999999999998\n",
+    "3 3 # n m\n# comment\n\n0 1\n1 2 # edge\n0 2\r\n",
+    "2 3\n0 1\n",
+    "", "# only a comment\n", "x 1\n", "3\n", "-1 0\n", "3 -1\n",
+])
+def test_bulk_parser_matches_reference_on_examples(text):
+    assert _outcome(parse_edge_list, text) == _outcome(_reference_parse_edge_list, text)
+
+
+# --- edge index, edge hash and writer -----------------------------------------
+
+@pytest.mark.parametrize("G, digest", [
+    (generate("petersen"), "223b9bae4baa1733"),
+    (generate("cycle", 5), "4a66125c2bb3dbfa"),
+    (generate("omega", 4), "499fd51576ce5ad0"),
+    (product("cartesian", generate("cycle", 5), generate("cycle", 7)), "75b833a0ec31180f"),
+])
+def test_edge_hash_digests_are_stable(G, digest):
+    # records name graphs by these digests; they must not move
+    assert graphs.edge_hash(G) == digest
+
+
+@given(small_graph(min_n=0, max_n=9))
+def test_edge_accessors_agree(G):
+    upper = np.argwhere(np.triu(G.adj))
+    expected = [(int(u), int(v)) for u, v in upper]
+    assert G.edges() == expected and G.edge_count == len(expected)
+    u, v = G.edge_index
+    assert not u.flags.writeable and not v.flags.writeable
+    text = write_edge_list(G)
+    assert text == "\n".join([f"{G.n} {len(expected)}"]
+                             + [f"{a} {b}" for a, b in expected]) + "\n"
+    assert np.array_equal(parse_edge_list(text).adj, G.adj)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 0)], "self-loop at vertex 0"),
+    ([(0, 1), (2, 7), (1, 1)], r"out of range: \(2, 7\)"),
+    ([(0, 1), (-1, 2)], r"out of range: \(-1, 2\)"),
+    ([(1, 10**30)], r"out of range: \(1, 10{30}\)"),
+    ([(0, 1.5)], "must be integers"),
+    ([(True, False)], "must be integers"),
+])
+def test_graph_from_edges_reports_the_first_bad_edge(edges, message):
+    with pytest.raises(ValidationError, match=message):
+        graph_from_edges(3, edges)

@@ -209,15 +209,15 @@ def _spectral_graphs():
 @pytest.fixture
 def perturbed_witness(monkeypatch):
     """Raise the scaled projector's entry on the edge (0, 1) by 1e-6."""
-    hoffman = params._hoffman_witness
+    hoffman = params._hoffman_pair
 
-    def perturbed(spec, n, degree):
-        M = hoffman(spec, n, degree)
+    def perturbed(G, degree):
+        tau, P, M = hoffman(G, degree)
         M[0, 1] += 1e-6
         M[1, 0] += 1e-6
-        return M
+        return tau, P, M
 
-    monkeypatch.setattr(params, "_hoffman_witness", perturbed)
+    monkeypatch.setattr(params, "_hoffman_pair", perturbed)
 
 
 @pytest.mark.parametrize("param, builder, nonneg", PARAMS)
@@ -563,10 +563,30 @@ def test_spectral_vector_chromatic_refuses_a_failed_witness(perturbed_witness):
 
 
 def test_spectral_vector_chromatic_preconditions():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="regular"):
         spectral_vector_chromatic(graphs.generate("path", 3))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="edge"):
         spectral_vector_chromatic(graphs.generate("empty", 4))
+    # regular, but 1 - k/tau is not its value (theta-bar is 5)
+    C5 = graphs.generate("cycle", 5)
+    with pytest.raises(DomainError):
+        spectral_vector_chromatic(graphs.product("strong", C5, C5))
+
+
+def test_spectral_vector_chromatic_certifies_without_one_homogeneity(monkeypatch):
+    monkeypatch.setattr(params, "one_homogeneous_check", None)
+    cases = _spectral_graphs() + [(graphs.generate("omega", 4), 4.0),
+                                  (graphs.generate("omega", 6), 2.0)]
+    for G, value in cases:
+        res = spectral_vector_chromatic(G)
+        degree = int(G.degrees()[0])
+        # the closed form itself, from the same eigendecomposition
+        assert res.value == 1.0 - degree / eig_sym(G.adjacency()).least, G.label
+        assert abs(res.value - value) <= 1e-9, G.label
+        lower = dual_form_bound(G, res.dual_certificate, True)
+        upper = witness_bound(G, res.primal_certificate, True)
+        assert res.gap == max(0.0, upper - lower) <= 1e-12, G.label
+        assert max(upper, res.value) - min(lower, res.value) <= 1e-9 * max(1.0, res.value)
 
 
 def test_spectral_matches_sdp(cfg):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import io
 import itertools
 import json
@@ -357,6 +358,47 @@ def test_certificate_validation_errors(tmp_path):
         certificate_from_json(data)
     with pytest.raises(ParseError):
         certificate_from_json({"d": 1})
+
+
+@pytest.mark.parametrize("entry", [[True, 0.0], [0.0, False], [1, 0], [1.0, 0.0]])
+def test_certificate_entries_must_be_numbers_not_booleans(entry):
+    # JSON true would otherwise read as 1.0 and pass the check
+    data = certificate_to_json(classical_embedding(C4, K2, [0, 1, 0, 1]))
+    data["assignment"][0][0][0][0] = entry
+    if isinstance(entry[0], bool) or isinstance(entry[1], bool):
+        with pytest.raises(ParseError, match="must be numbers"):
+            certificate_from_json(data)
+    else:
+        assert verify_quantum_hom(certificate_from_json(data)).ok
+
+
+def test_certificate_assignment_shapes_and_raggedness():
+    data = certificate_to_json(classical_embedding(C4, K2, [0, 1, 0, 1]))
+    for raw, error in (([], ValidationError), (5, ValidationError),
+                       ([[[[[1.0, 0.0]]]], 3], ParseError),
+                       ([[[[[1.0]]]], [[[[1.0, 0.0]]]]], ParseError),
+                       (np.zeros((5, 2, 1, 1, 2)).tolist(), ValidationError),
+                       ([[[[[10**400, 0.0]]]]], ParseError)):
+        data["assignment"] = raw
+        with pytest.raises(error):
+            certificate_from_json(data)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_load_certificate_restores_the_garbage_collector(tmp_path, collecting):
+    good, bad = tmp_path / "cert.json", tmp_path / "bad.json"
+    save_certificate(good, classical_embedding(C4, K2, [0, 1, 0, 1]))
+    bad.write_text("{ not json")
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        load_certificate(good)
+        assert gc.isenabled() is collecting
+        with pytest.raises(ParseError):
+            load_certificate(bad)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
 
 
 @pytest.mark.parametrize("d", [0, -1])
