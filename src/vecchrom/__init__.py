@@ -29,7 +29,7 @@ from .graphs import (
     union,
     write_edge_list,
 )
-from .linalg import Spectrum, eig_sym
+from .linalg import eig_sym
 from .certificates import dual_form_bound, eigenvalue_bound, witness_bound
 from .sdp import (
     SdpProblem,

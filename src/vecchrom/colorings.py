@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, FeasibilityError, ParseError
-from .graphs import Graph
+from .graphs import Graph, _integer_array
 from .linalg import eig_sym
 
 UNIT_NORM_TOL = 1e-8
@@ -34,8 +34,8 @@ class VectorColoring:
         vectors = np.asarray(self.vectors, dtype=float)
         if vectors.ndim != 2:
             raise DomainError("vectors must form a 2-d array (one row per vertex)")
-        if not self.k > 1.0:
-            raise DomainError(f"target value k must exceed 1, got {self.k}")
+        if not 1.0 < self.k < np.inf:
+            raise DomainError(f"target value k must be finite and exceed 1, got {self.k}")
         if not np.isfinite(vectors).all():
             raise DomainError("vector entries must be finite")
         if vectors.shape[0]:
@@ -62,13 +62,13 @@ class VectorColoring:
 
 @dataclass(frozen=True, eq=False)
 class ClassicalColoring:
-    """Vertex colors in 0..m-1."""
+    """Vertex colors: integers in 0..m-1."""
 
     colors: np.ndarray
     m: int
 
     def __post_init__(self):
-        colors = np.asarray(self.colors, dtype=int)
+        colors = _integer_array(self.colors, "colors")
         if self.m <= 0:
             raise DomainError("number of colors must be positive")
         if colors.size and (colors.min() < 0 or colors.max() >= self.m):
@@ -120,6 +120,8 @@ def extract_coloring(M, lam: float, tol: float = 1e-6, *, strict: bool = True) -
     graph whose primal program M solved.
     """
     M = np.asarray(M, dtype=float)
+    if not M.size:
+        raise DomainError("cannot extract a coloring from an empty matrix")
     if lam <= 1.0 + tol:
         raise DomainError(f"degenerate target value lam = {lam}")
     diag = np.diag(M)
@@ -128,14 +130,16 @@ def extract_coloring(M, lam: float, tol: float = 1e-6, *, strict: bool = True) -
         raise FeasibilityError(
             f"diagonal must equal lam - 1 = {lam - 1.0:.6f}; worst deviation {dev:.3e}"
         )
-    spec = eig_sym(M)
-    if spec.least < -tol * max(1.0, spec.greatest):
-        raise FeasibilityError(f"matrix is not PSD within tolerance: {spec.least:.3e}")
-    keep = spec.eigenvalues > tol * spec.greatest
+    vals, vecs = eig_sym(M)
+    vals, vecs = vals[::-1], vecs[:, ::-1]  # coordinates by descending eigenvalue
+    least, greatest = float(vals[-1]), float(vals[0])
+    if least < -tol * max(1.0, greatest):
+        raise FeasibilityError(f"matrix is not PSD within tolerance: {least:.3e}")
+    keep = vals > tol * greatest
     if not keep.any():
         raise FeasibilityError("matrix has no significant eigenvalues")
-    vals = spec.eigenvalues[keep]
-    vectors = spec.eigenvectors[:, keep] * np.sqrt(vals)
+    vals = vals[keep]
+    vectors = vecs[:, keep] * np.sqrt(vals)
     vectors /= np.sqrt(lam - 1.0)
     # SDP noise leaves norms off by about the solver tolerance
     vectors /= np.linalg.norm(vectors, axis=1)[:, None]

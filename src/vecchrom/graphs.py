@@ -270,12 +270,26 @@ def is_bipartite(G: Graph):
     return True, colors
 
 
+def _integer_array(values, what: str) -> np.ndarray:
+    """values as an int array; integer-valued floats pass, and any other
+    entry, or one of magnitude 2**63 or more (NaN and inf included),
+    raises :class:`DomainError`."""
+    values = np.asarray(values)
+    if values.dtype.kind in "biu":
+        return values.astype(int)
+    floats = values.astype(float)
+    if not ((np.abs(floats) < 2.0 ** 63) & (floats == np.trunc(floats))).all():
+        raise DomainError(f"{what} must be finite integers")
+    return floats.astype(int)
+
+
 def is_homomorphism(G: Graph, H: Graph, f) -> tuple[bool, tuple | None]:
-    """Check that f maps every edge of G to an edge of H.
+    """Check that f maps every edge of G to an edge of H; f's entries
+    must be integers (:class:`DomainError`).
 
     Returns (True, None) or (False, witness_edge).
     """
-    f = np.asarray(f, dtype=int)
+    f = _integer_array(f, "map entries")
     if f.shape != (G.n,):
         raise DimensionError("map must assign one target vertex per source vertex")
     if G.n and ((f < 0).any() or (f >= H.n).any()):

@@ -53,6 +53,10 @@ CHROMATIC_CAP_DEFAULT = 30
 #: Widest interval, relative to max(1, value), around the closed form
 #: 1 - k/tau that :func:`spectral_vector_chromatic` accepts as certified.
 SPECTRAL_WIDTH = 1e-9
+#: Adjacency eigenvalues closer than this times 1 + (the spread of the
+#: spectrum) to their neighbour share the least eigenspace of
+#: :func:`_hoffman_pair`.
+EIGENSPACE_TOL = 1e-6
 # interpreter frames left to the callers of the recursive chromatic searches
 _CALLER_FRAMES = 200
 
@@ -136,10 +140,16 @@ def _hoffman_pair(G: Graph, degree: int) -> tuple[float, np.ndarray, np.ndarray]
     eigenspace, PSD with diagonal ``-k / tau`` when E_tau has a constant
     diagonal."""
     A = G.adjacency()
-    spec = eig_sym(A)
-    P = (np.eye(G.n) - A / spec.least) / G.n
-    E_tau, rank = spec.least_eigenspace()
-    return spec.least, P, -(G.n * degree) / (rank * spec.least) * E_tau
+    vals, vecs = eig_sym(A)
+    tau = float(vals[0])
+    gap = EIGENSPACE_TOL * (1.0 + float(vals[-1] - vals[0]))
+    splits = np.flatnonzero(vals[1:] - vals[:-1] > gap)
+    rank = int(splits[0]) + 1 if splits.size else G.n
+    block = vecs[:, rank - 1::-1]  # descending columns: this order fixes E_tau's rounding
+    E_tau = block @ block.T
+    E_tau = (E_tau + E_tau.T) / 2.0
+    P = (np.eye(G.n) - A / tau) / G.n
+    return tau, P, -(G.n * degree) / (rank * tau) * E_tau
 
 
 def _spectral_pin(G: Graph, nonneg: bool, want_primal: bool, gap_tol: float) -> ParamResult | None:
@@ -204,7 +214,7 @@ def spectral_lower_bound(G: Graph) -> float:
     e = G.edge_count
     if e == 0:
         raise DomainError("spectral lower bound needs at least one edge")
-    tau = eig_sym(G.adjacency()).least
+    tau = float(eig_sym(G.adjacency())[0][0])
     return 1.0 - (2.0 * e / G.n) / tau
 
 

@@ -131,9 +131,10 @@ def verify_quantum_hom(q: QuantumHomomorphism, tol: float = ADJ_TOL) -> QuantumH
 
     The adjacency products run in a loop over the target's non-adjacent
     pairs (v, w), v = w included, each batched over the source edges in
-    both orders, in blocks of at most ``GATHER_ENTRIES`` entries.  A tuple failure is the witness when there is one;
-    otherwise the first failing edge in ``Graph.edges()`` order and,
-    within it, the first pair in row-major order.
+    both orders, in blocks of at most ``GATHER_ENTRIES`` entries.  A
+    tuple failure is the witness when there is one; otherwise the first
+    failing edge in ``Graph.edges()`` order and, within it, the first
+    pair in row-major order.
     """
     A = q.assignment
     witness = _nonfinite_witness(A)

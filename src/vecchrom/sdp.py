@@ -71,7 +71,6 @@ EARLY_CHECKS_UNTIL = 50  # ... this iteration,
 CHECK_EVERY = 25  # and after it (a check also runs at max_iter)
 
 
-
 def _is_check(it: int) -> bool:
     """Whether the schedule checks convergence after iteration ``it``."""
     return it % (EARLY_CHECK_EVERY if it <= EARLY_CHECKS_UNTIL else CHECK_EVERY) == 0

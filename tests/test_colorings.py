@@ -219,6 +219,13 @@ def test_extract_rejects_bad_inputs():
     assert "PSD" in str(err.value)
 
 
+def test_extract_refuses_an_empty_matrix():
+    # refused before the diagonal check reduces over no entries
+    for empty in (np.zeros((0, 0)), []):
+        with pytest.raises(DomainError, match="empty"):
+            extract_coloring(empty, 2.0)
+
+
 # --- lifting and tensoring ------------------------------------------------------
 # identities builds the Sabidussi upper certificate as a Gram matrix: both
 # factor witnesses Z = M + J lifted to the larger value t, then tensored.
@@ -377,6 +384,18 @@ def test_modular_reproduces_cartesian_chromatic():
         assert m == max(chromatic_number(G), chromatic_number(H))
 
 
+@pytest.mark.parametrize("colors", [[0.5, 1.7], [0, np.nan], [np.inf, 0], [0, None]])
+def test_classical_coloring_refuses_non_integral_colors(colors):
+    # never truncated: [0.5, 1.7] is not the coloring [0, 1]
+    with pytest.raises(DomainError, match="integers"):
+        ClassicalColoring(colors, 2)
+
+
+def test_classical_coloring_takes_integer_valued_floats():
+    c = ClassicalColoring([1.0, 0.0, 1.0], 2)
+    assert c.colors.tolist() == [1, 0, 1] and c.colors.dtype.kind == "i"
+
+
 def test_modular_mismatch():
     with pytest.raises(DomainError):
         modular_coloring(
@@ -424,6 +443,16 @@ def test_coloring_from_json_malformed_is_a_parse_error(mutate):
         coloring_from_json(data)
     with pytest.raises(ParseError):
         coloring_from_json([1, 2])
+
+
+def test_coloring_from_json_refuses_a_non_finite_k():
+    # k = inf would make the edge target -0.0, which any obtuse vectors meet
+    text = json.dumps(coloring_to_json(simplex_coloring(3)))
+    for k in ("1e400", "-1e400", "NaN", "Infinity"):
+        data = json.loads(text.replace('"k": 3.0', f'"k": {k}'))
+        assert not np.isfinite(data["k"])  # json reads 1e400 as inf
+        with pytest.raises(DomainError, match="finite"):
+            coloring_from_json(data)
 
 
 def test_coloring_from_json_takes_integer_k_and_keeps_strict_false():

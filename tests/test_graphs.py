@@ -252,6 +252,16 @@ def test_is_homomorphism():
     assert C4.adj[u, v] and not K2.adj[f[u], f[v]]
 
 
+@pytest.mark.parametrize("bad", [1.5, 0.999, np.nan, np.inf, None, 1e300])
+def test_is_homomorphism_refuses_non_integral_maps(bad):
+    C3, K3 = generate("cycle", 3), generate("complete", 3)
+    # truncated, 1.5 would give the homomorphism [0, 1, 2]
+    with pytest.raises(DomainError, match="integers"):
+        is_homomorphism(C3, K3, [0, bad, 2])
+    # integer-valued floats are integers
+    assert is_homomorphism(C3, K3, [0.0, 1.0, 2.0]) == (True, None)
+
+
 # --- construction validation ------------------------------------------------
 
 def test_graph_validation():

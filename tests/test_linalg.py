@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from vecchrom import graphs
+from vecchrom import graphs, params
 from vecchrom.colorings import extract_coloring
 from vecchrom.errors import ConvergenceError, DomainError, FeasibilityError
-from vecchrom.linalg import eig_sym, symmetrize
+from vecchrom.linalg import eig_sym
 from vecchrom.sdp import _clip_psd
 
 
@@ -17,67 +17,79 @@ def _random_sym(seed, n):
 # --- eigensolver ------------------------------------------------------------
 
 def test_eig_identity():
-    spec = eig_sym(np.eye(3))
-    assert np.allclose(spec.eigenvalues, [1, 1, 1])
-    P, rank = spec.least_eigenspace()
-    assert rank == 3
-    assert np.allclose(P, np.eye(3), atol=1e-12)
+    vals, vecs = eig_sym(np.eye(3))
+    assert np.allclose(vals, [1, 1, 1])
+    assert np.abs(vecs.T @ vecs - np.eye(3)).max() <= 1e-12
+
+
+def test_eig_empty():
+    vals, vecs = eig_sym(np.zeros((0, 0)))
+    assert vals.shape == (0,) and vecs.shape == (0, 0)
 
 
 def test_eig_c5_circulant_oracle():
     # eigenvalues of the 5-cycle are 2 cos(2 pi j / 5)
-    expected = sorted((2 * np.cos(2 * np.pi * j / 5) for j in range(5)), reverse=True)
-    spec = eig_sym(graphs.generate("cycle", 5).adjacency())
-    assert np.allclose(spec.eigenvalues, expected, atol=1e-8)
-    assert spec.least_eigenspace()[1] == 2
+    expected = sorted(2 * np.cos(2 * np.pi * j / 5) for j in range(5))
+    vals, _ = eig_sym(graphs.generate("cycle", 5).adjacency())
+    assert np.allclose(vals, expected, atol=1e-8)
 
 
 def test_eig_petersen():
     A = graphs.generate("petersen").adjacency()
-    spec = eig_sym(A)
-    expected = [3.0] + [1.0] * 5 + [-2.0] * 4
-    assert np.allclose(spec.eigenvalues, expected, atol=1e-8)
+    vals, vecs = eig_sym(A)
+    assert np.allclose(vals, [-2.0] * 4 + [1.0] * 5 + [3.0], atol=1e-8)
     # direct verification of the eigenpairs
     for idx in range(10):
-        v = spec.eigenvectors[:, idx]
-        assert np.abs(A @ v - spec.eigenvalues[idx] * v).max() <= 1e-8
-    # the least eigenspace is the last four columns, -2 with multiplicity 4
-    P, rank = spec.least_eigenspace()
-    V = spec.eigenvectors[:, 6:]
-    assert rank == 4
-    assert np.array_equal(P, (V @ V.T + (V @ V.T).T) / 2.0)
+        v = vecs[:, idx]
+        assert np.abs(A @ v - vals[idx] * v).max() <= 1e-8
 
 
 @pytest.mark.parametrize("seed,n", [(0, 4), (1, 8), (2, 13), (3, 20)])
 def test_spectrum_invariants(seed, n):
     M = _random_sym(seed, n)
-    spec = eig_sym(M)
-    V, w = spec.eigenvectors, spec.eigenvalues
+    w, V = eig_sym(M)
     scale = 1.0 + np.abs(M).max()
+    assert (np.diff(w) >= 0).all()
     assert np.abs(M @ V - V * w).max() <= 1e-8 * scale
     assert np.abs(V.T @ V - np.eye(n)).max() <= 1e-8
-    # a random matrix has simple eigenvalues: the least eigenspace is the
-    # last eigenvector's line, and its projector is idempotent and fixed by M
-    P, rank = spec.least_eigenspace()
-    assert rank == 1
+    # a random matrix has simple eigenvalues: the projector onto the first
+    # eigenvector's line is idempotent and fixed by M
+    P = np.outer(V[:, 0], V[:, 0])
     assert np.abs(P @ P - P).max() <= 1e-8
-    assert np.abs(M @ P - spec.least * P).max() <= 1e-8 * scale
-    assert np.abs(P - np.outer(V[:, -1], V[:, -1])).max() <= 1e-12
+    assert np.abs(M @ P - w[0] * P).max() <= 1e-8 * scale
 
 
 def test_eig_matches_lapack():
     for seed in range(5):
         M = _random_sym(seed + 10, 12)
-        ours = eig_sym(M).eigenvalues
-        ref = np.linalg.eigvalsh(M)[::-1]
-        assert np.abs(ours - ref).max() <= 1e-10 * (1 + np.abs(ref).max())
+        vals, vecs = eig_sym(M)
+        ref_vals, ref_vecs = np.linalg.eigh(M)
+        # (M + M^T)/2 is M itself, so the pair is LAPACK's, bit for bit
+        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+        assert np.abs(vals - np.linalg.eigvalsh(M)).max() <= 1e-10 * (1 + np.abs(vals).max())
+
+
+def test_eig_symmetrizes_within_tolerance():
+    M = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
+    vals, vecs = eig_sym(M)
+    ref_vals, ref_vecs = np.linalg.eigh((M + M.T) / 2.0)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+    with pytest.raises(DomainError, match="asymmetry"):
+        eig_sym(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+@pytest.mark.parametrize("M", [np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))])
+def test_eig_rejects_non_square(M):
+    with pytest.raises(DomainError, match="square"):
+        eig_sym(M)
 
 
 def test_eig_rejects_nonfinite_and_asymmetric():
     with pytest.raises(DomainError):
         eig_sym(np.array([[0.0, 1.0], [0.5, 0.0]]))
-    with pytest.raises(DomainError):
-        eig_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            eig_sym(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_eig_lapack_failure_is_a_convergence_error(monkeypatch):
@@ -90,12 +102,45 @@ def test_eig_lapack_failure_is_a_convergence_error(monkeypatch):
     assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
-def test_eig_grouping_tolerance():
-    M = np.diag([1.0, 1.0 + 1e-9, 5.0])
-    P, rank = eig_sym(M, tol=1e-6).least_eigenspace()
-    assert rank == 2
-    assert np.allclose(P, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
-    assert eig_sym(M, tol=1e-12).least_eigenspace()[1] == 1
+# --- the least eigenspace of params._hoffman_pair -----------------------------
+# The scaled projector M = -(n k / (rank tau)) E_tau: its rank is the
+# multiplicity of tau, with eigenvalues within EIGENSPACE_TOL (1 + spread)
+# of their neighbour grouped.
+
+@pytest.mark.parametrize("G, rank", [(graphs.generate("cycle", 5), 2),
+                                     (graphs.generate("petersen"), 4)], ids=["C5", "petersen"])
+def test_hoffman_pair_least_eigenspace(G, rank):
+    A, k = G.adjacency(), int(G.degrees()[0])
+    tau, P, M = params._hoffman_pair(G, k)
+    assert tau == eig_sym(A)[0][0]
+    assert np.linalg.matrix_rank(M) == rank
+    E = M * (rank * tau) / -(G.n * k)  # the orthogonal projector E_tau
+    assert np.abs(E @ E - E).max() <= 1e-12 and abs(np.trace(E) - rank) <= 1e-12
+    assert np.abs(A @ E - tau * E).max() <= 1e-12
+    assert np.array_equal(P, (np.eye(G.n) - A / tau) / G.n)
+
+
+def test_hoffman_pair_projector_sums_in_descending_order():
+    # the block's columns run from the last eigenvector of the least
+    # eigenspace to the first, the order every stored certificate has
+    G = graphs.generate("petersen")
+    _, vecs = eig_sym(G.adjacency())
+    tau, _, M = params._hoffman_pair(G, 3)
+    V = vecs[:, 3::-1]
+    assert np.array_equal(M, -(10 * 3) / (4 * tau) * ((V @ V.T + (V @ V.T).T) / 2.0))
+
+
+@pytest.mark.parametrize("factor, rank", [(0.5, 2), (2.0, 1)])
+def test_hoffman_pair_grouping_at_the_tolerance(monkeypatch, factor, rank):
+    # spectrum -2, -2 + delta, 3 (spread 5): delta below EIGENSPACE_TOL
+    # (1e-6) times 6 shares the least eigenspace, above it does not
+    delta = factor * 6e-6
+    vals = np.array([-2.0, -2.0 + delta, 3.0])
+    monkeypatch.setattr(params, "eig_sym", lambda A: (vals, np.eye(3)))
+    tau, _, M = params._hoffman_pair(graphs.generate("complete", 3), 2)
+    E = np.diag([1.0] * rank + [0.0] * (3 - rank))
+    assert tau == -2.0
+    assert np.array_equal(M, -(3 * 2) / (rank * tau) * E)
 
 
 # --- gram factorization -----------------------------------------------------
@@ -164,13 +209,3 @@ def test_project_psd_is_nearest():
         B = rng.standard_normal((5, 5)) * rng.uniform(0.1, 2.0)
         Q = B @ B.T
         assert np.linalg.norm(Q - M) >= base - 1e-9
-
-
-# --- helpers ----------------------------------------------------------------
-
-def test_symmetrize_tolerance():
-    M = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
-    out = symmetrize(M)
-    assert np.array_equal(out, out.T)
-    with pytest.raises(DomainError):
-        symmetrize(np.array([[0.0, 1.0], [2.0, 0.0]]))

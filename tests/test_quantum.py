@@ -242,6 +242,23 @@ def test_compose_classical_identity_and_indicators():
     assert np.allclose(composed.assignment, direct.assignment)
 
 
+def test_classical_embedding_refuses_non_integral_maps():
+    with pytest.raises(DomainError, match="integers"):
+        classical_embedding(C5, K3, [0, 1, 0, 1.5, 2])
+    with pytest.raises(DomainError, match="integers"):
+        classical_embedding(K2, K3, [0, np.nan])
+    q = classical_embedding(C5, K3, COL5.astype(float))
+    assert np.array_equal(q.assignment, classical_embedding(C5, K3, COL5).assignment)
+
+
+def test_compose_classical_refuses_non_integral_maps():
+    q = classical_embedding(C5, K3, COL5)
+    # truncated, [0, 1.5, 2] would pass as K3's identity [0, 1, 2]
+    for bad in ([0, 1.5, 2], [0, np.inf, 2]):
+        with pytest.raises(DomainError, match="integers"):
+            compose_classical(q, K3, bad)
+
+
 def test_compose_classical_rejects_non_homomorphism():
     q = classical_embedding(generate("complete", 4), generate("complete", 4), [0, 1, 2, 3])
     with pytest.raises(DomainError):
