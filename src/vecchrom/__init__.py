@@ -43,9 +43,9 @@ from .params import (
     OneHomReport,
     ParamResult,
     chi_vec,
+    chromatic_coloring,
     chromatic_number,
     one_homogeneous_check,
-    proper_coloring,
     spectral_lower_bound,
     spectral_vector_chromatic,
     theta_bar,

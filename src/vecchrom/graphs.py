@@ -294,9 +294,11 @@ def is_homomorphism(G: Graph, H: Graph, f) -> tuple[bool, tuple | None]:
         raise DimensionError("map must assign one target vertex per source vertex")
     if G.n and ((f < 0).any() or (f >= H.n).any()):
         raise DomainError("map image outside target vertex set")
-    for u, v in G.edges():
-        if not H.adj[f[u], f[v]]:
-            return False, (u, v)
+    e0, e1 = G.edge_index
+    failing = np.flatnonzero(~H.adj[f[e0], f[e1]])
+    if failing.size:
+        i = failing[0]  # the first in edges() order
+        return False, (int(e0[i]), int(e1[i]))
     return True, None
 
 

@@ -35,8 +35,8 @@ its ``residual`` the larger distance of an endpoint from ``rhs``.
 The chromatic number of a Cartesian product is checked the same way,
 with no search on the product: each factor is a subgraph of it (lower
 bound m, the larger factor value), and the modular coloring ``(a + b)
-mod m`` of the factors' m-colorings, checked edge by edge as a
-homomorphism to ``K_m``, bounds it by m from above.
+mod m`` of the factors' minimum colorings, one search each, checked edge
+by edge as a homomorphism to ``K_m``, bounds it by m from above.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from .params import (
     CHROMATIC_CAP_DEFAULT,
     ParamResult,
     chi_vec,
+    chromatic_coloring,
     chromatic_number,
-    proper_coloring,
     spectral_lower_bound,
     theta_bar,
 )
@@ -169,8 +169,6 @@ def _lookup(G: Graph, which: str, cfg, cache, chromatic_cap: int) -> ParamResult
 def _factor(G: Graph, which: str, cfg, cache, chromatic_cap: int):
     """(value, P, Z) of one factor, with Z = M + J."""
     res = _lookup(G, which, cfg, cache, chromatic_cap)
-    if res.method == "convention":
-        return res.value, _corner(G.n), np.ones((G.n, G.n))
     return res.value, res.dual_certificate, res.primal_certificate + 1.0
 
 
@@ -251,11 +249,12 @@ def sabidussi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
             ("fiber", dual_form_bound(F, fiber, nonneg)),
             ("lifted tensor", witness_bound(F, _cartesian_witness(Zg, Zh), nonneg)),
         ))
-    cg = chromatic_number(G, cap=chromatic_cap)
-    ch = chromatic_number(H, cap=chromatic_cap)
+    # a chi-coloring of each factor is also an m-coloring
+    colors_g = chromatic_coloring(G, cap=chromatic_cap)
+    colors_h = chromatic_coloring(H, cap=chromatic_cap)
+    cg, ch = int(colors_g.max()) + 1, int(colors_h.max()) + 1
     m = max(cg, ch)
-    modular = modular_coloring(ClassicalColoring(proper_coloring(G, m, cap=chromatic_cap), m),
-                               ClassicalColoring(proper_coloring(H, m, cap=chromatic_cap), m))
+    modular = modular_coloring(ClassicalColoring(colors_g, m), ClassicalColoring(colors_h, m))
     proper, _ = is_homomorphism(F, generate("complete", m), modular.colors)
     checks.append(_interval_check(
         "chi(G[]H) = max", F, m, 0.0, [cg, ch],

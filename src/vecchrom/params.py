@@ -7,7 +7,8 @@ solve produced with its dual bound: the Gram matrix from which a vector
 coloring is extracted.
 
 Edgeless graphs with at least one vertex take the conventional value 1
-for both parameters, with no SDP run; the SDP builder refuses the graph
+for both parameters, with no SDP run, certified by ``e_0 e_0^T`` from
+below and the zero witness from above; the SDP builder refuses the graph
 with no vertex (:class:`DomainError`).
 
 Before any solve, both parameters are pinned on graphs within the
@@ -69,7 +70,8 @@ class ParamResult:
     k-coloring: value k), "spectral" (the closed form 1 - k/tau of a
     k-regular graph, certified by Hoffman's two certificates: a spectral
     pin, or :func:`spectral_vector_chromatic`, which runs no
-    1-homogeneity test) or "convention" (edgeless value 1, bipartite
+    1-homogeneity test) or "convention" (edgeless value 1, with the dual
+    certificate ``e_0 e_0^T`` and the primal certificate 0; bipartite
     value 2).  When an SDP ran, ``gap`` is its duality gap, ``residuals``
     mirrors its (affine, cone, entrywise) report and ``iterations`` its
     iteration count (0 when no SDP ran); ``primal_certificate`` is PSD
@@ -113,11 +115,11 @@ def _pin(G: Graph, nonneg: bool, want_primal: bool, cap: int) -> ParamResult | N
     above the cap or the search depth, without such a coloring, or when
     a checker refuses a certificate."""
     try:
-        masks, clique = _search_setup(G, cap)
+        neighbours, clique = _search_setup(G, cap)
     except CapacityError:
         return None
     k = len(clique)
-    colors = _search_coloring(masks, G.n, k, clique)
+    colors = _search_coloring(neighbours, k, clique)
     if colors is None:
         return None
     P = np.zeros((G.n, G.n))
@@ -172,7 +174,10 @@ def _spectral_pin(G: Graph, nonneg: bool, want_primal: bool, gap_tol: float) -> 
 
 def _sdp_param(G: Graph, cfg, builder, want_primal: bool, cap: int) -> ParamResult:
     if G.n and G.edge_count == 0:
-        return ParamResult(value=1.0, gap=0.0, method="convention")
+        P = np.zeros((G.n, G.n))
+        P[0, 0] = 1.0
+        return ParamResult(value=1.0, gap=0.0, method="convention", dual_certificate=P,
+                           primal_certificate=np.zeros((G.n, G.n)) if want_primal else None)
     problem = builder(G)
     cfg = cfg or SolverConfig()
     pinned = (_pin(G, problem.nonneg, want_primal, cap)
@@ -387,18 +392,9 @@ def spectral_vector_chromatic(G: Graph) -> ParamResult:
 
 
 # ---------------------------------------------------------------------------
-# Exact chromatic number by branch and bound on bitmask adjacency, from
-# an exact clique lower bound upward.
-
-
-def _neighbor_masks(G: Graph) -> list[int]:
-    masks = []
-    for u in range(G.n):
-        m = 0
-        for v in np.flatnonzero(G.adj[u]):
-            m |= 1 << int(v)
-        masks.append(m)
-    return masks
+# Exact chromatic number by branch and bound from an exact clique lower
+# bound upward.  The coloring search walks neighbour lists; the clique
+# search runs on bitmask adjacency built from them.
 
 
 def _max_clique(masks: list[int], n: int) -> list[int]:
@@ -421,25 +417,16 @@ def _max_clique(masks: list[int], n: int) -> list[int]:
     return best
 
 
-def _bits(m: int) -> list[int]:
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return out
-
-
-def _search_coloring(masks: list[int], n: int, k: int, clique: list[int]):
+def _search_coloring(neighbours: list[list[int]], k: int, clique: list[int]):
     """Backtracking k-colorability with clique seeding and symmetry breaking.
 
     Returns a coloring array or None.
     """
     if len(clique) > k:
         return None
+    n = len(neighbours)
     colors = [-1] * n
     used = [0] * n  # per vertex, the colors of its colored neighbours
-    neighbours = [_bits(m) for m in masks]
     # the choice key (free colors, -degree) as one integer
     tiebreak = [n - 1 - len(nb) for nb in neighbours]
 
@@ -497,7 +484,7 @@ def _search_coloring(masks: list[int], n: int, k: int, clique: list[int]):
 
 
 def _search_setup(G: Graph, cap: int):
-    """Neighbour masks and a maximum clique of a graph within the vertex
+    """Neighbour lists and a maximum clique of a graph within the vertex
     cap and the search depth: the clique and coloring searches recurse
     once per vertex at most, so a graph with more vertices than the
     recursion limit leaves them is refused before either starts."""
@@ -506,29 +493,33 @@ def _search_setup(G: Graph, cap: int):
     depth = sys.getrecursionlimit() - _CALLER_FRAMES
     if G.n > depth:
         raise CapacityError(f"graph order {G.n} exceeds the chromatic search depth {depth}")
-    masks = _neighbor_masks(G)
-    return masks, _max_clique(masks, G.n)
+    neighbours = [np.flatnonzero(row).tolist() for row in G.adj]
+    masks = [sum(1 << v for v in nb) for nb in neighbours]
+    return neighbours, _max_clique(masks, G.n)
 
 
-def proper_coloring(G: Graph, k: int, *, cap: int = CHROMATIC_CAP_DEFAULT):
-    """A proper k-coloring as an array, or None when no such coloring exists."""
-    masks, clique = _search_setup(G, cap)
-    return _search_coloring(masks, G.n, k, clique)
+def chromatic_coloring(G: Graph, limit: int | None = None, *,
+                       cap: int = CHROMATIC_CAP_DEFAULT) -> np.ndarray:
+    """A proper coloring with the fewest colors, exactly 0..chi-1: the
+    first that deterministic backtracking finds, from the clique number
+    of colors up.
 
-
-def chromatic_number(G: Graph, limit: int | None = None, *, cap: int = CHROMATIC_CAP_DEFAULT) -> int:
-    """Exact chromatic number: the least k, from the clique number up, for
-    which deterministic backtracking finds a proper k-coloring.
-
-    Raises :class:`LimitExceededError` before searching any k above
-    ``limit`` and :class:`CapacityError` above the vertex cap or the
-    search depth.
+    Raises :class:`LimitExceededError` before searching any number of
+    colors above ``limit`` and :class:`CapacityError` above the vertex
+    cap or the search depth.
     """
-    masks, clique = _search_setup(G, cap)
+    neighbours, clique = _search_setup(G, cap)
     k = len(clique)
     while True:
         if limit is not None and k > limit:
             raise LimitExceededError(f"chromatic number exceeds limit {limit}", limit=limit)
-        if _search_coloring(masks, G.n, k, clique) is not None:
-            return k
+        colors = _search_coloring(neighbours, k, clique)
+        if colors is not None:
+            return colors
         k += 1
+
+
+def chromatic_number(G: Graph, limit: int | None = None, *, cap: int = CHROMATIC_CAP_DEFAULT) -> int:
+    """Exact chromatic number: the color count of
+    :func:`chromatic_coloring`, whose errors it raises."""
+    return int(chromatic_coloring(G, limit, cap=cap).max(initial=-1)) + 1

@@ -20,7 +20,7 @@ from vecchrom.colorings import (
 )
 from vecchrom.errors import DomainError, FeasibilityError, ParseError
 from vecchrom.identities import _cartesian_witness, _lift
-from vecchrom.params import chi_vec, chromatic_number, proper_coloring, theta_bar
+from vecchrom.params import chi_vec, chromatic_coloring, chromatic_number, theta_bar
 from vecchrom.sdp import SolverConfig
 
 SQRT5 = np.sqrt(5.0)
@@ -217,6 +217,11 @@ def test_extract_rejects_bad_inputs():
     with pytest.raises(FeasibilityError) as err:
         extract_coloring(indefinite, 2.0, tol=1e-6)
     assert "PSD" in str(err.value)
+    # refused before np.diag reads a vector as a diagonal or a 3-d array
+    # escapes as numpy's ValueError
+    for bad in ([1.0, 1.0], np.ones((2, 2, 2)), np.ones((2, 3))):
+        with pytest.raises(DomainError, match="expected a square matrix, got shape"):
+            extract_coloring(bad, 2.0)
 
 
 def test_extract_refuses_an_empty_matrix():
@@ -361,8 +366,8 @@ def test_modular_k2_pair():
 def test_modular_c5_k3():
     G = graphs.generate("cycle", 5)
     H = graphs.generate("complete", 3)
-    gc = ClassicalColoring(proper_coloring(G, 3), 3)
-    hc = ClassicalColoring(proper_coloring(H, 3), 3)
+    gc = ClassicalColoring(chromatic_coloring(G), 3)
+    hc = ClassicalColoring(chromatic_coloring(H), 3)
     combined = modular_coloring(gc, hc)
     P = graphs.product("cartesian", G, H)
     ok, witness = graphs.is_homomorphism(P, graphs.generate("complete", 3), combined.colors)
@@ -373,9 +378,11 @@ def test_modular_reproduces_cartesian_chromatic():
     for seed in range(6):
         G = graphs.erdos_renyi(6, 0.5, seed=seed + 60)
         H = graphs.erdos_renyi(7, 0.5, seed=seed + 70)
-        m = max(chromatic_number(G), chromatic_number(H))
-        gc = ClassicalColoring(proper_coloring(G, m), m)
-        hc = ClassicalColoring(proper_coloring(H, m), m)
+        # a minimum coloring of the factor with fewer colors is also an m-coloring
+        g_colors, h_colors = chromatic_coloring(G), chromatic_coloring(H)
+        m = int(max(g_colors.max(), h_colors.max())) + 1
+        gc = ClassicalColoring(g_colors, m)
+        hc = ClassicalColoring(h_colors, m)
         combined = modular_coloring(gc, hc)
         P = graphs.product("cartesian", G, H)
         ok, _ = graphs.is_homomorphism(P, graphs.generate("complete", m), combined.colors)

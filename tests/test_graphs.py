@@ -252,6 +252,15 @@ def test_is_homomorphism():
     assert C4.adj[u, v] and not K2.adj[f[u], f[v]]
 
 
+def test_is_homomorphism_witness_is_the_first_failing_edge():
+    # (0, 3) and (1, 2) both fail; (0, 3) comes first in edges() order,
+    # (1, 2) first by column
+    G = graph_from_edges(4, [(1, 2), (0, 3), (0, 1)])
+    assert is_homomorphism(G, generate("complete", 2), [0, 1, 1, 0]) == (False, (0, 3))
+    P = generate("path", 5)
+    assert is_homomorphism(P, generate("complete", 2), [0, 1, 1, 0, 0]) == (False, (1, 2))
+
+
 @pytest.mark.parametrize("bad", [1.5, 0.999, np.nan, np.inf, None, 1e300])
 def test_is_homomorphism_refuses_non_integral_maps(bad):
     C3, K3 = generate("cycle", 3), generate("complete", 3)

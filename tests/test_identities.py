@@ -129,7 +129,7 @@ def test_sabidussi_builds_cartesian_once(cfg, param_cache, monkeypatch):
 
 
 def test_sabidussi_computes_each_factor_chromatic_number_once(cfg, param_cache, monkeypatch):
-    calls = {"chromatic_number": [], "proper_coloring": []}
+    calls = {"chromatic_coloring": [], "chromatic_number": []}
     for name, seen in calls.items():
         def counting(F, *args, f=getattr(identities, name), seen=seen, **kwargs):
             seen.append(F.n)
@@ -141,7 +141,8 @@ def test_sabidussi_computes_each_factor_chromatic_number_once(cfg, param_cache, 
         for seen in calls.values():
             seen.clear()
         chi = run_suite("sabidussi", G, H, cfg, cache=param_cache)[-1]
-        assert calls == {"chromatic_number": [G.n, H.n], "proper_coloring": [G.n, H.n]}
+        # one search per factor, whose coloring gives the factor value
+        assert calls == {"chromatic_coloring": [G.n, H.n], "chromatic_number": []}
         factors = [params.chromatic_number(G), params.chromatic_number(H)]
         m = max(factors)
         assert chi.passed and chi.detail["factors"] == factors

@@ -17,9 +17,9 @@ from vecchrom.sdp import SolverConfig, build_chi_vec, build_theta_bar, solve
 from vecchrom.params import (
     CHROMATIC_CAP_DEFAULT,
     chi_vec,
+    chromatic_coloring,
     chromatic_number,
     one_homogeneous_check,
-    proper_coloring,
     spectral_lower_bound,
     spectral_vector_chromatic,
     theta_bar,
@@ -43,6 +43,17 @@ def test_theta_bar_empty_convention():
     for param in (theta_bar, chi_vec):
         with pytest.raises(DomainError, match="order must be positive"):
             param(graphs.generate("empty", 0))
+
+
+@pytest.mark.parametrize("param, nonneg", [(theta_bar, False), (chi_vec, True)])
+def test_convention_carries_its_certificates(param, nonneg):
+    # e_0 e_0^T certifies 1 from below and the zero witness 1 from above
+    G = graphs.generate("empty", 3)
+    res = param(G, want_primal=True)
+    assert res.method == "convention"
+    assert dual_form_bound(G, res.dual_certificate, nonneg) == 1.0
+    assert witness_bound(G, res.primal_certificate, nonneg) == 1.0
+    assert param(G).primal_certificate is None
 
 
 def test_theta_bar_c4_bipartite(theta):
@@ -152,8 +163,8 @@ def test_graphs_above_the_cap_solve(param, builder, nonneg, solve_calls, no_spec
 @pytest.mark.parametrize("param, builder, nonneg", PARAMS)
 def test_refused_pin_certificate_falls_through(param, builder, nonneg, solve_calls, monkeypatch,
                                                no_spectral_pin):
-    def one_color(masks, n, k, clique):
-        return np.zeros(n, dtype=int)  # improper: every edge inside one class
+    def one_color(neighbours, k, clique):
+        return np.zeros(len(neighbours), dtype=int)  # improper: every edge inside one class
 
     monkeypatch.setattr(params, "_search_coloring", one_color)
     K4 = graphs.generate("complete", 4)
@@ -634,6 +645,10 @@ def _brute_force_chromatic(G):
 def test_chromatic_number_matches_brute_force(G):
     k = _brute_force_chromatic(G)
     assert chromatic_number(G) == chromatic_number(G, limit=k) == k
+    # the coloring behind it is proper and uses exactly the colors 0..k-1
+    colors = chromatic_coloring(G)
+    assert all(colors[u] != colors[v] for u, v in G.edges())
+    assert sorted(set(colors.tolist())) == list(range(k))
     with pytest.raises(LimitExceededError) as err:
         chromatic_number(G, limit=k - 1)
     assert err.value.limit == k - 1
@@ -655,20 +670,25 @@ def test_chromatic_search_depth_refused_before_search(monkeypatch):
         with pytest.raises(CapacityError, match="search depth"):
             chromatic_number(G, cap=depth + 1)
         with pytest.raises(CapacityError, match="search depth"):
-            proper_coloring(G, 1, cap=depth + 1)
+            chromatic_coloring(G, cap=depth + 1)
 
 
-def test_proper_coloring_search():
+def _search(G, k):
+    neighbours, clique = params._search_setup(G, CHROMATIC_CAP_DEFAULT)
+    return params._search_coloring(neighbours, k, clique)
+
+
+def test_search_coloring_decides_k_colorability():
     G = graphs.generate("petersen")
-    col = proper_coloring(G, 3)
+    col = _search(G, 3)
     assert col is not None
     assert all(col[u] != col[v] for u, v in G.edges())
-    assert proper_coloring(G, 2) is None
+    assert _search(G, 2) is None
     # the clique decides the degenerate cases
     K0 = graphs.generate("empty", 0)
-    assert np.array_equal(proper_coloring(K0, 0), np.zeros(0, dtype=int))
-    assert proper_coloring(K0, -1) is None
-    assert proper_coloring(graphs.generate("empty", 3), 0) is None
+    assert np.array_equal(_search(K0, 0), np.zeros(0, dtype=int))
+    assert _search(K0, -1) is None
+    assert _search(graphs.generate("empty", 3), 0) is None
 
 
 def _rescanning_search_coloring(masks, n, k, clique):
@@ -731,11 +751,11 @@ def test_search_matches_rescanning_search():
     for n in range(31):
         for p in (0.2, 0.5, 0.8):
             G = graphs.erdos_renyi(n, p, rng=rng)
-            masks = params._neighbor_masks(G)
-            clique = params._max_clique(masks, n)
+            neighbours, clique = params._search_setup(G, CHROMATIC_CAP_DEFAULT)
+            masks = [sum(1 << v for v in nb) for nb in neighbours]
             chi = chromatic_number(G)
             for k in range(max(len(clique) - 1, 0), chi + 2):
-                new = params._search_coloring(masks, n, k, clique)
+                new = params._search_coloring(neighbours, k, clique)
                 old = _rescanning_search_coloring(masks, n, k, clique)
                 assert (new is None) == (old is None) == (k < chi), (n, p, k)
                 assert new is None or np.array_equal(new, old), (n, p, k)
