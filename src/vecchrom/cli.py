@@ -25,6 +25,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -106,16 +107,13 @@ def _graph_descriptor(G: Graph) -> dict:
     return {"label": G.label, "n": G.n, "m": G.edge_count, "edge_hash": edge_hash(G)}
 
 
+_CONFIG_KEYS = ("tol", "gap_tol", "max_iter", "cap", "chromatic_cap", "seed", "identity_tol",
+                "qtol")
+
+
 def _config_snapshot(args) -> dict:
-    return {
-        "tol": args.tol,
-        "gap_tol": args.gap_tol,
-        "max_iter": args.max_iter,
-        "cap": args.cap,
-        "chromatic_cap": args.chromatic_cap,
-        "seed": getattr(args, "seed", None),
-        "identity_tol": getattr(args, "identity_tol", None),
-    }
+    """The settings the command parsed, in a fixed order."""
+    return {key: getattr(args, key) for key in _CONFIG_KEYS if hasattr(args, key)}
 
 
 def _base_record(command: str, args, graphs: list[Graph]) -> dict:
@@ -192,12 +190,7 @@ def cmd_param(args) -> tuple[dict, int]:
                 result["lower_bound"] = spectral_lower_bound(G)
         record["result"] = result
     else:  # onehom
-        rep = one_homogeneous_check(G)
-        record["result"] = {
-            "is_one_homogeneous": rep.is_one_homogeneous,
-            "constants": [list(c) for c in rep.constants],
-            "failing_witness": list(rep.failing_witness) if rep.failing_witness else None,
-        }
+        record["result"] = asdict(one_homogeneous_check(G))
     record["status"] = "ok"
     return record, EXIT_OK
 
@@ -208,6 +201,19 @@ def _check_tolerance(flag: str, value: float):
         raise DomainError(f"{flag} must be finite and nonnegative, got {value}")
 
 
+def _verify_pairs(args):
+    """The pairs of a verify run, each built when the one before it has
+    been checked: the seeded G(n, 1/2) pairs in their draw order, or the
+    two named graphs."""
+    if args.random_pairs:
+        rng = np.random.default_rng(args.seed)
+        for i in range(args.random_pairs):
+            yield (erdos_renyi(args.size, 0.5, rng=rng, label=f"gnp_{args.size}_a{i}"),
+                   erdos_renyi(args.size, 0.5, rng=rng, label=f"gnp_{args.size}_b{i}"))
+    else:
+        yield resolve_graph(args.graphs[0]), resolve_graph(args.graphs[1])
+
+
 def cmd_verify(args) -> tuple[dict, int]:
     cfg = _solver_config(args)
     _check_tolerance("--identity-tol", args.identity_tol)
@@ -215,23 +221,15 @@ def cmd_verify(args) -> tuple[dict, int]:
         raise UsageError(f"--random-pairs must be nonnegative, got {args.random_pairs}")
     if args.random_pairs and args.graphs:
         raise UsageError("verify takes two graphs or --random-pairs N, not both")
-    if args.random_pairs:
-        rng = np.random.default_rng(args.seed)
-        pairs = [
-            (erdos_renyi(args.size, 0.5, rng=rng, label=f"gnp_{args.size}_a{i}"),
-             erdos_renyi(args.size, 0.5, rng=rng, label=f"gnp_{args.size}_b{i}"))
-            for i in range(args.random_pairs)
-        ]
-    else:
-        if len(args.graphs) != 2:
-            raise UsageError("verify needs two graphs, or --random-pairs N")
-        pairs = [(resolve_graph(args.graphs[0]), resolve_graph(args.graphs[1]))]
-    record = _base_record("verify", args, [g for p in pairs for g in p])
+    if not args.random_pairs and len(args.graphs) != 2:
+        raise UsageError("verify needs two graphs, or --random-pairs N")
+    record = _base_record("verify", args, [])
     record["suite"] = args.suite
     cache = ParamCache()
     runs = []
     all_passed = True
-    for G, H in pairs:
+    for G, H in _verify_pairs(args):
+        record["graphs"] += [_graph_descriptor(G), _graph_descriptor(H)]
         checks = run_suite(args.suite, G, H, cfg, args.identity_tol, cache,
                            sdp_cap=args.cap, chromatic_cap=args.chromatic_cap)
         all_passed &= all(c.passed for c in checks)
@@ -256,15 +254,7 @@ def cmd_qverify(args) -> tuple[dict, int]:
         "d": q.d,
         "n_colors": q.target.n,
     }
-    record["report"] = {
-        "ok": rep.ok,
-        "hermitian": rep.hermitian,
-        "idempotent": rep.idempotent,
-        "sum_to_identity": rep.sum_to_identity,
-        "orthogonality": rep.orthogonality,
-        "adjacency": rep.adjacency,
-        "witness": rep.witness,
-    }
+    record["report"] = asdict(rep)
     record["status"] = "ok" if rep.ok else "failed"
     return record, EXIT_OK if rep.ok else EXIT_VALIDATION
 
@@ -303,31 +293,31 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="vecchrom", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"vecchrom {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-7, help="solver residual tolerance")
-    common.add_argument("--gap-tol", dest="gap_tol", type=float, default=1e-5,
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write the JSON record to this file")
+    solver = argparse.ArgumentParser(add_help=False, parents=[out])
+    solver.add_argument("--tol", type=float, default=1e-7, help="solver residual tolerance")
+    solver.add_argument("--gap-tol", dest="gap_tol", type=float, default=1e-5,
                         help="solver duality-gap tolerance")
-    common.add_argument("--max-iter", dest="max_iter", type=int, default=50000)
-    common.add_argument("--cap", type=int, default=SDP_CAP_DEFAULT,
+    solver.add_argument("--max-iter", dest="max_iter", type=int, default=50000)
+    solver.add_argument("--cap", type=int, default=SDP_CAP_DEFAULT,
                         help="vertex cap for SDP solves and certificate matrices")
-    common.add_argument("--chromatic-cap", dest="chromatic_cap", type=int,
+    solver.add_argument("--chromatic-cap", dest="chromatic_cap", type=int,
                         default=CHROMATIC_CAP_DEFAULT,
                         help="vertex cap for exact chromatic numbers")
-    common.add_argument("--out", default=None, help="write the JSON record to this file")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized pair generation in suites")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("param", parents=[common], help="one parameter of one graph")
+    p = sub.add_parser("param", parents=[solver], help="one parameter of one graph")
     p.add_argument("graph")
     p.add_argument("--which", required=True,
                    choices=["theta-bar", "chi-vec", "chromatic", "spectral", "onehom"])
     p.add_argument("--limit", type=int, default=None, help="color limit for chromatic")
     p.set_defaults(func=cmd_param)
 
-    p = sub.add_parser("verify", parents=[common], help="identity suite on a pair")
+    p = sub.add_parser("verify", parents=[solver], help="identity suite on a pair")
     p.add_argument("graphs", nargs="*", help="two graph specs")
+    p.add_argument("--seed", type=int, default=0, help="seed for --random-pairs")
     p.add_argument("--suite", required=True, choices=list(SUITES))
     p.add_argument("--identity-tol", dest="identity_tol", type=float,
                    default=IDENTITY_TOL_DEFAULT)
@@ -336,13 +326,13 @@ def build_parser() -> _Parser:
     p.add_argument("--size", type=int, default=6, help="vertex count for random pairs")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("qverify", parents=[common], help="check a certificate file")
+    p = sub.add_parser("qverify", parents=[out], help="check a certificate file")
     p.add_argument("certificate")
     p.add_argument("--qtol", type=float, default=1e-7,
                    help="adjacency tolerance (structural checks run at a tenth)")
     p.set_defaults(func=cmd_qverify)
 
-    p = sub.add_parser("report", parents=[common], help="full record for one graph")
+    p = sub.add_parser("report", parents=[solver], help="full record for one graph")
     p.add_argument("graph")
     p.set_defaults(func=cmd_report)
     return parser

@@ -41,7 +41,7 @@ by edge as a homomorphism to ``K_m``, bounds it by m from above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -80,16 +80,11 @@ class IdentityCheck:
     detail: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "comparison": self.comparison,
-            **({"detail": self.detail} if self.detail else {}),
-        }
+        """The record of the check; an empty ``detail`` is left out."""
+        out = asdict(self)
+        if not self.detail:
+            del out["detail"]
+        return out
 
 
 class ParamCache(dict):

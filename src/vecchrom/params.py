@@ -20,8 +20,9 @@ order, is tried next against the closed form 1 - k/tau of its degree k
 and least adjacency eigenvalue tau, which holds on every edge-transitive
 graph (Lovasz 1979): Hoffman's dual-form matrix (I - A/tau)/n certifies
 it from below and the scaled projector onto the least eigenspace from
-above.  Any other graph, or one whose certificates a checker refuses or
-leave an interval wider than the solver's gap tolerance, is solved.
+above.  Both pins are certificate pairs checked by one rule: the first
+pair that passes both checkers with an interval at most the solver's
+gap tolerance wide fixes the value.  Any other graph is solved.
 """
 
 from __future__ import annotations
@@ -71,19 +72,20 @@ class ParamResult:
     k-regular graph, certified by Hoffman's two certificates: a spectral
     pin, or :func:`spectral_vector_chromatic`, which runs no
     1-homogeneity test) or "convention" (edgeless value 1, with the dual
-    certificate ``e_0 e_0^T`` and the primal certificate 0; bipartite
-    value 2).  When an SDP ran, ``gap`` is its duality gap, ``residuals``
-    mirrors its (affine, cone, entrywise) report and ``iterations`` its
-    iteration count (0 when no SDP ran); ``primal_certificate`` is PSD
-    with constant diagonal ``value + gap - 1``.  A pin's dual certificate
+    certificate ``e_0 e_0^T`` and the primal certificate 0).  When an
+    SDP ran, ``gap`` is its duality gap, ``residuals`` mirrors its
+    (affine, cone, entrywise) report and ``iterations`` its iteration
+    count (0 when no SDP ran); ``primal_certificate`` is PSD with
+    constant diagonal ``value + gap - 1``.  A pin's dual certificate
     is ``1_K 1_K^T / k`` on the clique K and its primal certificate is
     ``k [c(u) = c(v)] - 1`` for the coloring c, the Gram matrix of simplex
-    vectors indexed by color, with diagonal ``k - 1``; ``gap`` is the
-    width of the interval the two certify, at rounding level.  A spectral
-    pin of ``theta_bar`` or ``chi_vec`` carries Hoffman's dual-form matrix
+    vectors indexed by color, with diagonal ``k - 1``.  A spectral pin of
+    ``theta_bar`` or ``chi_vec`` carries Hoffman's dual-form matrix
     ``(I - A/tau) / n`` and the scaled projector ``-(n k / (rank tau))
-    E_tau``; its value is the lower bound the first certifies and ``gap``
-    the excess of the second's upper bound, at rounding level.
+    E_tau``; its value is the lower bound the first certifies.  A pin's
+    ``gap`` is the excess of the upper bound its primal certificate
+    certifies over its dual certificate's lower bound: at most
+    ``gap_tol``, and 0 where rounding inverts the two.
     :func:`spectral_vector_chromatic` carries the same two certificates
     with the value 1 - k/tau itself.
     """
@@ -109,31 +111,6 @@ def _from_solution(sol: SdpSolution, want_primal: bool) -> ParamResult:
     )
 
 
-def _pin(G: Graph, nonneg: bool, want_primal: bool, cap: int) -> ParamResult | None:
-    """The value k of a graph whose maximum clique has size k and which
-    has a proper k-coloring, with both certificates checked on G; None
-    above the cap or the search depth, without such a coloring, or when
-    a checker refuses a certificate."""
-    try:
-        neighbours, clique = _search_setup(G, cap)
-    except CapacityError:
-        return None
-    k = len(clique)
-    colors = _search_coloring(neighbours, k, clique)
-    if colors is None:
-        return None
-    P = np.zeros((G.n, G.n))
-    P[np.ix_(clique, clique)] = 1.0 / k
-    M = k * (colors[:, None] == colors[None, :]) - 1.0
-    lower, upper = dual_form_bound(G, P, nonneg), witness_bound(G, M, nonneg)
-    if lower is None or upper is None:
-        return None
-    _log_solve("pin %s: value %d from a clique and a coloring", G.label or G.n, k,
-               method="pin", k=k, iterations=0)
-    return ParamResult(value=float(k), gap=abs(upper - lower), method="pin",
-                       primal_certificate=M if want_primal else None, dual_certificate=P)
-
-
 def _hoffman_pair(G: Graph, degree: int) -> tuple[float, np.ndarray, np.ndarray]:
     """The least adjacency eigenvalue tau of a k-regular graph with an
     edge and Hoffman's two certificates, from one eigendecomposition:
@@ -154,22 +131,27 @@ def _hoffman_pair(G: Graph, degree: int) -> tuple[float, np.ndarray, np.ndarray]
     return tau, P, -(G.n * degree) / (rank * tau) * E_tau
 
 
-def _spectral_pin(G: Graph, nonneg: bool, want_primal: bool, gap_tol: float) -> ParamResult | None:
-    """The value 1 - k/tau of a k-regular graph where Hoffman's dual-form
-    matrix and scaled projector (:func:`_hoffman_pair`) both pass their
-    checkers on G and certify an interval of width at most ``gap_tol``;
-    None on any other graph."""
+def _pin_pairs(G: Graph, cap: int):
+    """Candidate certificate pairs ``(method, P, M, value)`` of a graph
+    with an edge, lazily and in order: a maximum clique of size k with a
+    proper k-coloring, within the cap and the search depth (value k);
+    then, on a regular graph, Hoffman's pair (:func:`_hoffman_pair`),
+    whose value None stands for the lower bound it certifies."""
+    try:
+        neighbours, clique = _search_setup(G, cap)
+    except CapacityError:
+        pass
+    else:
+        k = len(clique)
+        colors = _search_coloring(neighbours, k, clique)
+        if colors is not None:
+            P = np.zeros((G.n, G.n))
+            P[np.ix_(clique, clique)] = 1.0 / k
+            yield "pin", P, k * (colors[:, None] == colors[None, :]) - 1.0, float(k)
     degrees = G.degrees()
-    if degrees.min() != degrees.max():
-        return None
-    _, P, M = _hoffman_pair(G, int(degrees[0]))
-    lower, upper = dual_form_bound(G, P, nonneg), witness_bound(G, M, nonneg)
-    if lower is None or upper is None or upper - lower > gap_tol:
-        return None
-    _log_solve("pin %s: value %.12g from the least eigenspace", G.label or G.n, lower,
-               method="spectral", iterations=0)
-    return ParamResult(value=lower, gap=max(0.0, upper - lower), method="spectral",
-                       primal_certificate=M if want_primal else None, dual_certificate=P)
+    if degrees.min() == degrees.max():
+        _, P, M = _hoffman_pair(G, int(degrees[0]))
+        yield "spectral", P, M, None
 
 
 def _sdp_param(G: Graph, cfg, builder, want_primal: bool, cap: int) -> ParamResult:
@@ -180,10 +162,15 @@ def _sdp_param(G: Graph, cfg, builder, want_primal: bool, cap: int) -> ParamResu
                            primal_certificate=np.zeros((G.n, G.n)) if want_primal else None)
     problem = builder(G)
     cfg = cfg or SolverConfig()
-    pinned = (_pin(G, problem.nonneg, want_primal, cap)
-              or _spectral_pin(G, problem.nonneg, want_primal, cfg.gap_tol))
-    if pinned is not None:
-        return pinned
+    for method, P, M, value in _pin_pairs(G, cap):
+        lower, upper = dual_form_bound(G, P, problem.nonneg), witness_bound(G, M, problem.nonneg)
+        if lower is None or upper is None or upper - lower > cfg.gap_tol:
+            continue
+        value = lower if value is None else value
+        _log_solve("pin %s: value %.12g (%s)", G.label or G.n, value, method,
+                   method=method, value=value, iterations=0)
+        return ParamResult(value=value, gap=max(0.0, upper - lower), method=method,
+                           primal_certificate=M if want_primal else None, dual_certificate=P)
     try:
         sol = solve(problem, cfg)
     except ConvergenceError as exc:

@@ -41,7 +41,9 @@ def small_graph(draw, min_n=1, max_n=6):
 def no_spectral_pin(monkeypatch):
     """Switch the spectral pin off, so that regular graphs the clique and
     coloring pin misses reach the solver."""
-    monkeypatch.setattr(params, "_spectral_pin", lambda *args: None)
+    pairs = params._pin_pairs
+    monkeypatch.setattr(params, "_pin_pairs",
+                        lambda G, cap: (p for p in pairs(G, cap) if p[0] != "spectral"))
 
 
 @pytest.fixture(scope="session")

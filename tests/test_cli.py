@@ -93,6 +93,17 @@ def test_param_pinned_value(capsys, no_spectral_pin):
         assert [record["params"][w]["method"] for w in ("theta_bar", "chi_vec")] == [method] * 2
 
 
+@pytest.mark.parametrize("command", [("param", "path:4", "--which", "chromatic"),
+                                     ("report", "path:4")])
+def test_param_and_report_record_only_the_solver_settings(capsys, command):
+    code, record, err = run_cli(capsys, *command, "--seed", "1")
+    assert (code, record) == (1, None) and "--seed" in err
+    code, record, _ = run_cli(capsys, *command)
+    assert code == 0
+    assert record["config"] == {"tol": 1e-7, "gap_tol": 1e-5, "max_iter": 50000, "cap": 120,
+                                "chromatic_cap": 30}
+
+
 def test_param_spectral_pinned_value(capsys):
     # C_5 has omega = 2 < chi = 3, so the clique and coloring pin misses it
     # and the closed form 1 - 2/tau = sqrt(5) is certified with no solve
@@ -401,7 +412,25 @@ def test_verify_random_pairs_seeded(capsys):
     )
     assert code == 0
     assert len(record["pairs"]) == 2
-    assert record["config"]["seed"] == 42
+    assert list(record["config"].items()) == [
+        ("tol", 1e-7), ("gap_tol", 1e-5), ("max_iter", 50000), ("cap", 120),
+        ("chromatic_cap", 30), ("seed", 42), ("identity_tol", identities.IDENTITY_TOL_DEFAULT)]
+    assert record["graphs"] == [g for pair in record["pairs"] for g in pair["graphs"]]
+
+
+def test_verify_random_pairs_are_capped_one_pair_at_a_time(capsys, monkeypatch):
+    # the first pair already exceeds the SDP cap: no further pair is built
+    calls = []
+
+    def counted(n, p, **kwargs):
+        calls.append(n)
+        return graphs.erdos_renyi(n, p, **kwargs)
+
+    monkeypatch.setattr(cli, "erdos_renyi", counted)
+    code, record, err = run_cli(capsys, "verify", "--random-pairs", "50", "--size", "500",
+                                "--suite", "chain")
+    assert (code, record) == (3, None) and "cap" in err
+    assert calls == [500, 500]
 
 
 def test_verify_usage_error(capsys):
@@ -474,6 +503,18 @@ def test_qverify_pass(tmp_path, capsys):
     assert code == 0
     assert record["report"]["ok"] is True
     assert record["certificate"]["n_colors"] == 3
+    assert record["config"] == {"qtol": 1e-7}
+
+
+@pytest.mark.parametrize("option", ["--tol", "--gap-tol", "--max-iter", "--cap",
+                                    "--chromatic-cap", "--seed"])
+def test_qverify_takes_no_solver_option(tmp_path, capsys, option):
+    path = tmp_path / "cert.json"
+    save_certificate(path, _c5_certificate())
+    code, record, err = run_cli(capsys, "qverify", str(path), option, "1")
+    assert (code, record) == (1, None) and option in err
+    code, record, _ = run_cli(capsys, "qverify", str(path), "--qtol", "1e-6")
+    assert code == 0 and record["config"] == {"qtol": 1e-6}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

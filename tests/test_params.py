@@ -124,7 +124,7 @@ def test_pin_needs_no_solve(param, builder, nonneg, solve_calls):
         lower = dual_form_bound(G, res.dual_certificate, nonneg)
         upper = witness_bound(G, res.primal_certificate, nonneg)
         assert k - 1e-12 <= lower <= k + 1e-12 and k - 1e-12 <= upper <= k + 1e-12, G.label
-        assert res.gap == abs(upper - lower) <= 1e-12
+        assert res.gap == max(0.0, upper - lower) <= 1e-12
         assert param(G).primal_certificate is None
     assert solve_calls == []
 
@@ -177,7 +177,41 @@ def test_pin_logs_one_event(caplog):
     caplog.set_level("DEBUG", logger="vecchrom")
     theta_bar(graphs.generate("complete", 5))
     [event] = [r for r in caplog.records if r.name == "vecchrom"]
-    assert (event.method, event.k, event.iterations) == ("pin", 5, 0)
+    assert (event.method, event.value, event.iterations) == ("pin", 5.0, 0)
+
+
+def test_clique_pin_runs_no_eigendecomposition(monkeypatch):
+    # K_5, C_6 and Omega_4 are regular, so a spectral pair would follow the
+    # clique pin's; the generator stops before building it
+    calls = []
+    monkeypatch.setattr(params, "eig_sym", lambda A: calls.append(A.shape))
+    for G in (graphs.generate("complete", 5), graphs.generate("cycle", 6),
+              graphs.generate("omega", 4)):
+        for param in (theta_bar, chi_vec):
+            assert param(G).method == "pin", G.label
+    assert calls == []
+
+
+@pytest.mark.parametrize("param, builder, nonneg", PARAMS)
+def test_wide_clique_pin_falls_through_to_the_spectral_pin(param, builder, nonneg, solve_calls,
+                                                          monkeypatch):
+    # raising the coloring's Gram matrix by 1e-4 I widens the clique pin's
+    # interval to about 1e-4, past gap_tol 1e-5; K_4 is regular, so
+    # Hoffman's pair comes next and closes
+    pairs = params._pin_pairs
+
+    def widened(G, cap):
+        for method, P, M, value in pairs(G, cap):
+            yield method, P, M + 1e-4 * np.eye(G.n) if method == "pin" else M, value
+
+    monkeypatch.setattr(params, "_pin_pairs", widened)
+    K4 = graphs.generate("complete", 4)
+    [(_, P, M, _)] = [p for p in widened(K4, CHROMATIC_CAP_DEFAULT) if p[0] == "pin"]
+    assert witness_bound(K4, M, nonneg) - dual_form_bound(K4, P, nonneg) > 1e-5
+    res = param(K4, SolverConfig(gap_tol=1e-5))
+    assert (res.method, res.iterations) == ("spectral", 0)
+    assert abs(res.value - 4.0) <= 1e-12
+    assert solve_calls == []
 
 
 # --- the spectral pin: Hoffman's certificates on regular graphs -----------------
