@@ -107,8 +107,7 @@ def _graph_descriptor(G: Graph) -> dict:
     return {"label": G.label, "n": G.n, "m": G.edge_count, "edge_hash": edge_hash(G)}
 
 
-_CONFIG_KEYS = ("tol", "gap_tol", "max_iter", "cap", "chromatic_cap", "seed", "identity_tol",
-                "qtol")
+_CONFIG_KEYS = ("gap_tol", "max_iter", "cap", "chromatic_cap", "seed", "identity_tol", "qtol")
 
 
 def _config_snapshot(args) -> dict:
@@ -127,7 +126,7 @@ def _base_record(command: str, args, graphs: list[Graph]) -> dict:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(tol=args.tol, gap_tol=args.gap_tol, max_iter=args.max_iter)
+    return SolverConfig(gap_tol=args.gap_tol, max_iter=args.max_iter)
 
 
 def _param_payload(res) -> dict:
@@ -296,7 +295,6 @@ def build_parser() -> _Parser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="write the JSON record to this file")
     solver = argparse.ArgumentParser(add_help=False, parents=[out])
-    solver.add_argument("--tol", type=float, default=1e-7, help="solver residual tolerance")
     solver.add_argument("--gap-tol", dest="gap_tol", type=float, default=1e-5,
                         help="solver duality-gap tolerance")
     solver.add_argument("--max-iter", dest="max_iter", type=int, default=50000)

@@ -6,10 +6,9 @@ request the result also carries the primal certificate that the same
 solve produced with its dual bound: the Gram matrix from which a vector
 coloring is extracted.
 
-Edgeless graphs with at least one vertex take the conventional value 1
-for both parameters, with no SDP run, certified by ``e_0 e_0^T`` from
-below and the zero witness from above; the SDP builder refuses the graph
-with no vertex (:class:`DomainError`).
+An edgeless graph with a vertex takes the conventional value 1, with no
+SDP run, certified by ``e_0 e_0^T`` and the zero witness; the SDP
+builder refuses the graph with no vertex (:class:`DomainError`).
 
 Before any solve, both parameters are pinned on graphs within the
 chromatic cap: by the sandwich omega <= chi_vec <= theta-bar <= chi
@@ -20,9 +19,9 @@ order, is tried next against the closed form 1 - k/tau of its degree k
 and least adjacency eigenvalue tau, which holds on every edge-transitive
 graph (Lovasz 1979): Hoffman's dual-form matrix (I - A/tau)/n certifies
 it from below and the scaled projector onto the least eigenspace from
-above.  Both pins are certificate pairs checked by one rule: the first
-pair that passes both checkers with an interval at most the solver's
-gap tolerance wide fixes the value.  Any other graph is solved.
+above.  Each pin pair, and then a solve's rounded iterate and witness,
+goes through the same two checkers, and the first pin pair whose
+interval is at most the solver's gap tolerance wide fixes the value.
 """
 
 from __future__ import annotations
@@ -65,50 +64,51 @@ _CALLER_FRAMES = 200
 
 @dataclass
 class ParamResult:
-    """A parameter value with machine-checkable certificates.
+    """A parameter value with the interval its certificates certify.
 
-    ``method`` is "sdp", "pin" (a maximum clique of size k and a proper
-    k-coloring: value k), "spectral" (the closed form 1 - k/tau of a
-    k-regular graph, certified by Hoffman's two certificates: a spectral
-    pin, or :func:`spectral_vector_chromatic`, which runs no
-    1-homogeneity test) or "convention" (edgeless value 1, with the dual
-    certificate ``e_0 e_0^T`` and the primal certificate 0).  When an
-    SDP ran, ``gap`` is its duality gap, ``residuals`` mirrors its
-    (affine, cone, entrywise) report and ``iterations`` its iteration
-    count (0 when no SDP ran); ``primal_certificate`` is PSD with
-    constant diagonal ``value + gap - 1``.  A pin's dual certificate
-    is ``1_K 1_K^T / k`` on the clique K and its primal certificate is
-    ``k [c(u) = c(v)] - 1`` for the coloring c, the Gram matrix of simplex
-    vectors indexed by color, with diagonal ``k - 1``.  A spectral pin of
-    ``theta_bar`` or ``chi_vec`` carries Hoffman's dual-form matrix
-    ``(I - A/tau) / n`` and the scaled projector ``-(n k / (rank tau))
-    E_tau``; its value is the lower bound the first certifies.  A pin's
-    ``gap`` is the excess of the upper bound its primal certificate
-    certifies over its dual certificate's lower bound: at most
-    ``gap_tol``, and 0 where rounding inverts the two.
-    :func:`spectral_vector_chromatic` carries the same two certificates
-    with the value 1 - k/tau itself.
+    ``lower`` and ``upper`` are the bounds that :func:`dual_form_bound`
+    and :func:`witness_bound` certify on the graph, with the program's
+    sign conditions, from ``dual_certificate`` and from the primal
+    witness (``primal_certificate``, when requested); -inf or inf where a
+    checker refuses its matrix.  ``gap`` is ``max(0, upper - lower)``
+    whatever the method.  ``method`` is "sdp" (the solver's objective,
+    rounded iterate and witness; ``residuals`` and ``iterations`` are its
+    report, and ``iterations`` is 0 for every other method), "pin" (value
+    k; ``1_K 1_K^T / k`` on a maximum clique K and ``k [c(u) = c(v)] - 1``
+    for a proper k-coloring c, the Gram matrix of simplex vectors indexed
+    by color), "spectral" (Hoffman's ``(I - A/tau) / n`` and scaled
+    projector ``-(n k / (rank tau)) E_tau`` of a k-regular graph, valued
+    at the lower bound as a pin and at 1 - k/tau itself by
+    :func:`spectral_vector_chromatic`) or "convention" (an edgeless
+    graph: value 1, ``e_0 e_0^T`` and 0).
     """
 
     value: float
-    gap: float = 0.0
-    method: str = "sdp"
+    lower: float
+    upper: float
+    method: str
     primal_certificate: np.ndarray | None = None
     dual_certificate: np.ndarray | None = None
     residuals: tuple | None = None
     iterations: int = 0
 
+    @property
+    def gap(self) -> float:
+        return max(0.0, self.upper - self.lower)
 
-def _from_solution(sol: SdpSolution, want_primal: bool) -> ParamResult:
-    return ParamResult(
-        value=sol.objective,
-        gap=sol.gap,
-        method="sdp",
-        primal_certificate=sol.certificate if want_primal else None,
-        dual_certificate=sol.X,
-        residuals=sol.residuals,
-        iterations=sol.iterations,
-    )
+
+def _checked(G: Graph, nonneg: bool, method: str, P: np.ndarray, M: np.ndarray,
+             value: float | None, want_primal: bool, sol: SdpSolution | None = None
+             ) -> ParamResult:
+    """The result that the pair (P, M) certifies on G: the only
+    constructor of a :class:`ParamResult`.  A value None stands for the
+    checked lower bound; ``sol`` is the solve the pair came from."""
+    lower, upper = dual_form_bound(G, P, nonneg), witness_bound(G, M, nonneg)
+    lower, upper = -np.inf if lower is None else lower, np.inf if upper is None else upper
+    return ParamResult(value=lower if value is None else value, lower=lower, upper=upper,
+                       method=method, primal_certificate=M if want_primal else None,
+                       dual_certificate=P, residuals=sol.residuals if sol else None,
+                       iterations=sol.iterations if sol else 0)
 
 
 def _hoffman_pair(G: Graph, degree: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -132,11 +132,17 @@ def _hoffman_pair(G: Graph, degree: int) -> tuple[float, np.ndarray, np.ndarray]
 
 
 def _pin_pairs(G: Graph, cap: int):
-    """Candidate certificate pairs ``(method, P, M, value)`` of a graph
-    with an edge, lazily and in order: a maximum clique of size k with a
-    proper k-coloring, within the cap and the search depth (value k);
-    then, on a regular graph, Hoffman's pair (:func:`_hoffman_pair`),
-    whose value None stands for the lower bound it certifies."""
+    """Candidate certificate pairs ``(method, P, M, value)``, lazily and
+    in order: for an edgeless graph only the convention, ``e_0 e_0^T``
+    and 0 (value 1), with no search and no eigendecomposition; else a
+    maximum clique of size k with a proper k-coloring, within the cap and
+    the search depth (value k), then, on a regular graph, Hoffman's pair
+    (:func:`_hoffman_pair`), valued None for the lower bound it certifies."""
+    if G.edge_count == 0:
+        P = np.zeros((G.n, G.n))
+        P[0, 0] = 1.0
+        yield "convention", P, np.zeros((G.n, G.n)), 1.0
+        return
     try:
         neighbours, clique = _search_setup(G, cap)
     except CapacityError:
@@ -155,35 +161,31 @@ def _pin_pairs(G: Graph, cap: int):
 
 
 def _sdp_param(G: Graph, cfg, builder, want_primal: bool, cap: int) -> ParamResult:
-    if G.n and G.edge_count == 0:
-        P = np.zeros((G.n, G.n))
-        P[0, 0] = 1.0
-        return ParamResult(value=1.0, gap=0.0, method="convention", dual_certificate=P,
-                           primal_certificate=np.zeros((G.n, G.n)) if want_primal else None)
     problem = builder(G)
     cfg = cfg or SolverConfig()
     for method, P, M, value in _pin_pairs(G, cap):
-        lower, upper = dual_form_bound(G, P, problem.nonneg), witness_bound(G, M, problem.nonneg)
-        if lower is None or upper is None or upper - lower > cfg.gap_tol:
-            continue
-        value = lower if value is None else value
-        _log_solve("pin %s: value %.12g (%s)", G.label or G.n, value, method,
-                   method=method, value=value, iterations=0)
-        return ParamResult(value=value, gap=max(0.0, upper - lower), method=method,
-                           primal_certificate=M if want_primal else None, dual_certificate=P)
+        result = _checked(G, problem.nonneg, method, P, M, value, want_primal)
+        if result.gap <= cfg.gap_tol:
+            _log_solve("pin %s: value %.12g (%s)", G.label or G.n, result.value, method,
+                       method=method, value=result.value, iterations=0)
+            return result
     try:
-        sol = solve(problem, cfg)
+        sol, failure = solve(problem, cfg), None
     except ConvergenceError as exc:
-        partial = exc.partial and _from_solution(exc.partial, want_primal)
-        raise ConvergenceError(str(exc), exc.residual, partial) from exc
-    result = _from_solution(sol, want_primal)
+        if exc.partial is None:
+            raise
+        sol, failure = exc.partial, exc
+    result = _checked(G, problem.nonneg, "sdp", sol.X, sol.certificate, sol.objective,
+                      want_primal, sol)
     if sol.status != OPTIMAL:
-        raise ConvergenceError(
-            f"dual-form solve ended with status {sol.status}",
-            residual=max(sol.residuals),
-            partial=result,
-        )
-    return result
+        message = str(failure or f"dual-form solve ended with status {sol.status}")
+    elif result.gap > cfg.gap_tol:
+        message = f"the solve's certificates certify a gap of {result.gap:.3g}, above gap_tol"
+    else:
+        return result
+    # a refused pair certifies nothing, so it leaves no partial result
+    raise ConvergenceError(message, max(sol.residuals) + result.gap,
+                           result if result.gap < np.inf else None) from failure
 
 
 def theta_bar(G: Graph, cfg: SolverConfig | None = None, *, want_primal: bool = False,
@@ -348,13 +350,11 @@ def spectral_vector_chromatic(G: Graph) -> ParamResult:
 
     One eigendecomposition gives Hoffman's dual-form matrix and the
     scaled projector onto the least eigenspace (:func:`_hoffman_pair`).
-    :func:`dual_form_bound` and :func:`witness_bound`, both with the
-    vector chromatic number's sign conditions, check them on G; the
-    result carries both, with ``gap`` the width of the interval they
-    certify.  No 1-homogeneity test runs: a graph that is not regular,
-    whose certificates a checker refuses, or whose interval, widened to
-    hold 1 - k/tau, is wider than ``SPECTRAL_WIDTH * max(1, value)``
-    raises :class:`DomainError`.
+    Both are checked with the vector chromatic number's sign conditions,
+    and no 1-homogeneity test runs: a graph that is not regular, whose
+    certificates a checker refuses, or whose interval, widened to hold
+    1 - k/tau, is wider than ``SPECTRAL_WIDTH * max(1, value)`` raises
+    :class:`DomainError`.
     """
     if G.edge_count == 0:
         raise DomainError("spectral formula needs at least one edge")
@@ -363,19 +363,17 @@ def spectral_vector_chromatic(G: Graph) -> ParamResult:
         raise DomainError("spectral formula needs a regular graph")
     degree = int(degrees[0])
     tau, P, M = _hoffman_pair(G, degree)
-    value = 1.0 - degree / tau
-    lower = dual_form_bound(G, P, nonneg=True)
-    if lower is None:
+    result = _checked(G, True, "spectral", P, M, 1.0 - degree / tau, True)
+    lower, upper, value = result.lower, result.upper, result.value
+    if lower == -np.inf:
         raise DomainError("Hoffman's dual-form matrix fails the dual-form check")
-    upper = witness_bound(G, M, nonneg=True)
-    if upper is None:
+    if upper == np.inf:
         raise DomainError("the scaled least-eigenspace projector fails the witness check")
     width = max(upper, value) - min(lower, value)
     if width > SPECTRAL_WIDTH * max(1.0, value):
         raise DomainError(f"the spectral certificates leave [{lower!r}, {upper!r}] "
                           f"around 1 - k/tau = {value!r}, wider than {SPECTRAL_WIDTH:g}")
-    return ParamResult(value=value, gap=max(0.0, upper - lower), method="spectral",
-                       primal_certificate=M, dual_certificate=P)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from vecchrom import graphs, params
 from vecchrom.graphs import Graph, graph_from_edges
 from vecchrom.identities import cached_param
-from vecchrom.sdp import SolverConfig
+from vecchrom.sdp import SolverConfig, solve
 
 settings.register_profile(
     "suite",
@@ -35,6 +37,16 @@ def small_graph(draw, min_n=1, max_n=6):
     adj[np.triu_indices(n, k=1)] = bits
     adj |= adj.T
     return Graph(n, adj)
+
+
+def solve_with_raised_witness_edge(problem, cfg=None):
+    """A solve whose witness has one edge entry raised to -0.5, which the
+    witness check of either program refuses."""
+    sol = solve(problem, cfg)
+    M = sol.certificate.copy()
+    u, v = np.argwhere(problem.adj)[0]
+    M[u, v] = M[v, u] = -0.5
+    return dataclasses.replace(sol, certificate=M)
 
 
 @pytest.fixture

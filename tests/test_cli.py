@@ -1,8 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import solve_with_raised_witness_edge
 from vecchrom import cli, graphs, identities, params, sdp
 from vecchrom.cli import main, resolve_graph
 from vecchrom.identities import chain_checks
@@ -96,11 +100,12 @@ def test_param_pinned_value(capsys, no_spectral_pin):
 @pytest.mark.parametrize("command", [("param", "path:4", "--which", "chromatic"),
                                      ("report", "path:4")])
 def test_param_and_report_record_only_the_solver_settings(capsys, command):
-    code, record, err = run_cli(capsys, *command, "--seed", "1")
-    assert (code, record) == (1, None) and "--seed" in err
+    for option in ("--seed", "--tol"):
+        code, record, err = run_cli(capsys, *command, option, "1")
+        assert (code, record) == (1, None) and option in err
     code, record, _ = run_cli(capsys, *command)
     assert code == 0
-    assert record["config"] == {"tol": 1e-7, "gap_tol": 1e-5, "max_iter": 50000, "cap": 120,
+    assert record["config"] == {"gap_tol": 1e-5, "max_iter": 50000, "cap": 120,
                                 "chromatic_cap": 30}
 
 
@@ -241,6 +246,15 @@ def test_param_solver_failure_exit_code(capsys, unpinned_graph):
     assert record["result"]["iterations"] == 5
 
 
+def test_param_refused_solve_certificate_exits_as_solver_failure(capsys, monkeypatch,
+                                                                 unpinned_graph):
+    # the refused witness certifies no upper bound, so no partial result
+    monkeypatch.setattr(params, "solve", solve_with_raised_witness_edge)
+    code, record, _ = run_cli(capsys, "param", unpinned_graph, "--which", "theta-bar")
+    assert code == 2
+    assert (record["status"], record["result"]) == ("solver_failure", None)
+
+
 def test_param_lapack_failure_exits_as_solver_failure(capsys, monkeypatch, unpinned_graph):
     def failing_eigh(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -353,7 +367,7 @@ def test_verify_named_pairs_identity_table(capsys):
     passed = 0
     for (g, h), suite in runs:
         code, record, _ = run_cli(capsys, "verify", g, h, "--suite", suite,
-                                  "--tol", "1e-6", "--max-iter", "150000")
+                                  "--max-iter", "150000")
         assert (code, record["all_passed"]) == (0, True), (g, h, suite)
         for ident in record["pairs"][0]["identities"]:
             low, up = ident["detail"]["interval"]
@@ -413,7 +427,7 @@ def test_verify_random_pairs_seeded(capsys):
     assert code == 0
     assert len(record["pairs"]) == 2
     assert list(record["config"].items()) == [
-        ("tol", 1e-7), ("gap_tol", 1e-5), ("max_iter", 50000), ("cap", 120),
+        ("gap_tol", 1e-5), ("max_iter", 50000), ("cap", 120),
         ("chromatic_cap", 30), ("seed", 42), ("identity_tol", identities.IDENTITY_TOL_DEFAULT)]
     assert record["graphs"] == [g for pair in record["pairs"] for g in pair["graphs"]]
 
@@ -504,6 +518,32 @@ def test_qverify_pass(tmp_path, capsys):
     assert record["report"]["ok"] is True
     assert record["certificate"]["n_colors"] == 3
     assert record["config"] == {"qtol": 1e-7}
+
+
+def _readme_cli_commands():
+    """(argv, comment) of each command in README's ``## CLI`` block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", text, re.M | re.S).group(1)
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        yield shlex.split(command)[1:], comment
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    # every documented command exits 0, and each method a comment names is
+    # the one the record reports
+    monkeypatch.chdir(tmp_path)
+    save_certificate("certificate.json", _c5_certificate())
+    commands = list(_readme_cli_commands())
+    assert len(commands) == 9
+    methods = []
+    for argv, comment in commands:
+        code, record, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        for method in re.findall(r'"method": "(\w+)"', comment):
+            assert record["result"]["method"] == method, argv
+            methods.append(method)
+    assert methods == ["spectral", "pin"]
 
 
 @pytest.mark.parametrize("option", ["--tol", "--gap-tol", "--max-iter", "--cap",

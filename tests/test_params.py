@@ -6,12 +6,13 @@ from math import comb
 import numpy as np
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import random_graph, small_graph, star
+from conftest import random_graph, small_graph, solve_with_raised_witness_edge, star
 from vecchrom import graphs, params
 from vecchrom.certificates import dual_form_bound, witness_bound
 from vecchrom.graphs import graph_from_edges
-from vecchrom.errors import CapacityError, DomainError, LimitExceededError
+from vecchrom.errors import CapacityError, ConvergenceError, DomainError, LimitExceededError
 from vecchrom.linalg import eig_sym
 from vecchrom.sdp import SolverConfig, build_chi_vec, build_theta_bar, solve
 from vecchrom.params import (
@@ -54,6 +55,51 @@ def test_convention_carries_its_certificates(param, nonneg):
     assert dual_form_bound(G, res.dual_certificate, nonneg) == 1.0
     assert witness_bound(G, res.primal_certificate, nonneg) == 1.0
     assert param(G).primal_certificate is None
+
+
+def test_edgeless_convention_runs_no_search_and_no_eigendecomposition(monkeypatch):
+    calls = []
+    monkeypatch.setattr(params, "_search_setup", lambda *args: calls.append("search"))
+    monkeypatch.setattr(params, "eig_sym", lambda *args: calls.append("eig_sym"))
+    for param in (theta_bar, chi_vec):
+        res = param(graphs.generate("empty", 40))
+        assert (res.method, res.value, res.lower, res.upper, res.gap) == (
+            "convention", 1.0, 1.0, 1.0, 0.0)
+    assert calls == []
+
+
+@given(small_graph(min_n=1, max_n=10), st.sampled_from([0, CHROMATIC_CAP_DEFAULT]))
+def test_every_result_carries_its_checked_interval(G, cap):
+    # a chromatic cap of 0 keeps the clique pin off, so solves are drawn too
+    cfg = SolverConfig()
+    for param, nonneg in ((theta_bar, False), (chi_vec, True)):
+        res = param(G, cfg, want_primal=True, chromatic_cap=cap)
+        assert dual_form_bound(G, res.dual_certificate, nonneg) == res.lower
+        assert witness_bound(G, res.primal_certificate, nonneg) == res.upper
+        assert res.lower - 1e-9 <= res.value <= res.upper + 1e-9
+        assert res.gap == max(0.0, res.upper - res.lower) <= cfg.gap_tol
+
+
+def test_non_optimal_solve_reports_its_checked_partial():
+    # no pin reaches C5 strong C5, and seven iterations leave a wide gap
+    C5 = graphs.generate("cycle", 5)
+    G = graphs.product("strong", C5, C5)
+    with pytest.raises(ConvergenceError, match="status max_iter") as err:
+        theta_bar(G, SolverConfig(max_iter=7), want_primal=True)
+    partial = err.value.partial
+    assert (partial.method, partial.iterations) == ("sdp", 7)
+    assert partial.lower == dual_form_bound(G, partial.dual_certificate, False)
+    assert partial.upper == witness_bound(G, partial.primal_certificate, False)
+    assert partial.gap > 1.0
+    assert err.value.residual == max(partial.residuals) + partial.gap
+
+
+@pytest.mark.parametrize("param", [theta_bar, chi_vec])
+def test_refused_solve_certificate_is_a_convergence_error(param, monkeypatch, no_spectral_pin):
+    monkeypatch.setattr(params, "solve", solve_with_raised_witness_edge)
+    with pytest.raises(ConvergenceError, match="gap of inf") as err:
+        param(graphs.generate("cycle", 5))
+    assert err.value.partial is None and err.value.residual == np.inf
 
 
 def test_theta_bar_c4_bipartite(theta):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_graph
 from vecchrom import graphs, params, sdp
+from vecchrom.certificates import dual_form_bound, witness_bound
 from vecchrom.errors import ConvergenceError, DomainError
 from vecchrom.sdp import (
     MAX_ITER,
@@ -111,7 +112,15 @@ def test_dual_certificate_satisfies_primal_constraints(monkeypatch, no_spectral_
     sol = solutions[0]
     assert res.primal_certificate is sol.certificate
     _assert_primal_certificate(G, which, sol)
-    assert (res.value, res.gap, res.iterations) == (sol.objective, sol.gap, sol.iterations)
+    assert (res.value, res.iterations) == (sol.objective, sol.iterations)
+    # the result's interval is the checkers' on the solve's pair, and its
+    # gap that interval's width, within rounding of the solver's own gap
+    nonneg = which == "chi_vec"
+    assert res.dual_certificate is sol.X
+    assert (res.lower, res.upper) == (dual_form_bound(G, sol.X, nonneg),
+                                      witness_bound(G, sol.certificate, nonneg))
+    assert res.gap == max(0.0, res.upper - res.lower)
+    assert abs(res.gap - sol.gap) <= 1e-14
 
 
 def _assert_primal_certificate(G, which, sol):
