@@ -5,7 +5,8 @@ Subcommands:
 * ``param``   one graph, one parameter (theta-bar, chi-vec, chromatic,
               spectral, onehom); ``spectral`` is the closed form
               1 - k/tau of a regular graph, certified by Hoffman's two
-              certificates with no 1-homogeneity test
+              certificates with no 1-homogeneity test, else the checked
+              convention (edgeless) or pin (bipartite)
 * ``verify``  identity suite over a pair of graphs, or over seeded
               random pairs
 * ``qverify`` a quantum coloring certificate file
@@ -55,14 +56,15 @@ from .identities import (
     IDENTITY_TOL_DEFAULT,
     SDP_CAP_DEFAULT,
     SUITES,
-    ParamCache,
-    cached_param,
     check_sdp_cap,
     run_suite,
     sandwich_checks,
 )
 from .params import (
     CHROMATIC_CAP_DEFAULT,
+    GraphFacts,
+    _checked,
+    _pin_pair,
     chromatic_number,
     one_homogeneous_check,
     spectral_lower_bound,
@@ -138,13 +140,11 @@ def _param_payload(res) -> dict:
     return out
 
 
-def _sdp_value(G: Graph, which: str, cfg: SolverConfig,
-               chromatic_cap: int) -> tuple[dict | None, int]:
-    """Payload of one SDP value ("theta_bar" or "chi_vec") and its exit code;
-    a solver failure gives the partial payload (None before the first
-    convergence check) and exit 2."""
+def _sdp_value(facts: GraphFacts, which: str) -> tuple[dict | None, int]:
+    """Payload and exit code of one SDP value of a record; a solver failure
+    gives the partial payload (None before the first convergence check) and exit 2."""
     try:
-        return _param_payload(cached_param(G, which, cfg, chromatic_cap=chromatic_cap)), EXIT_OK
+        return _param_payload(facts.param(which)), EXIT_OK
     except ConvergenceError as exc:
         return (_param_payload(exc.partial) if exc.partial else None), EXIT_SOLVER
 
@@ -156,8 +156,8 @@ def cmd_param(args) -> tuple[dict, int]:
     record["which"] = args.which
     if args.which in ("theta-bar", "chi-vec"):
         check_sdp_cap(G.n, args.cap)
-        record["result"], code = _sdp_value(G, args.which.replace("-", "_"), cfg,
-                                            args.chromatic_cap)
+        record["result"], code = _sdp_value(GraphFacts(G, cfg, args.chromatic_cap),
+                                            args.which.replace("-", "_"))
         if code:
             record["status"] = "solver_failure"
             return record, code
@@ -167,27 +167,22 @@ def cmd_param(args) -> tuple[dict, int]:
         except LimitExceededError as exc:
             record["result"] = {"value": f"> {exc.limit}"}
     elif args.which == "spectral":
-        result = {}
-        if G.n and G.edge_count == 0:
-            result["vector_chromatic"] = 1.0
-            result["method"] = "convention"
-        else:
-            try:
-                res = spectral_vector_chromatic(G)
-                result["vector_chromatic"] = res.value
-                result["method"] = res.method
-                # a certified graph is regular, so 2e/n is exactly its
-                # degree and the average-degree bound is the same float
-                result["lower_bound"] = res.value
-            except DomainError:
-                # K_0 has no edge and no value: its DomainError stands
-                if G.edge_count and is_bipartite(G)[0]:
-                    result["vector_chromatic"] = 2.0
-                    result["method"] = "convention"
-                else:
-                    raise
-                result["lower_bound"] = spectral_lower_bound(G)
-        record["result"] = result
+        try:
+            res = spectral_vector_chromatic(G)
+        except DomainError:
+            # an edgeless graph takes the convention and a bipartite one the
+            # pin of an edge and its 2-coloring; K_0's DomainError stands
+            bipartite, colors = is_bipartite(G)
+            if not (G.n and bipartite):
+                raise
+            clique = [int(e[0]) for e in G.edge_index] if G.edge_count else [0]
+            res = _checked(G, True, *_pin_pair(G.n, clique, colors))
+            if res.gap == np.inf:
+                raise ValidationError(f"a checker refuses the {res.method} certificates")
+        record["result"] = result = {"vector_chromatic": res.value, "method": res.method}
+        if G.edge_count:  # a closed-form graph is regular: its bound 1 - (2e/n)/tau is 1 - k/tau
+            result["lower_bound"] = (res.value if res.method == "spectral"
+                                     else spectral_lower_bound(G))
     else:  # onehom
         record["result"] = asdict(one_homogeneous_check(G))
     record["status"] = "ok"
@@ -224,7 +219,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         raise UsageError("verify needs two graphs, or --random-pairs N")
     record = _base_record("verify", args, [])
     record["suite"] = args.suite
-    cache = ParamCache()
+    cache = {}  # Graph.key() -> GraphFacts
     runs = []
     all_passed = True
     for G, H in _verify_pairs(args):
@@ -237,7 +232,8 @@ def cmd_verify(args) -> tuple[dict, int]:
             "identities": [c.as_dict() for c in checks],
         })
     record["pairs"] = runs
-    record["cache"] = {"hits": cache.hits, "misses": cache.misses}
+    record["cache"] = {"hits": sum(f.hits for f in cache.values()),
+                       "misses": sum(f.misses for f in cache.values())}
     record["all_passed"] = bool(all_passed)
     record["status"] = "ok" if all_passed else "failed"
     return record, EXIT_OK if all_passed else EXIT_VALIDATION
@@ -264,9 +260,10 @@ def cmd_report(args) -> tuple[dict, int]:
     cfg = _solver_config(args)
     record = _base_record("report", args, [G])
     params = record["params"] = {}
-    # each value is computed once; the chain checks reuse them
+    # one record: each value is computed once, and the chain checks reuse them
+    facts = GraphFacts(G, cfg, args.chromatic_cap)
     for which in ("theta_bar", "chi_vec"):
-        payload, code = _sdp_value(G, which, cfg, args.chromatic_cap)
+        payload, code = _sdp_value(facts, which)
         if code:
             if payload:
                 params["partial"] = payload
@@ -278,7 +275,7 @@ def cmd_report(args) -> tuple[dict, int]:
         params["spectral_lower_bound"] = lb
     params["one_homogeneous"] = one_homogeneous_check(G).is_one_homogeneous
     params["bipartite"] = is_bipartite(G)[0]
-    chi = chromatic_number(G, cap=args.chromatic_cap) if G.n <= args.chromatic_cap else None
+    chi = facts.chromatic_number() if G.n <= args.chromatic_cap else None
     if chi is not None:
         params["chromatic"] = chi
     checks = sandwich_checks(G, lb, params["chi_vec"]["value"], params["theta_bar"]["value"], chi)

@@ -2,7 +2,8 @@
 factor certificates.
 
 No check solves an SDP on a product or union graph.  Each factor's value
-comes from one cached pin or dual solve with two certificates: the
+comes from its :class:`~vecchrom.params.GraphFacts` record, cached by
+:meth:`Graph.key`: one pin or dual solve with two certificates, the
 dual-form matrix ``P``, whose entry sum bounds the value from below, and
 the primal witness ``M``, PSD with constant diagonal ``t - 1`` and edge
 entries -1 (at most -1 for chi-vec), which bounds it by ``t`` from
@@ -49,15 +50,7 @@ from .certificates import dual_form_bound, eigenvalue_bound, witness_bound
 from .colorings import ClassicalColoring, modular_coloring
 from .errors import CapacityError, DimensionError, VecchromError
 from .graphs import Graph, generate, is_homomorphism, product, union
-from .params import (
-    CHROMATIC_CAP_DEFAULT,
-    ParamResult,
-    chi_vec,
-    chromatic_coloring,
-    chromatic_number,
-    spectral_lower_bound,
-    theta_bar,
-)
+from .params import CHROMATIC_CAP_DEFAULT, GraphFacts, spectral_lower_bound
 from .sdp import SolverConfig
 
 SUITES = ("sabidussi", "hedetniemi", "products", "union", "chain")
@@ -87,45 +80,6 @@ class IdentityCheck:
         return out
 
 
-class ParamCache(dict):
-    """A parameter memo for :func:`cached_param` that counts its hits
-    (reads) and misses (stores); a plain dict works as well, uncounted."""
-
-    def __init__(self):
-        super().__init__()
-        self.hits = self.misses = 0
-
-    def __getitem__(self, key):
-        self.hits += 1
-        return super().__getitem__(key)
-
-    def __setitem__(self, key, value):
-        self.misses += 1
-        super().__setitem__(key, value)
-
-
-def cached_param(G: Graph, which: str, cfg: SolverConfig | None = None,
-                 cache: dict | None = None, *,
-                 chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> ParamResult:
-    """Memoized parameter lookup keyed by the graph's canonical identity.
-
-    SDP and pinned results carry the primal certificate of their upper
-    bound; ``chromatic_cap`` bounds the order of the graphs pinned.
-    """
-    key = (G.key(), which)
-    if cache is not None and key in cache:
-        return cache[key]
-    if which == "theta_bar":
-        result = theta_bar(G, cfg, want_primal=True, chromatic_cap=chromatic_cap)
-    elif which == "chi_vec":
-        result = chi_vec(G, cfg, want_primal=True, chromatic_cap=chromatic_cap)
-    else:
-        raise VecchromError(f"unknown parameter {which!r}")
-    if cache is not None:
-        cache[key] = result
-    return result
-
-
 def check_sdp_cap(order: int, cap: int, context: str = "graph"):
     """Refuse an SDP or certificate matrix on more than ``cap`` vertices;
     products call it with the product order before building the product."""
@@ -151,19 +105,18 @@ def _check(name: str, low: float, up: float, rhs: float, tol: float,
 # factor certificates and their product-side checks
 
 
-def _lookup(G: Graph, which: str, cfg, cache, chromatic_cap: int) -> ParamResult:
-    """:func:`cached_param` at ``chromatic_cap``.  The cap goes by keyword
-    only when it is not the default, so that wrappers written against the
-    four-argument signature, such as the benchmark's tracer, still see
-    every lookup made at the default."""
-    if chromatic_cap == CHROMATIC_CAP_DEFAULT:
-        return cached_param(G, which, cfg, cache)
-    return cached_param(G, which, cfg, cache, chromatic_cap=chromatic_cap)
+def _facts(G: Graph, cfg, cache: dict | None, chromatic_cap: int) -> GraphFacts:
+    """G's record in ``cache`` (by :meth:`Graph.key`), made on first use
+    and made again for another chromatic cap."""
+    cache, key = ({} if cache is None else cache), G.key()
+    if key not in cache or cache[key].cap != chromatic_cap:
+        cache[key] = GraphFacts(G, cfg, chromatic_cap)
+    return cache[key]
 
 
 def _factor(G: Graph, which: str, cfg, cache, chromatic_cap: int):
     """(value, P, Z) of one factor, with Z = M + J."""
-    res = _lookup(G, which, cfg, cache, chromatic_cap)
+    res = _facts(G, cfg, cache, chromatic_cap).param(which)
     return res.value, res.dual_certificate, res.primal_certificate + 1.0
 
 
@@ -229,6 +182,7 @@ def sabidussi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
     """Cartesian product equals the factor maximum, for theta-bar,
     chi-vec, and the chromatic number."""
     check_sdp_cap(G.n * H.n, sdp_cap, "Cartesian product")
+    cache = {} if cache is None else cache  # one record per factor
     F = product("cartesian", G, H)
     checks = []
     for which in ("theta_bar", "chi_vec"):
@@ -245,8 +199,8 @@ def sabidussi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
             ("lifted tensor", witness_bound(F, _cartesian_witness(Zg, Zh), nonneg)),
         ))
     # a chi-coloring of each factor is also an m-coloring
-    colors_g = chromatic_coloring(G, cap=chromatic_cap)
-    colors_h = chromatic_coloring(H, cap=chromatic_cap)
+    colors_g = _facts(G, cfg, cache, chromatic_cap).chromatic_coloring()
+    colors_h = _facts(H, cfg, cache, chromatic_cap).chromatic_coloring()
     cg, ch = int(colors_g.max()) + 1, int(colors_h.max()) + 1
     m = max(cg, ch)
     modular = modular_coloring(ClassicalColoring(colors_g, m), ClassicalColoring(colors_h, m))
@@ -328,10 +282,10 @@ def chain_checks(G: Graph, cfg: SolverConfig | None = None,
                  chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> list[IdentityCheck]:
     """Sandwich chain for one graph: average-degree bound, chi_vec,
     theta_bar, and (when computable) the chromatic number."""
-    cv = _lookup(G, "chi_vec", cfg, cache, chromatic_cap).value
-    tb = _lookup(G, "theta_bar", cfg, cache, chromatic_cap).value
+    facts = _facts(G, cfg, cache, chromatic_cap)
+    cv, tb = facts.param("chi_vec").value, facts.param("theta_bar").value
     lb = spectral_lower_bound(G) if G.edge_count else None
-    chi = chromatic_number(G, cap=chromatic_cap) if G.n <= chromatic_cap else None
+    chi = facts.chromatic_number() if G.n <= chromatic_cap else None
     return sandwich_checks(G, lb, cv, tb, chi, tol)
 
 

@@ -1,10 +1,10 @@
 """Graph parameters: theta-bar, vector chromatic number, spectral formulas,
 the combinatorial 1-homogeneity test, and exact chromatic number.
 
-The two SDP parameters are computed from the dual-form programs.  On
-request the result also carries the primal certificate that the same
-solve produced with its dual bound: the Gram matrix from which a vector
-coloring is extracted.
+A :class:`GraphFacts` record does each graph's search, eigendecomposition
+and SDP parameters once; the functions here are front ends over a fresh
+record.  Each SDP result carries its dual-form matrix and, on request,
+its primal witness: the Gram matrix a vector coloring is extracted from.
 
 An edgeless graph with a vertex takes the conventional value 1, with no
 SDP run, certified by ``e_0 e_0^T`` and the zero witness; the SDP
@@ -26,8 +26,9 @@ interval is at most the solver's gap tolerance wide fixes the value.
 
 from __future__ import annotations
 
+import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,17 +99,26 @@ class ParamResult:
 
 
 def _checked(G: Graph, nonneg: bool, method: str, P: np.ndarray, M: np.ndarray,
-             value: float | None, want_primal: bool, sol: SdpSolution | None = None
-             ) -> ParamResult:
+             value: float | None, sol: SdpSolution | None = None) -> ParamResult:
     """The result that the pair (P, M) certifies on G: the only
     constructor of a :class:`ParamResult`.  A value None stands for the
     checked lower bound; ``sol`` is the solve the pair came from."""
     lower, upper = dual_form_bound(G, P, nonneg), witness_bound(G, M, nonneg)
     lower, upper = -np.inf if lower is None else lower, np.inf if upper is None else upper
     return ParamResult(value=lower if value is None else value, lower=lower, upper=upper,
-                       method=method, primal_certificate=M if want_primal else None,
-                       dual_certificate=P, residuals=sol.residuals if sol else None,
+                       method=method, primal_certificate=M, dual_certificate=P,
+                       residuals=sol.residuals if sol else None,
                        iterations=sol.iterations if sol else 0)
+
+
+def _pin_pair(n: int, clique: list[int], colors: np.ndarray) -> tuple:
+    """The pin ``(method, P, M, value)`` of a clique and a coloring of its
+    size; one vertex and one color pin an edgeless graph by convention."""
+    k = len(clique)
+    P = np.zeros((n, n))
+    P[np.ix_(clique, clique)] = 1.0 / k
+    M = k * (colors[:, None] == colors[None, :]) - 1.0
+    return "pin" if k > 1 else "convention", P, M, float(k)
 
 
 def _hoffman_pair(G: Graph, degree: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -131,40 +141,91 @@ def _hoffman_pair(G: Graph, degree: int) -> tuple[float, np.ndarray, np.ndarray]
     return tau, P, -(G.n * degree) / (rank * tau) * E_tau
 
 
-def _pin_pairs(G: Graph, cap: int):
-    """Candidate certificate pairs ``(method, P, M, value)``, lazily and
-    in order: for an edgeless graph only the convention, ``e_0 e_0^T``
-    and 0 (value 1), with no search and no eigendecomposition; else a
-    maximum clique of size k with a proper k-coloring, within the cap and
-    the search depth (value k), then, on a regular graph, Hoffman's pair
-    (:func:`_hoffman_pair`), valued None for the lower bound it certifies."""
+_BUILDERS = {"theta_bar": build_theta_bar, "chi_vec": build_chi_vec}
+
+
+class GraphFacts:
+    """One graph's facts, each computed once, on first use, at the
+    record's solver settings and chromatic cap: the neighbour lists and
+    maximum clique of :func:`_search_setup`, the colorings searched from
+    that clique by number of colors, Hoffman's pair, and the theta-bar and
+    chi-vec ``results`` with their witnesses.  ``hits`` and ``misses``
+    count the parameter lookups answered and computed."""
+
+    def __init__(self, G: Graph, cfg: SolverConfig | None = None, cap: int = CHROMATIC_CAP_DEFAULT):
+        self.G, self.cfg, self.cap = G, cfg or SolverConfig(), cap
+        self.results: dict[str, ParamResult] = {}
+        self.hits = self.misses = 0
+        self._colorings: dict[int, np.ndarray | None] = {}
+
+    @functools.cached_property
+    def search(self) -> tuple[list[list[int]], list[int]]:
+        """Neighbour lists and a maximum clique (:func:`_search_setup`)."""
+        return _search_setup(self.G, self.cap)
+
+    def coloring(self, k: int) -> np.ndarray | None:
+        """A proper k-coloring seeded with the clique, or None."""
+        if k not in self._colorings:
+            self._colorings[k] = _search_coloring(self.search[0], k, self.search[1])
+        return self._colorings[k]
+
+    @functools.cached_property
+    def hoffman(self) -> tuple[int, float, np.ndarray, np.ndarray] | None:
+        """The degree and :func:`_hoffman_pair` of a regular graph with an edge, else None."""
+        degrees = self.G.degrees()
+        if self.G.edge_count == 0 or degrees.min() != degrees.max():
+            return None
+        return int(degrees[0]), *_hoffman_pair(self.G, int(degrees[0]))
+
+    def param(self, which: str) -> ParamResult:
+        """The "theta_bar" or "chi_vec" result."""
+        if which in self.results:
+            self.hits += 1
+        else:
+            self.results[which] = _sdp_param(self, _BUILDERS[which])
+            self.misses += 1
+        return self.results[which]
+
+    def chromatic_coloring(self, limit: int | None = None) -> np.ndarray:
+        """See :func:`chromatic_coloring`."""
+        k = len(self.search[1])
+        while limit is None or k <= limit:
+            if (colors := self.coloring(k)) is not None:
+                return colors
+            k += 1
+        raise LimitExceededError(f"chromatic number exceeds limit {limit}", limit=limit)
+
+    def chromatic_number(self, limit: int | None = None) -> int:
+        """The color count of :meth:`chromatic_coloring`."""
+        return int(self.chromatic_coloring(limit).max(initial=-1)) + 1
+
+
+def _pin_pairs(facts: GraphFacts):
+    """The record's candidate pairs ``(method, P, M, value)``, lazily and
+    in order: for an edgeless graph only the convention, with no search
+    and no eigendecomposition; else the pin of a maximum clique and a
+    coloring of its size, within the cap and the search depth, then
+    Hoffman's pair of a regular graph, valued None for its lower bound."""
+    G = facts.G
     if G.edge_count == 0:
-        P = np.zeros((G.n, G.n))
-        P[0, 0] = 1.0
-        yield "convention", P, np.zeros((G.n, G.n)), 1.0
+        yield _pin_pair(G.n, [0], np.zeros(G.n, dtype=int))
         return
     try:
-        neighbours, clique = _search_setup(G, cap)
+        clique = facts.search[1]
+        colors = facts.coloring(len(clique))
     except CapacityError:
-        pass
-    else:
-        k = len(clique)
-        colors = _search_coloring(neighbours, k, clique)
-        if colors is not None:
-            P = np.zeros((G.n, G.n))
-            P[np.ix_(clique, clique)] = 1.0 / k
-            yield "pin", P, k * (colors[:, None] == colors[None, :]) - 1.0, float(k)
-    degrees = G.degrees()
-    if degrees.min() == degrees.max():
-        _, P, M = _hoffman_pair(G, int(degrees[0]))
-        yield "spectral", P, M, None
+        colors = None
+    if colors is not None:
+        yield _pin_pair(G.n, clique, colors)
+    if facts.hoffman is not None:
+        yield "spectral", *facts.hoffman[2:], None
 
 
-def _sdp_param(G: Graph, cfg, builder, want_primal: bool, cap: int) -> ParamResult:
+def _sdp_param(facts: GraphFacts, builder) -> ParamResult:
+    G, cfg = facts.G, facts.cfg
     problem = builder(G)
-    cfg = cfg or SolverConfig()
-    for method, P, M, value in _pin_pairs(G, cap):
-        result = _checked(G, problem.nonneg, method, P, M, value, want_primal)
+    for method, P, M, value in _pin_pairs(facts):
+        result = _checked(G, problem.nonneg, method, P, M, value)
         if result.gap <= cfg.gap_tol:
             _log_solve("pin %s: value %.12g (%s)", G.label or G.n, result.value, method,
                        method=method, value=result.value, iterations=0)
@@ -175,8 +236,7 @@ def _sdp_param(G: Graph, cfg, builder, want_primal: bool, cap: int) -> ParamResu
         if exc.partial is None:
             raise
         sol, failure = exc.partial, exc
-    result = _checked(G, problem.nonneg, "sdp", sol.X, sol.certificate, sol.objective,
-                      want_primal, sol)
+    result = _checked(G, problem.nonneg, "sdp", sol.X, sol.certificate, sol.objective, sol)
     if sol.status != OPTIMAL:
         message = str(failure or f"dual-form solve ended with status {sol.status}")
     elif result.gap > cfg.gap_tol:
@@ -194,13 +254,15 @@ def theta_bar(G: Graph, cfg: SolverConfig | None = None, *, want_primal: bool = 
     pinned without a solve on graphs of at most ``chromatic_cap`` vertices
     where a maximum clique and a coloring agree, and on regular graphs of
     any order whose spectral certificates close within ``cfg.gap_tol``."""
-    return _sdp_param(G, cfg, build_theta_bar, want_primal, chromatic_cap)
+    result = GraphFacts(G, cfg, chromatic_cap).param("theta_bar")
+    return result if want_primal else replace(result, primal_certificate=None)
 
 
 def chi_vec(G: Graph, cfg: SolverConfig | None = None, *, want_primal: bool = False,
             chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> ParamResult:
     """Vector chromatic number, pinned as :func:`theta_bar` is."""
-    return _sdp_param(G, cfg, build_chi_vec, want_primal, chromatic_cap)
+    result = GraphFacts(G, cfg, chromatic_cap).param("chi_vec")
+    return result if want_primal else replace(result, primal_certificate=None)
 
 
 def spectral_lower_bound(G: Graph) -> float:
@@ -356,14 +418,10 @@ def spectral_vector_chromatic(G: Graph) -> ParamResult:
     1 - k/tau, is wider than ``SPECTRAL_WIDTH * max(1, value)`` raises
     :class:`DomainError`.
     """
-    if G.edge_count == 0:
-        raise DomainError("spectral formula needs at least one edge")
-    degrees = G.degrees()
-    if degrees.min() != degrees.max():
-        raise DomainError("spectral formula needs a regular graph")
-    degree = int(degrees[0])
-    tau, P, M = _hoffman_pair(G, degree)
-    result = _checked(G, True, "spectral", P, M, 1.0 - degree / tau, True)
+    if (hoffman := GraphFacts(G).hoffman) is None:
+        raise DomainError("spectral formula needs a regular graph with an edge")
+    degree, tau, P, M = hoffman
+    result = _checked(G, True, "spectral", P, M, 1.0 - degree / tau)
     lower, upper, value = result.lower, result.upper, result.value
     if lower == -np.inf:
         raise DomainError("Hoffman's dual-form matrix fails the dual-form check")
@@ -493,18 +551,9 @@ def chromatic_coloring(G: Graph, limit: int | None = None, *,
     colors above ``limit`` and :class:`CapacityError` above the vertex
     cap or the search depth.
     """
-    neighbours, clique = _search_setup(G, cap)
-    k = len(clique)
-    while True:
-        if limit is not None and k > limit:
-            raise LimitExceededError(f"chromatic number exceeds limit {limit}", limit=limit)
-        colors = _search_coloring(neighbours, k, clique)
-        if colors is not None:
-            return colors
-        k += 1
+    return GraphFacts(G, cap=cap).chromatic_coloring(limit)
 
 
 def chromatic_number(G: Graph, limit: int | None = None, *, cap: int = CHROMATIC_CAP_DEFAULT) -> int:
-    """Exact chromatic number: the color count of
-    :func:`chromatic_coloring`, whose errors it raises."""
-    return int(chromatic_coloring(G, limit, cap=cap).max(initial=-1)) + 1
+    """Exact chromatic number: the color count of :func:`chromatic_coloring`."""
+    return GraphFacts(G, cap=cap).chromatic_number(limit)

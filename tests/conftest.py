@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from vecchrom import graphs, params
 from vecchrom.graphs import Graph, graph_from_edges
-from vecchrom.identities import cached_param
+from vecchrom.identities import _facts
+from vecchrom.params import CHROMATIC_CAP_DEFAULT
 from vecchrom.sdp import SolverConfig, solve
 
 settings.register_profile(
@@ -55,7 +56,7 @@ def no_spectral_pin(monkeypatch):
     coloring pin misses reach the solver."""
     pairs = params._pin_pairs
     monkeypatch.setattr(params, "_pin_pairs",
-                        lambda G, cap: (p for p in pairs(G, cap) if p[0] != "spectral"))
+                        lambda facts: (p for p in pairs(facts) if p[0] != "spectral"))
 
 
 @pytest.fixture(scope="session")
@@ -68,15 +69,15 @@ def cfg():
 
 @pytest.fixture(scope="session")
 def param_cache():
-    """Shared memo of ParamResults; doubles as the record the acceptance
-    gap criterion sweeps over."""
+    """Shared GraphFacts records by Graph.key(); doubles as the record the
+    acceptance gap criterion sweeps over."""
     return {}
 
 
 @pytest.fixture(scope="session")
 def theta(param_cache, cfg):
     def run(G):
-        return cached_param(G, "theta_bar", cfg, param_cache)
+        return _facts(G, cfg, param_cache, CHROMATIC_CAP_DEFAULT).param("theta_bar")
 
     return run
 
@@ -84,7 +85,7 @@ def theta(param_cache, cfg):
 @pytest.fixture(scope="session")
 def chivec(param_cache, cfg):
     def run(G):
-        return cached_param(G, "chi_vec", cfg, param_cache)
+        return _facts(G, cfg, param_cache, CHROMATIC_CAP_DEFAULT).param("chi_vec")
 
     return run
 

@@ -18,8 +18,8 @@ from vecchrom import graphs
 from vecchrom.colorings import extract_coloring, verify_coloring
 from vecchrom.identities import (
     _cartesian_witness,
+    _facts,
     _lift,
-    cached_param,
     hedetniemi_checks,
     product_checks,
     sabidussi_checks,
@@ -114,7 +114,7 @@ def _suite_pairs():
 
 def _cross_checked(checks, targets, cfg, cache):
     """Pair each check with the graph it certifies and the SDP value there."""
-    return [(check, F, cached_param(F, which, cfg, cache).value)
+    return [(check, F, _facts(F, cfg, cache, CHROMATIC_CAP_DEFAULT).param(which).value)
             for check, (F, which) in zip(checks, targets)]
 
 
@@ -346,7 +346,7 @@ def _pinned(param_cache, runs):
     for G, H, _, crossed in runs:
         for F in [G, H] + [F for _, F, _ in crossed]:
             for which in ("theta_bar", "chi_vec"):
-                res = param_cache.get((F.key(), which))
+                res = param_cache[F.key()].results.get(which) if F.key() in param_cache else None
                 if res is not None and res.method in ("pin", "spectral"):
                     out[F.key(), which] = (F, which, res.value)
     return list(out.values())
@@ -355,7 +355,8 @@ def _pinned(param_cache, runs):
 def test_c13_strong_duality_certification(param_cache, cfg, sabidussi_runs,
                                           hedetniemi_runs, product_union_runs):
     sdp_results = [
-        res for res in param_cache.values() if res.method == "sdp"
+        res for facts in param_cache.values() for res in facts.results.values()
+        if res.method == "sdp"
     ]
     # the pinned graphs are solved here all the same: each solve is held
     # to the same bounds, and its certified interval must hold the pin

@@ -153,7 +153,32 @@ def test_param_spectral(capsys):
     code, record, _ = run_cli(capsys, "param", "path:3", "--which", "spectral")
     assert code == 0
     assert record["result"]["vector_chromatic"] == 2.0
-    assert record["result"]["method"] == "convention"
+    assert record["result"]["method"] == "pin"
+
+
+def test_param_spectral_fallbacks_are_checked(capsys, monkeypatch):
+    # the edgeless convention and the pin of an edge with the bipartite
+    # 2-coloring go through the certificate checkers, with no solve
+    checked = []
+
+    def recording(*args):
+        checked.append(params._checked(*args))
+        return checked[-1]
+
+    monkeypatch.setattr(cli, "_checked", recording)
+    monkeypatch.setattr(params, "solve", None)
+    for spec, value, method in (("path:4", 2.0, "pin"), ("empty:3", 1.0, "convention")):
+        code, record, _ = run_cli(capsys, "param", spec, "--which", "spectral")
+        assert code == 0
+        assert record["result"]["vector_chromatic"] == value
+        assert record["result"]["method"] == method
+        res = checked[-1]
+        assert res.value == res.lower == value and res.upper == pytest.approx(value, abs=1e-12)
+    # an improper 2-coloring fails the witness check
+    monkeypatch.setattr(cli, "is_bipartite", lambda G: (True, np.zeros(G.n, dtype=int)))
+    code, record, err = run_cli(capsys, "param", "path:4", "--which", "spectral")
+    assert (code, record) == (3, None)
+    assert err.startswith("validation error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("spec", ["petersen", "omega:4", "cycle:7", "omega:6", "path:3"])
@@ -716,6 +741,21 @@ def test_report_solves_each_value_once(capsys, monkeypatch, no_spectral_pin):
     code, _, _ = run_cli(capsys, "report", "cycle:5")
     assert code == 0
     assert len(calls) == 2  # theta-bar and chi-vec; the chain checks reuse them
+
+
+def test_report_searches_and_decomposes_once(capsys, monkeypatch):
+    # one record serves theta-bar, chi-vec and the chromatic number of C_5:
+    # one clique/coloring search and one eigendecomposition for Hoffman's
+    # pair (the other is the average-degree bound's)
+    calls = []
+    for name in ("_search_setup", "_hoffman_pair", "eig_sym"):
+        def counting(*args, f=getattr(params, name), name=name):
+            calls.append(name)
+            return f(*args)
+        monkeypatch.setattr(params, name, counting)
+    code, _, _ = run_cli(capsys, "report", "cycle:5")
+    assert code == 0
+    assert sorted(calls) == ["_hoffman_pair", "_search_setup", "eig_sym", "eig_sym"]
 
 
 def test_report_matches_values_computed_apart(capsys):

@@ -128,30 +128,52 @@ def test_sabidussi_builds_cartesian_once(cfg, param_cache, monkeypatch):
     assert kinds.count("cartesian") == 1
 
 
-def test_sabidussi_computes_each_factor_chromatic_number_once(cfg, param_cache, monkeypatch):
-    calls = {"chromatic_coloring": [], "chromatic_number": []}
-    for name, seen in calls.items():
-        def counting(F, *args, f=getattr(identities, name), seen=seen, **kwargs):
-            seen.append(F.n)
-            return f(F, *args, **kwargs)
-        monkeypatch.setattr(identities, name, counting)
-    # one product within the chromatic cap and one (49 vertices) above it:
-    # both are certified from the factors, with no search on the product
-    for G, H in ((C5, K3), (random_graph(7, seed=301), random_graph(7, seed=302))):
-        for seen in calls.values():
-            seen.clear()
-        chi = run_suite("sabidussi", G, H, cfg, cache=param_cache)[-1]
-        # one search per factor, whose coloring gives the factor value
-        assert calls == {"chromatic_coloring": [G.n, H.n], "chromatic_number": []}
-        factors = [params.chromatic_number(G), params.chromatic_number(H)]
-        m = max(factors)
-        assert chi.passed and chi.detail["factors"] == factors
-        assert chi.lhs == chi.rhs == m and chi.detail["interval"] == [m, m]
-        assert chi.detail["certificates"] == {"lower": "factor subgraph",
-                                              "upper": "modular coloring"}
-        assert "method" not in chi.detail
-    # the search on the product agrees where the cap allows it
-    assert params.chromatic_number(graphs.product("cartesian", C5, K3)) == 3
+def test_suites_search_each_graph_once(cfg, monkeypatch):
+    # one shared cache over the acceptance pairs: each graph that reaches a
+    # search (a factor with an edge, and every factor of the sabidussi and
+    # chain suites, whose chromatic numbers are searched) is searched once,
+    # for its pins and its minimum coloring together, and no product is
+    from test_acceptance import PAIR_SEED, _random_pairs
+
+    calls = []
+    setup = params._search_setup
+
+    def counting(G, cap):
+        calls.append(G.key())
+        return setup(G, cap)
+
+    monkeypatch.setattr(params, "_search_setup", counting)
+    rng = np.random.default_rng(PAIR_SEED + 2)
+    runs = ([(suite, G, H) for G, H in _random_pairs(20, 4, 8, PAIR_SEED)
+             for suite in ("sabidussi", "hedetniemi", "chain")]
+            + [("products", G, H) for G, H in _random_pairs(10, 4, 6, PAIR_SEED + 1)]
+            + [("union", graphs.erdos_renyi(7, 0.5, rng=rng), graphs.erdos_renyi(7, 0.5, rng=rng))
+               for _ in range(10)])
+    cache, searched = {}, set()
+    for suite, G, H in runs:
+        checks = run_suite(suite, G, H, cfg, cache=cache)
+        assert all(c.passed for c in checks), (suite, G.label, H.label)
+        searched |= {X.key() for X in (G, H) if X.edge_count or suite in ("sabidussi", "chain")}
+        if suite == "sabidussi":
+            # the chi check is certified from the factors' minimum colorings
+            chi = checks[-1]
+            factors = [cache[G.key()].chromatic_number(), cache[H.key()].chromatic_number()]
+            m = max(factors)
+            assert chi.detail["factors"] == factors
+            assert chi.lhs == chi.rhs == m and chi.detail["interval"] == [m, m]
+            assert chi.detail["certificates"] == {"lower": "factor subgraph",
+                                                  "upper": "modular coloring"}
+    assert sorted(calls) == sorted(searched)
+
+
+def test_cache_records_follow_the_chromatic_cap(cfg):
+    # a record made at a cap that refuses C5's search is made again when
+    # the same cache is used at a cap that allows it
+    cache = {}
+    with pytest.raises(CapacityError):
+        run_suite("sabidussi", C5, K3, cfg, cache=cache, chromatic_cap=3)
+    assert all(c.passed for c in run_suite("sabidussi", C5, K3, cfg, cache=cache))
+    assert cache[C5.key()].cap == params.CHROMATIC_CAP_DEFAULT
 
 
 @pytest.mark.parametrize("pair", [(C5, K3), (PETERSEN, C5), "stiff"])
@@ -164,14 +186,13 @@ def test_pair_suites_solve_no_product(cfg, param_cache, monkeypatch, pair):
         assert (pair[0].n, pair[1].n) == (7, 8)
     G, H = pair
     orders = []
-    for which in ("theta_bar", "chi_vec"):
-        solver = getattr(identities, which)
+    param = params.GraphFacts.param
 
-        def counting(graph, *args, solver=solver, **kwargs):
-            orders.append(graph.n)
-            return solver(graph, *args, **kwargs)
+    def counting(facts, which):
+        orders.append(facts.G.n)
+        return param(facts, which)
 
-        monkeypatch.setattr(identities, which, counting)
+    monkeypatch.setattr(params.GraphFacts, "param", counting)
     checks = _pair_checks(G, H, cfg, {})
     checks += run_suite("union", G, G, cfg, cache={})
     assert all(c.passed for c in checks)
@@ -188,7 +209,8 @@ def test_suites_pin_factors_within_the_chromatic_cap(cfg, suite, no_spectral_pin
         cache = {}
         checks = run_suite(suite, G, H, cfg, cache=cache, chromatic_cap=cap)
         assert all(c.passed for c in checks)
-        assert cache and {res.method for res in cache.values()} == {method}
+        methods = {res.method for facts in cache.values() for res in facts.results.values()}
+        assert cache and methods == {method}
 
 
 def test_pair_suites_record_certified_intervals(cfg, param_cache):
@@ -240,13 +262,12 @@ MUTATIONS = [
 
 
 @pytest.mark.parametrize("pair, factor, which, field, expected", MUTATIONS)
-def test_mutated_factor_fails_its_checks(cfg, param_cache, pair, factor, which,
-                                         field, expected):
+def test_mutated_factor_fails_its_checks(cfg, pair, factor, which, field, expected):
     G, H = PAIRS[pair]
     X = (G, H)[factor]
-    cache = dict(param_cache)
+    cache = {}
     assert all(c.passed for c in _pair_checks(G, H, cfg, cache))
-    res = cache[(X.key(), which)]
+    res = cache[X.key()].results[which]
     if field == "value":
         mutated = dataclasses.replace(res, value=res.value + 1e-2)
     elif field == "P":
@@ -263,7 +284,7 @@ def test_mutated_factor_fails_its_checks(cfg, param_cache, pair, factor, which,
         M[i, j] += 1e-2
         M[j, i] += 1e-2
         mutated = dataclasses.replace(res, primal_certificate=M)
-    cache[(X.key(), which)] = mutated
+    cache[X.key()].results[which] = mutated
     checks = _pair_checks(G, H, cfg, cache)
     failed = [c for c in checks if not c.passed]
     assert sorted(c.name for c in failed) == sorted(expected)

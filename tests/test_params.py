@@ -246,18 +246,36 @@ def test_wide_clique_pin_falls_through_to_the_spectral_pin(param, builder, nonne
     # Hoffman's pair comes next and closes
     pairs = params._pin_pairs
 
-    def widened(G, cap):
-        for method, P, M, value in pairs(G, cap):
-            yield method, P, M + 1e-4 * np.eye(G.n) if method == "pin" else M, value
+    def widened(facts):
+        for method, P, M, value in pairs(facts):
+            yield method, P, M + 1e-4 * np.eye(facts.G.n) if method == "pin" else M, value
 
     monkeypatch.setattr(params, "_pin_pairs", widened)
     K4 = graphs.generate("complete", 4)
-    [(_, P, M, _)] = [p for p in widened(K4, CHROMATIC_CAP_DEFAULT) if p[0] == "pin"]
+    [(_, P, M, _)] = [p for p in widened(params.GraphFacts(K4)) if p[0] == "pin"]
     assert witness_bound(K4, M, nonneg) - dual_form_bound(K4, P, nonneg) > 1e-5
     res = param(K4, SolverConfig(gap_tol=1e-5))
     assert (res.method, res.iterations) == ("spectral", 0)
     assert abs(res.value - 4.0) <= 1e-12
     assert solve_calls == []
+
+
+def test_one_record_searches_each_number_of_colors_once(monkeypatch):
+    # C_5 has omega = 2 < chi = 3: the pins of both parameters try k = 2
+    # once, and the minimum coloring goes on from there to k = 3
+    calls = []
+    search = params._search_coloring
+
+    def counting(neighbours, k, clique):
+        calls.append(k)
+        return search(neighbours, k, clique)
+
+    monkeypatch.setattr(params, "_search_coloring", counting)
+    facts = params.GraphFacts(graphs.generate("cycle", 5))
+    assert facts.param("theta_bar").method == facts.param("chi_vec").method == "spectral"
+    assert facts.chromatic_number() == 3 and facts.param("theta_bar").value == pytest.approx(SQRT5)
+    assert calls == [2, 3]
+    assert (facts.hits, facts.misses) == (1, 2)
 
 
 # --- the spectral pin: Hoffman's certificates on regular graphs -----------------
