@@ -59,6 +59,7 @@ from .identities import (
     check_sdp_cap,
     run_suite,
     sandwich_checks,
+    spectral_bound,
 )
 from .params import (
     CHROMATIC_CAP_DEFAULT,
@@ -270,7 +271,7 @@ def cmd_report(args) -> tuple[dict, int]:
             record["status"] = "solver_failure"
             return record, code
         params[which] = payload
-    lb = spectral_lower_bound(G) if G.edge_count else None
+    lb = spectral_bound(facts)
     if lb is not None:
         params["spectral_lower_bound"] = lb
     params["one_homogeneous"] = one_homogeneous_check(G).is_one_homogeneous

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, FeasibilityError, ParseError
-from .graphs import Graph, _integer_array
+from .graphs import Graph, _integer_array, decode_json, read_text
 from .linalg import eig_sym
 
 UNIT_NORM_TOL = 1e-8
@@ -197,5 +197,4 @@ def save_coloring(path, c: VectorColoring) -> None:
 
 
 def load_coloring(path) -> VectorColoring:
-    with open(path, "r", encoding="utf-8") as fh:
-        return coloring_from_json(json.load(fh))
+    return coloring_from_json(decode_json(read_text(path, "vector coloring"), "vector coloring"))

@@ -13,6 +13,7 @@ this ordering.
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -418,9 +419,29 @@ def write_edge_list(G: Graph) -> str:
     return f"{G.n} {len(u)}\n" + ("%d %d\n" * len(u)) % tuple(ends)
 
 
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of a file; bytes that are not UTF-8 raise ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not UTF-8 text: {exc}")
+
+
+def decode_json(text: str, what: str):
+    """``json.loads(text)``; what json cannot decode raises ParseError:
+    invalid JSON, nesting deeper than the recursion limit, an integer
+    beyond Python's digit limit for integer strings."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}")
+    except (RecursionError, ValueError) as exc:
+        raise ParseError(f"{what} cannot be decoded: {exc}")
+
+
 def load_graph(path, label: str = "") -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read(), label=label or str(path))
+    return parse_edge_list(read_text(path, "graph file"), label=label or str(path))
 
 
 def save_graph(path, G: Graph) -> None:

@@ -284,9 +284,18 @@ def chain_checks(G: Graph, cfg: SolverConfig | None = None,
     theta_bar, and (when computable) the chromatic number."""
     facts = _facts(G, cfg, cache, chromatic_cap)
     cv, tb = facts.param("chi_vec").value, facts.param("theta_bar").value
-    lb = spectral_lower_bound(G) if G.edge_count else None
     chi = facts.chromatic_number() if G.n <= chromatic_cap else None
-    return sandwich_checks(G, lb, cv, tb, chi, tol)
+    return sandwich_checks(G, spectral_bound(facts), cv, tb, chi, tol)
+
+
+def spectral_bound(facts: GraphFacts) -> float | None:
+    """The average-degree bound 1 - (2e/n)/tau of a graph with an edge,
+    else None.  A regular graph takes tau from its record's Hoffman pair,
+    the same eigendecomposition, and 2e/n is its degree exactly."""
+    if facts.hoffman is not None:
+        degree, tau = facts.hoffman[:2]
+        return 1.0 - degree / tau
+    return spectral_lower_bound(facts.G) if facts.G.edge_count else None
 
 
 def sandwich_checks(G: Graph, lb: float | None, cv: float, tb: float, chi: int | None,

@@ -19,12 +19,14 @@ import gc
 import itertools
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, ParseError, ValidationError
-from .graphs import Graph, ProductKind, graph_from_edges, generate, is_homomorphism, load_graph, product
+from .graphs import (Graph, ProductKind, decode_json, graph_from_edges, generate, is_homomorphism,
+                     load_graph, product, read_text)
 from .colorings import ClassicalColoring, modular_coloring
 
 ADJ_TOL = 1e-7
@@ -331,10 +333,11 @@ def _source_graph(spec, base_dir: str | None) -> Graph:
     return graph_from_edges(n, edges)
 
 
-def _number_array(raw) -> np.ndarray:
-    """A float array of nested JSON lists of numbers, built one nesting
-    level at a time: each level must hold only lists of one length, or
-    only numbers (int or float; bool and null are not numbers)."""
+def _number_array(raw) -> tuple[tuple[int, ...], np.ndarray]:
+    """The shape and the row-major float entries of nested JSON lists of
+    numbers, read one nesting level at a time: each level must hold only
+    lists of one length, or only numbers (int or float; bool and null are
+    not numbers)."""
     shape, level = [], [raw]
     while level and set(map(type, level)) == {list}:
         lengths = set(map(len, level))
@@ -346,12 +349,18 @@ def _number_array(raw) -> np.ndarray:
     if set(map(type, level)) - {int, float}:
         raise ParseError("malformed certificate: assignment entries must be numbers")
     try:
-        return np.fromiter(level, dtype=float, count=len(level)).reshape(shape)
+        return tuple(shape), np.fromiter(level, dtype=float, count=len(level))
     except OverflowError:  # an integer beyond the float range
         raise ParseError("malformed certificate: assignment entries must be numbers")
 
 
 def certificate_from_json(data: dict, base_dir: str | None = None) -> QuantumHomomorphism:
+    return _certificate(data, base_dir, decoded=False)
+
+
+def _certificate(data: dict, base_dir: str | None, decoded: bool) -> QuantumHomomorphism:
+    """The checks of :func:`certificate_from_json`, in order; ``decoded``
+    says that the assignment is a float array from :func:`_flat_decode`."""
     try:
         d = _json_int(data["d"], "d")
         n_colors = _json_int(data["n_colors"], "n_colors")
@@ -362,14 +371,110 @@ def certificate_from_json(data: dict, base_dir: str | None = None) -> QuantumHom
     if d < 1:
         raise ValidationError(f"certificate declares dimension d = {d}, expected d >= 1")
     source = _source_graph(graph_spec, base_dir)
-    arr = _number_array(raw)
+    shape, entries = (raw.shape, raw) if decoded else _number_array(raw)
     expected = (source.n, n_colors, d, d, 2)
-    if arr.shape != expected:
+    if shape != expected:
         raise ValidationError(
-            f"assignment shape {arr.shape} does not match declared sizes {expected}"
+            f"assignment shape {shape} does not match declared sizes {expected}"
         )
-    assignment = arr.view(complex)[..., 0]  # [re, im] pairs as complex entries
+    assignment = entries.reshape(expected).view(complex)[..., 0]  # [re, im] pairs as complex entries
     return QuantumHomomorphism(source, generate("complete", n_colors), d, assignment)
+
+
+# The flat decode of a certificate file, :func:`_flat_decode`.
+
+#: The placeholder's value, a snowman; a text that holds it, raw or
+#: escaped, is left to json.
+_PLACEHOLDER = "\u2603"
+_ASSIGNMENT = re.compile(r'"assignment"\s*:\s*(\[[\s\[]*)')
+#: Deepest array the flat decode takes, which bounds its skeleton search
+#: (numpy 1 holds at most 32 axes).
+_MAX_DEPTH = 32
+_JSON_SPACE = b" \t\n\r"
+#: The bytes of JSON number tokens, NaN and Infinity included.
+_NUMBER_BYTES = b"0123456789+-.eEINafinty"
+#: Brackets and commas stay, number bytes become x, any other byte ?.
+_TOKENS = bytes(c if c in b"[]," else ord("x") if c in _NUMBER_BYTES else ord("?")
+                for c in range(256))
+_BLANK_BRACKETS = bytes(ord(" ") if c in b"[]" else c for c in range(256))
+
+
+def _skeleton_shape(skeleton: bytes, depth: int) -> tuple[int, ...] | None:
+    """The shape of the array whose brackets and commas are ``skeleton``,
+    with no axis empty, or None when no array has them.
+
+    The first list at each nesting level is read off the skeleton, which
+    starts with ``depth`` brackets: the list at level j closes at the
+    first run of depth - j + 1 closing brackets.  Its length gives the
+    axis, and the canonical skeleton of the shape, whose length is
+    checked before it is built, must equal ``skeleton``."""
+    shape, inner = [], 0  # inner: length of the first list one level down
+    for level in range(depth, 0, -1):
+        run = depth - level + 1
+        close = skeleton.find(b"]" * run)
+        if close < 0:
+            return None
+        length = close + run - (level - 1)
+        count, rest = divmod(length - 1, inner + 1)
+        if count < 1 or rest:
+            return None
+        shape.append(count)
+        inner = length
+    if inner != len(skeleton):
+        return None
+    canonical = b""
+    for count in shape:
+        canonical = b"[" + b",".join([canonical] * count) + b"]"
+    return tuple(reversed(shape)) if canonical == skeleton else None
+
+
+def _flat_decode(text: str) -> dict | None:
+    """``json.loads(text)``, with the top-level "assignment" array as a
+    float64 array, or None when this decode cannot prove it gives that.
+
+    The array's text runs from the last ``"assignment":`` key's opening
+    brackets to the first run of as many closing ones.  With whitespace
+    deleted and the bytes of each number token reduced to x, it must be
+    the skeleton of an array with no empty axis: no byte but brackets,
+    commas and number bytes, no x run next to a bracket on its wrong
+    side, and its brackets and commas those of the shape they imply.
+    The blanked text's json.loads then proves that every entry slot
+    holds one number token, and ``np.fromiter`` builds the array.  The
+    rest of the document, which alone can hold the placeholder, must
+    decode to an object whose "assignment" is the placeholder: so the
+    array is the one json keeps.  Never raises: what it declines, json
+    decodes or refuses."""
+    at = text.rfind('"assignment"')
+    key = _ASSIGNMENT.match(text, at) if at >= 0 else None
+    if key is None:
+        return None
+    depth, start = key.group(1).count("["), key.start(1)
+    if depth > _MAX_DEPTH:
+        return None
+    close = text.find("]" * depth, start)
+    span = text[start:close + depth]
+    if close < 0 or not span.isascii():
+        return None
+    head, tail, span = text[:start], text[close + depth:], span.encode("ascii")
+    tokens = span.translate(_TOKENS, _JSON_SPACE)
+    codes = np.frombuffer(tokens, dtype=np.uint8)
+    number = codes == ord("x")
+    if (b"?" in tokens or (number[:-1] & (codes[1:] == ord("["))).any()
+            or ((codes[:-1] == ord("]")) & number[1:]).any()):
+        return None
+    shape = _skeleton_shape(tokens.translate(None, b"x"), depth)
+    if shape is None or any(_PLACEHOLDER in part or "\\u2603" in part for part in (head, tail)):
+        return None
+    try:
+        values = json.loads(b"[" + span.translate(_BLANK_BRACKETS) + b"]")
+        array = np.fromiter(values, dtype=float, count=len(values)).reshape(shape)
+        data = json.loads(head + '"\\u2603"' + tail)
+    except (OverflowError, RecursionError, ValueError):
+        return None
+    if type(data) is not dict or data.get("assignment") != _PLACEHOLDER:
+        return None
+    data["assignment"] = array
+    return data
 
 
 def save_certificate(path, q: QuantumHomomorphism) -> None:
@@ -380,17 +485,17 @@ def save_certificate(path, q: QuantumHomomorphism) -> None:
 
 
 def load_certificate(path) -> QuantumHomomorphism:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path, "certificate")
     # the decoded lists hold no cycles, so the cyclic collector is paused
     # while they are made: its passes over them would find nothing
     collecting = gc.isenabled()
     gc.disable()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"certificate is not valid JSON: {exc}")
+        data = _flat_decode(text)
+        decoded = data is not None
+        if not decoded:
+            data = decode_json(text, "certificate")
     finally:
         if collecting:
             gc.enable()
-    return certificate_from_json(data, base_dir=os.path.dirname(os.fspath(path)))
+    return _certificate(data, os.path.dirname(os.fspath(path)), decoded)

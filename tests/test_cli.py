@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -685,6 +686,53 @@ def test_qverify_malformed_certificate_is_a_parse_error(tmp_path, capsys, data):
     assert err.startswith("error: malformed certificate")
 
 
+def _c5_text(assignment=None, n=None):
+    """The C_5 certificate's JSON text, with its assignment or its graph.n
+    replaced by the given text."""
+    data = certificate_to_json(_c5_certificate())
+    if assignment is not None:
+        data["assignment"] = "@assignment"
+    if n is not None:
+        data["graph"]["n"] = "@n"
+    text = json.dumps(data)
+    return text.replace('"@assignment"', assignment or "").replace('"@n"', n or "").encode()
+
+
+_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                  reason="no digit limit for integer strings")
+
+
+@pytest.mark.parametrize("text, code, prefix", [
+    pytest.param(b'\xff\xfe{"d": 1}', 1, "error: certificate is not UTF-8", id="not-utf8"),
+    pytest.param(_c5_text(assignment="[" * 100_000 + "1.0" + "]" * 100_000), 1,
+                 "error: certificate cannot be decoded", id="nested-100000"),
+    pytest.param(_c5_text(assignment=json.dumps(certificate_to_json(_c5_certificate())[
+                     "assignment"]).replace("1.0", "9" * 5000, 1)), 1,
+                 "error: certificate cannot be decoded", id="entry-5000-digits",
+                 marks=_DIGIT_LIMIT),
+    pytest.param(_c5_text(n="9" * 5000), 1, "error: certificate cannot be decoded",
+                 id="n-5000-digits", marks=_DIGIT_LIMIT),
+    pytest.param(_c5_text(assignment="[" * 100 + "1.0" + "]" * 100), 3,
+                 "validation error: assignment shape (1, 1,", id="nested-100"),
+])
+def test_qverify_undecodable_certificate_is_an_error_not_a_traceback(tmp_path, capsys, text,
+                                                                     code, prefix):
+    path, out = tmp_path / "cert.json", tmp_path / "record.json"
+    path.write_bytes(text)
+    got, record, err = run_cli(capsys, "qverify", str(path), "--out", str(out))
+    assert (got, record) == (code, None) and not out.exists()
+    assert err.startswith(prefix) and "Traceback" not in err
+
+
+def test_param_non_utf8_graph_file_is_a_parse_error(tmp_path, capsys):
+    path, out = tmp_path / "g.txt", tmp_path / "record.json"
+    path.write_bytes(b"3 1\n0 1 \xff\n")
+    got, record, err = run_cli(capsys, "param", str(path), "--which", "chromatic",
+                               "--out", str(out))
+    assert (got, record) == (1, None) and not out.exists()
+    assert err.startswith("error: graph file is not UTF-8") and "Traceback" not in err
+
+
 def test_qverify_missing_files_exit_as_usage_errors(tmp_path, capsys):
     code, record, err = run_cli(capsys, "qverify", str(tmp_path / "absent.json"))
     assert (code, record) == (1, None) and err.startswith("error:")
@@ -744,9 +792,9 @@ def test_report_solves_each_value_once(capsys, monkeypatch, no_spectral_pin):
 
 
 def test_report_searches_and_decomposes_once(capsys, monkeypatch):
-    # one record serves theta-bar, chi-vec and the chromatic number of C_5:
-    # one clique/coloring search and one eigendecomposition for Hoffman's
-    # pair (the other is the average-degree bound's)
+    # one record serves theta-bar, chi-vec, the chromatic number and the
+    # average-degree bound of C_5: one clique/coloring search and one
+    # eigendecomposition, Hoffman's pair's
     calls = []
     for name in ("_search_setup", "_hoffman_pair", "eig_sym"):
         def counting(*args, f=getattr(params, name), name=name):
@@ -755,7 +803,7 @@ def test_report_searches_and_decomposes_once(capsys, monkeypatch):
         monkeypatch.setattr(params, name, counting)
     code, _, _ = run_cli(capsys, "report", "cycle:5")
     assert code == 0
-    assert sorted(calls) == ["_hoffman_pair", "_search_setup", "eig_sym", "eig_sym"]
+    assert sorted(calls) == ["_hoffman_pair", "_search_setup", "eig_sym"]
 
 
 def test_report_matches_values_computed_apart(capsys):

@@ -428,6 +428,18 @@ def test_coloring_json_roundtrip(tmp_path):
     assert path.read_text(encoding="utf-8") == streamed.getvalue()
 
 
+@pytest.mark.parametrize("text, message", [
+    (b'{"k": 2, "dim": 1, "strict": true, "vectors": [[1.0], [-1.0]]}\xff', "is not UTF-8 text"),
+    (b"{ nope", "is not valid JSON"),
+    (b'{"vectors": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "cannot be decoded"),
+], ids=["not-utf8", "not-json", "nested-100000"])
+def test_undecodable_coloring_file_is_a_parse_error(tmp_path, text, message):
+    path = tmp_path / "coloring.json"
+    path.write_bytes(text)
+    with pytest.raises(ParseError, match=f"^vector coloring {message}"):
+        load_coloring(path)
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d.pop("k"),
     lambda d: d.update(k="three"),

@@ -3,9 +3,15 @@ import gc
 import io
 import itertools
 import json
+import random
+import re
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecchrom import graphs, quantum
 from vecchrom.errors import DimensionError, DomainError, ParseError, ValidationError
@@ -740,6 +746,167 @@ def test_saved_certificate_text_matches_streamed_json(tmp_path):
         reference = io.StringIO()
         json.dump(_loop_certificate_json(q), reference)
         assert path.read_text(encoding="utf-8") == reference.getvalue()
+
+
+# --- the flat decode of certificate files against the json route ---------------------
+#
+# load_certificate decodes the assignment array of a file without its nested
+# lists when it can prove that json would give the same; otherwise json
+# decodes the file.  Both routes must give the same certificate, or the same
+# error.
+
+def _load_outcome(path):
+    """What load_certificate gives for a file: the certificate's arrays and
+    sizes, or the class and message of what it raises."""
+    try:
+        q = load_certificate(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (q.assignment.shape, q.assignment.tobytes(), q.source.adj.tobytes(), q.d,
+            q.target.n)
+
+
+def _json_route_outcome(path):
+    with mock.patch.object(quantum, "_flat_decode", lambda text: None):
+        return _load_outcome(path)
+
+
+def _assert_routes_agree(path, text, flat=None):
+    """Both routes give the same outcome on ``text``, written to ``path``;
+    ``flat`` says whether the flat decode must take the text (True) or
+    decline it (False)."""
+    if flat is not None:
+        assert (quantum._flat_decode(text) is not None) is flat
+    path.write_text(text, encoding="utf-8")
+    outcome = _load_outcome(path)
+    assert outcome == _json_route_outcome(path)
+    return outcome
+
+
+@pytest.fixture(scope="module")
+def cert_path(tmp_path_factory):
+    """One file for the texts of a module's examples."""
+    return tmp_path_factory.mktemp("flat") / "cert.json"
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CERTIFICATES))
+def test_flat_decode_is_bit_identical_on_oracle_certificates(cert_path, name):
+    q = ORACLE_CERTIFICATES[name]
+    shape, data, adj, d, n_colors = _assert_routes_agree(cert_path, json.dumps(certificate_to_json(q)), True)
+    assert (shape, data, adj, d, n_colors) == (q.assignment.shape, q.assignment.tobytes(),
+                                               q.source.adj.tobytes(), q.d, q.target.n)
+
+
+_TOKEN = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|NaN|-?Infinity")
+_SWAPS = ["true", "null", '"1"', "1e400", "-0", "NaN", "-Infinity", "9" * 400]
+
+
+_ENTRIES = [0.0, -0.0, 1.0, 0.5, -2.5e300, 1e-17, 0.1, float("nan"), float("inf"), 0, 1, -3]
+
+
+@st.composite
+def _certificate_texts(draw):
+    """A small certificate, dumped with random separators, indentation, key
+    order and whitespace, then perhaps mutated.  All but the sizes and the
+    kind of mutation come from a drawn seed."""
+    d, n, n_colors = draw(st.integers(1, 2)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    shape = (n, n_colors, d, d, 2)
+    assignment = np.array([rng.choice(_ENTRIES) for _ in range(int(np.prod(shape)))],
+                          dtype=object).reshape(shape).tolist()
+    pairs = [list(e) for e in itertools.combinations(range(n), 2)]
+    members = {"d": d, "n_colors": n_colors,
+               "graph": {"n": n, "edges": rng.sample(pairs, rng.randint(0, len(pairs)))},
+               "assignment": assignment}
+    mutation = draw(st.sampled_from(["none", "delete", "insert", "swap", "duplicate",
+                                     "nested", "empty"]))
+    if mutation == "nested":
+        members["graph"]["assignment"] = rng.choice([assignment, [[1.0]], "x"])
+    elif mutation == "empty":
+        members["assignment"] = rng.choice([[], [[]], [assignment[0], []],
+                                            np.zeros((n, 0, d, d, 2)).tolist()])
+    keys = rng.sample(list(members), len(members))
+    text = json.dumps({key: members[key] for key in keys},
+                      separators=rng.choice([(", ", ": "), (",", ":"), (" , ", " : ")]),
+                      indent=rng.choice([None, None, 0, 2, "\t"]))
+    for _ in range(rng.randint(0, 3)):
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice([" ", "\n", "\t", "\r\n"]) + text[at:]
+    if mutation in ("delete", "insert"):
+        at = rng.choice([i for i, c in enumerate(text) if c in "[],0123456789"])
+        extra = rng.choice("[],7") if mutation == "insert" else ""
+        text = text[:at] + extra + text[at + (mutation == "delete"):]
+    elif mutation == "swap":
+        token = rng.choice(list(_TOKEN.finditer(text)))
+        text = text[:token.start()] + rng.choice(_SWAPS) + text[token.end():]
+    elif mutation == "duplicate":
+        other = json.dumps(rng.choice([assignment, [[0.5]], 7]))
+        text = rng.choice([text[:1] + f'"assignment": {other}, ' + text[1:],
+                           text[:-1] + f', "assignment": {other}' + text[-1:]])
+    return text
+
+
+@settings(max_examples=200)
+@given(_certificate_texts())
+def test_flat_decode_agrees_with_json_route(cert_path, text):
+    _assert_routes_agree(cert_path, text)
+
+
+@pytest.mark.parametrize("separators", [(", ", ": "), (",", ":")])
+def test_flat_decode_takes_compact_files_in_any_key_order(cert_path, separators):
+    members = certificate_to_json(ORACLE_CERTIFICATES["d2_conjugated"])
+    for keys in itertools.permutations(members):
+        text = json.dumps({key: members[key] for key in keys}, separators=separators)
+        _assert_routes_agree(cert_path, text, True)
+
+
+@pytest.mark.parametrize("text", [
+    '[{"assignment": [[1.0]]}]',                                        # not an object
+    '{"assignment": [[1.0], [2.0]], "x": "\\u2603"}',                   # holds the placeholder
+    '{"assignment": [[1.0], [2.0]], "x": "☃"}',
+    '{"assignment": [[1.0, 2.0], [3.0]]}',                              # ragged
+    '{"assignment": [[1.0, 2.0], []]}',                                 # an empty axis
+    '{"assignment": [[1.0,]2.0]]}',                                     # a misplaced entry
+    '{"assignment": [[1.0, 2.0], [3.0, ' + "9" * 400 + ']]}',           # beyond float64
+    '{"assignment": [[1.0, 2.0], [3.0, ²]]}',                      # not ASCII
+    '{"assignment": [[true, 2.0]]}',                                    # not a number
+    '{"graph": {"assignment": [[1.0]]}, "assignment": 5}',              # nested key last
+    '{"assignment": ' + "[" * 33 + "1.0" + "]" * 33 + '}',              # deeper than 32
+    '{"assignment": [[1.0, 2.0]\n]}',                                   # closing brackets apart
+])
+def test_flat_decode_declines_what_it_cannot_prove(cert_path, text):
+    _assert_routes_agree(cert_path, text, False)
+
+
+@pytest.mark.parametrize("text", [
+    '{"assignment": [[0.0, 1.0]], "assignment": [[1.0, 2.0], [3.0, 4.0]]}',  # the last one wins
+    '{"graph": {"n": 1, "assignment": [7]}, "assignment": [[1.0, 2.0]]}',    # a nested key first
+    '{"assignment": [[NaN, -Infinity]], "d": 1}',
+    '{"assignment" :\n [\t[ -0, 1e400 \r\n]] }',
+])
+def test_flat_decode_takes_what_json_keeps(cert_path, text):
+    _assert_routes_agree(cert_path, text, True)
+    data = json.loads(text)
+    data["assignment"] = np.array(data["assignment"], dtype=float)
+    got = quantum._flat_decode(text)
+    assert list(got) == list(data) and got["assignment"].tobytes() == data["assignment"].tobytes()
+    assert all(got[key] == data[key] for key in data if key != "assignment")
+
+
+@pytest.mark.parametrize("members", [
+    pytest.param({"d": 10**6, "assignment": [[[[[1.0]]]]]}, id="d-1e6"),
+    pytest.param({"n_colors": 10**9, "assignment": [[[[[1.0]]]]]}, id="n_colors-1e9"),
+    pytest.param({"assignment": [[0.5] * k for k in range(1, 160) for _ in range(4)]},
+                 id="1MB-ragged"),
+])
+def test_absurd_certificates_fail_fast(cert_path, members):
+    data = certificate_to_json(classical_embedding(C4, K2, [0, 1, 0, 1]))
+    data.update(members)
+    text = json.dumps(data)
+    start = time.perf_counter()
+    cls, message = _assert_routes_agree(cert_path, text)
+    assert time.perf_counter() - start < 1.0
+    assert cls in (ParseError, ValidationError), message
 
 
 # --- the Hadamard coloring of Omega_n: a genuinely quantum certificate ------------
