@@ -54,9 +54,7 @@ from .colorings import (
     ClassicalColoring,
     VectorColoring,
     extract_coloring,
-    load_coloring,
     modular_coloring,
-    save_coloring,
     verify_coloring,
 )
 from .quantum import (

@@ -1,5 +1,5 @@
-"""Vector colorings: extraction from a primal SDP matrix, verification,
-and the JSON file format.
+"""Vector colorings: extraction from a primal SDP matrix, and
+verification.
 
 A (strict) vector k-coloring assigns a unit vector to every vertex so
 that each edge's inner product equals (is at most) -1/(k-1).  The
@@ -10,13 +10,12 @@ coercion between them is a historical source of confusion.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FeasibilityError, ParseError
-from .graphs import Graph, _integer_array, decode_json, read_text
+from .errors import DimensionError, DomainError, FeasibilityError
+from .graphs import Graph, _integer_array
 from .linalg import eig_sym
 
 UNIT_NORM_TOL = 1e-8
@@ -156,45 +155,3 @@ def modular_coloring(gc: ClassicalColoring, hc: ClassicalColoring) -> ClassicalC
     colors = (gc.colors[:, None] + hc.colors[None, :]) % m
     return ClassicalColoring(colors.ravel(), m)
 
-
-# ---------------------------------------------------------------------------
-# JSON file format: {"k": real, "strict": bool, "dim": d,
-#                    "vectors": [[...], ...]} in graph index order.
-
-
-def coloring_to_json(c: VectorColoring) -> dict:
-    return {
-        "k": float(c.k),
-        "strict": bool(c.strict),
-        "dim": int(c.dim),
-        "vectors": [[float(x) for x in row] for row in c.vectors],
-    }
-
-
-def coloring_from_json(data: dict) -> VectorColoring:
-    """Load a coloring, taking ``dim``, ``k`` and ``strict`` only as the
-    JSON types they are written as: no string, bool or null coerces."""
-    try:
-        vectors = np.array(data["vectors"], dtype=float)
-        dim, k, strict = data["dim"], data["k"], data["strict"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed vector coloring: {exc}")
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise ParseError(f"malformed vector coloring: dim must be an integer, got {dim!r}")
-    if isinstance(k, bool) or not isinstance(k, (int, float)):
-        raise ParseError(f"malformed vector coloring: k must be a number, got {k!r}")
-    if not isinstance(strict, bool):
-        raise ParseError(f"malformed vector coloring: strict must be true or false, got {strict!r}")
-    if vectors.ndim != 2 or vectors.shape[1] != dim:
-        raise DomainError("vector dimensions disagree with the declared dim")
-    return VectorColoring(vectors, float(k), strict)
-
-
-def save_coloring(path, c: VectorColoring) -> None:
-    text = json.dumps(coloring_to_json(c))  # one call: json.dump encodes in pure Python
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def load_coloring(path) -> VectorColoring:
-    return coloring_from_json(decode_json(read_text(path, "vector coloring"), "vector coloring"))

@@ -53,7 +53,6 @@ from .graphs import Graph, generate, is_homomorphism, product, union
 from .params import CHROMATIC_CAP_DEFAULT, GraphFacts, spectral_lower_bound
 from .sdp import SolverConfig
 
-SUITES = ("sabidussi", "hedetniemi", "products", "union", "chain")
 IDENTITY_TOL_DEFAULT = 1e-3
 SDP_CAP_DEFAULT = 120
 # vertices whose P diagonal is below this share of the largest leave the
@@ -105,18 +104,19 @@ def _check(name: str, low: float, up: float, rhs: float, tol: float,
 # factor certificates and their product-side checks
 
 
-def _facts(G: Graph, cfg, cache: dict | None, chromatic_cap: int) -> GraphFacts:
+def _facts(G: Graph, cfg: SolverConfig | None, cache: dict, chromatic_cap: int) -> GraphFacts:
     """G's record in ``cache`` (by :meth:`Graph.key`), made on first use
-    and made again for another chromatic cap."""
-    cache, key = ({} if cache is None else cache), G.key()
-    if key not in cache or cache[key].cap != chromatic_cap:
-        cache[key] = GraphFacts(G, cfg, chromatic_cap)
-    return cache[key]
+    and made again under other solver settings or another chromatic cap."""
+    key = G.key()
+    facts = cache.get(key)
+    if facts is None or (facts.cfg, facts.cap) != (cfg or SolverConfig(), chromatic_cap):
+        facts = cache[key] = GraphFacts(G, cfg, chromatic_cap)
+    return facts
 
 
-def _factor(G: Graph, which: str, cfg, cache, chromatic_cap: int):
-    """(value, P, Z) of one factor, with Z = M + J."""
-    res = _facts(G, cfg, cache, chromatic_cap).param(which)
+def _factor(facts: GraphFacts, which: str):
+    """(value, P, Z) of one factor's record, with Z = M + J."""
+    res = facts.param(which)
     return res.value, res.dual_certificate, res.primal_certificate + 1.0
 
 
@@ -172,23 +172,22 @@ def _interval_check(name: str, F: Graph, rhs: float, tol: float, factors: list,
 
 
 # ---------------------------------------------------------------------------
-# the suites
+# the suites: each body takes the pair, ``facts`` (a graph's record in the
+# run's cache), the tolerance and the SDP cap, and refuses what it cannot
+# check before it builds any product or record
 
 
-def sabidussi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
-                     tol: float = IDENTITY_TOL_DEFAULT, cache: dict | None = None,
-                     sdp_cap: int = SDP_CAP_DEFAULT,
-                     chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> list[IdentityCheck]:
+def _sabidussi(G: Graph, H: Graph, facts, tol: float, sdp_cap: int) -> list[IdentityCheck]:
     """Cartesian product equals the factor maximum, for theta-bar,
     chi-vec, and the chromatic number."""
     check_sdp_cap(G.n * H.n, sdp_cap, "Cartesian product")
-    cache = {} if cache is None else cache  # one record per factor
     F = product("cartesian", G, H)
+    fg, fh = facts(G), facts(H)
     checks = []
     for which in ("theta_bar", "chi_vec"):
         nonneg = which == "chi_vec"
-        rg, Pg, Zg = _factor(G, which, cfg, cache, chromatic_cap)
-        rh, Ph, Zh = _factor(H, which, cfg, cache, chromatic_cap)
+        rg, Pg, Zg = _factor(fg, which)
+        rh, Ph, Zh = _factor(fh, which)
         if Pg.sum() >= Ph.sum():
             fiber = np.kron(Pg, _corner(H.n))
         else:
@@ -199,8 +198,7 @@ def sabidussi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
             ("lifted tensor", witness_bound(F, _cartesian_witness(Zg, Zh), nonneg)),
         ))
     # a chi-coloring of each factor is also an m-coloring
-    colors_g = _facts(G, cfg, cache, chromatic_cap).chromatic_coloring()
-    colors_h = _facts(H, cfg, cache, chromatic_cap).chromatic_coloring()
+    colors_g, colors_h = fg.chromatic_coloring(), fh.chromatic_coloring()
     cg, ch = int(colors_g.max()) + 1, int(colors_h.max()) + 1
     m = max(cg, ch)
     modular = modular_coloring(ClassicalColoring(colors_g, m), ClassicalColoring(colors_h, m))
@@ -212,15 +210,12 @@ def sabidussi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
     return checks
 
 
-def hedetniemi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
-                      tol: float = IDENTITY_TOL_DEFAULT, cache: dict | None = None,
-                      sdp_cap: int = SDP_CAP_DEFAULT,
-                      chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> list[IdentityCheck]:
+def _hedetniemi(G: Graph, H: Graph, facts, tol: float, sdp_cap: int) -> list[IdentityCheck]:
     """Categorical product equals the factor minimum for theta-bar."""
     check_sdp_cap(G.n * H.n, sdp_cap, "categorical product")
     F = product("categorical", G, H)
-    rg, Pg, Zg = _factor(G, "theta_bar", cfg, cache, chromatic_cap)
-    rh, Ph, Zh = _factor(H, "theta_bar", cfg, cache, chromatic_cap)
+    rg, Pg, Zg = _factor(facts(G), "theta_bar")
+    rh, Ph, Zh = _factor(facts(H), "theta_bar")
     eigenvalue_form = np.kron(_eigenvalue_form(Pg), _eigenvalue_form(Ph))
     if Zg.diagonal().max() <= Zh.diagonal().max():
         pullback = np.kron(Zg, np.ones((H.n, H.n))) - 1.0
@@ -233,15 +228,12 @@ def hedetniemi_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
     )]
 
 
-def product_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
-                   tol: float = IDENTITY_TOL_DEFAULT, cache: dict | None = None,
-                   sdp_cap: int = SDP_CAP_DEFAULT,
-                   chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> list[IdentityCheck]:
+def _products(G: Graph, H: Graph, facts, tol: float, sdp_cap: int) -> list[IdentityCheck]:
     """Strong and disjunctive products are multiplicative for theta-bar."""
     # both products have order G.n * H.n
     check_sdp_cap(G.n * H.n, sdp_cap, "strong product")
-    rg, Pg, Zg = _factor(G, "theta_bar", cfg, cache, chromatic_cap)
-    rh, Ph, Zh = _factor(H, "theta_bar", cfg, cache, chromatic_cap)
+    rg, Pg, Zg = _factor(facts(G), "theta_bar")
+    rh, Ph, Zh = _factor(facts(H), "theta_bar")
     # one pair of certificates serves both products: P_G (x) P_H lives on
     # the strong product's edges, which the disjunctive product contains,
     # and Z_G (x) Z_H vanishes on the disjunctive product's edges
@@ -258,17 +250,14 @@ def product_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
     return checks
 
 
-def union_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
-                 tol: float = IDENTITY_TOL_DEFAULT, cache: dict | None = None,
-                 sdp_cap: int = SDP_CAP_DEFAULT,
-                 chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> list[IdentityCheck]:
+def _union(G: Graph, H: Graph, facts, tol: float, sdp_cap: int) -> list[IdentityCheck]:
     """Edge union is submultiplicative for theta-bar (same vertex set)."""
     if G.n != H.n:
         raise DimensionError("union suite needs graphs on the same vertex count")
     check_sdp_cap(G.n, sdp_cap, "union")
     U = union(G, H)
-    rg, Pg, Zg = _factor(G, "theta_bar", cfg, cache, chromatic_cap)
-    rh, Ph, Zh = _factor(H, "theta_bar", cfg, cache, chromatic_cap)
+    rg, Pg, Zg = _factor(facts(G), "theta_bar")
+    rh, Ph, Zh = _factor(facts(H), "theta_bar")
     return [_interval_check(
         "theta_bar(GuH) <= product", U, rg * rh, tol, [rg, rh],
         ("factor", dual_form_bound(U, Pg if Pg.sum() >= Ph.sum() else Ph, False)),
@@ -277,14 +266,21 @@ def union_checks(G: Graph, H: Graph, cfg: SolverConfig | None = None,
     )]
 
 
-def chain_checks(G: Graph, cfg: SolverConfig | None = None,
-                 tol: float = 1e-4, cache: dict | None = None,
-                 chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> list[IdentityCheck]:
-    """Sandwich chain for one graph: average-degree bound, chi_vec,
-    theta_bar, and (when computable) the chromatic number."""
-    facts = _facts(G, cfg, cache, chromatic_cap)
+def _chain(G: Graph, H: Graph, facts, tol: float, sdp_cap: int) -> list[IdentityCheck]:
+    """The sandwich chain of each graph, at a tolerance of at most 1e-4."""
+    check_sdp_cap(G.n, sdp_cap)
+    check_sdp_cap(H.n, sdp_cap)
+    tol = min(tol, 1e-4)
+    return chain_checks(G, facts(G), tol) + chain_checks(H, facts(H), tol)
+
+
+def chain_checks(G: Graph, facts: GraphFacts, tol: float = 1e-4) -> list[IdentityCheck]:
+    """Sandwich chain for one graph from its record (which a graph of
+    another label may have made): average-degree bound, chi_vec,
+    theta_bar, and (within the record's chromatic cap) the chromatic
+    number."""
     cv, tb = facts.param("chi_vec").value, facts.param("theta_bar").value
-    chi = facts.chromatic_number() if G.n <= chromatic_cap else None
+    chi = facts.chromatic_number() if G.n <= facts.cap else None
     return sandwich_checks(G, spectral_bound(facts), cv, tb, chi, tol)
 
 
@@ -311,22 +307,20 @@ def sandwich_checks(G: Graph, lb: float | None, cv: float, tb: float, chi: int |
     return checks
 
 
+_SUITES = {"sabidussi": _sabidussi, "hedetniemi": _hedetniemi, "products": _products,
+           "union": _union, "chain": _chain}
+SUITES = tuple(_SUITES)
+
+
 def run_suite(suite: str, G: Graph, H: Graph, cfg: SolverConfig | None = None,
               tol: float = IDENTITY_TOL_DEFAULT, cache: dict | None = None,
               sdp_cap: int = SDP_CAP_DEFAULT,
               chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> list[IdentityCheck]:
-    if suite == "sabidussi":
-        return sabidussi_checks(G, H, cfg, tol, cache, sdp_cap, chromatic_cap)
-    if suite == "hedetniemi":
-        return hedetniemi_checks(G, H, cfg, tol, cache, sdp_cap, chromatic_cap)
-    if suite == "products":
-        return product_checks(G, H, cfg, tol, cache, sdp_cap, chromatic_cap)
-    if suite == "union":
-        return union_checks(G, H, cfg, tol, cache, sdp_cap, chromatic_cap)
-    if suite == "chain":
-        check_sdp_cap(G.n, sdp_cap)
-        check_sdp_cap(H.n, sdp_cap)
-        out = chain_checks(G, cfg, min(tol, 1e-4), cache, chromatic_cap)
-        out.extend(chain_checks(H, cfg, min(tol, 1e-4), cache, chromatic_cap))
-        return out
-    raise VecchromError(f"unknown suite {suite!r}; choose from {SUITES}")
+    """The checks of one suite on the pair (G, H).  Each graph's record
+    comes from ``cache`` (a dict from :meth:`Graph.key` to its
+    :class:`~vecchrom.params.GraphFacts`), or from one cache made for this
+    call, so that a graph is searched and solved once per call."""
+    if suite not in _SUITES:
+        raise VecchromError(f"unknown suite {suite!r}; choose from {SUITES}")
+    cache = {} if cache is None else cache
+    return _SUITES[suite](G, H, lambda X: _facts(X, cfg, cache, chromatic_cap), tol, sdp_cap)

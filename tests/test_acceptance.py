@@ -16,15 +16,7 @@ from conftest import random_graph, star
 from test_colorings import simplex_coloring
 from vecchrom import graphs
 from vecchrom.colorings import extract_coloring, verify_coloring
-from vecchrom.identities import (
-    _cartesian_witness,
-    _facts,
-    _lift,
-    hedetniemi_checks,
-    product_checks,
-    sabidussi_checks,
-    union_checks,
-)
+from vecchrom.identities import _cartesian_witness, _facts, _lift, run_suite
 from vecchrom.params import (
     CHROMATIC_CAP_DEFAULT,
     chi_vec,
@@ -134,7 +126,7 @@ def _assert_in_interval(check, F, value, tol=1e-3):
 def sabidussi_runs(cfg, param_cache):
     runs = []
     for G, H in _suite_pairs():
-        checks = sabidussi_checks(G, H, cfg, tol=1e-3, cache=param_cache)
+        checks = run_suite("sabidussi", G, H, cfg, 1e-3, param_cache)
         F = graphs.product("cartesian", G, H)
         crossed = _cross_checked(checks, [(F, "theta_bar"), (F, "chi_vec")], cfg, param_cache)
         if F.n <= CHROMATIC_CAP_DEFAULT:
@@ -148,7 +140,7 @@ def sabidussi_runs(cfg, param_cache):
 def hedetniemi_runs(cfg, param_cache):
     runs = []
     for G, H in _suite_pairs():
-        (check,) = hedetniemi_checks(G, H, cfg, tol=1e-3, cache=param_cache)
+        (check,) = run_suite("hedetniemi", G, H, cfg, 1e-3, param_cache)
         F = graphs.product("categorical", G, H)
         runs.append((G, H, [check], _cross_checked([check], [(F, "theta_bar")], cfg, param_cache)))
     return runs
@@ -158,14 +150,14 @@ def hedetniemi_runs(cfg, param_cache):
 def product_union_runs(cfg, param_cache):
     runs = []
     for G, H in _random_pairs(10, 4, 6, PAIR_SEED + 1):
-        checks = product_checks(G, H, cfg, tol=1e-3, cache=param_cache)
+        checks = run_suite("products", G, H, cfg, 1e-3, param_cache)
         targets = [(graphs.product(kind, G, H), "theta_bar") for kind in ("strong", "disjunctive")]
         runs.append((G, H, checks, _cross_checked(checks, targets, cfg, param_cache)))
     rng = np.random.default_rng(PAIR_SEED + 2)
     for _ in range(10):
         G = graphs.erdos_renyi(7, 0.5, rng=rng)
         H = graphs.erdos_renyi(7, 0.5, rng=rng)
-        (check,) = union_checks(G, H, cfg, tol=1e-3, cache=param_cache)
+        (check,) = run_suite("union", G, H, cfg, 1e-3, param_cache)
         runs.append((G, H, [check], _cross_checked(
             [check], [(graphs.union(G, H), "theta_bar")], cfg, param_cache)))
     return runs

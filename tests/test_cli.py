@@ -15,6 +15,7 @@ from vecchrom.graphs import parse_edge_list
 from vecchrom.errors import DomainError, ParseError, ValidationError
 from vecchrom.colorings import ClassicalColoring
 from vecchrom.quantum import (
+    QuantumHomomorphism,
     certificate_to_json,
     classical_embedding,
     quantum_sabidussi,
@@ -641,6 +642,33 @@ def test_qverify_nonfinite_certificate_is_rejected(capsys, tmp_path, value):
     assert record["status"] == "failed"
 
 
+def _near_overflow_certificate(d):
+    """Finite entries whose tuple products overflow: -2.5e300 in d = 1, and
+    in d = 4 a symmetric part whose square sums +inf and -inf terms."""
+    if d == 1:
+        K2 = graphs.generate("complete", 2)
+        assignment = classical_embedding(K2, K2, [0, 1]).assignment.copy()
+        assignment[0, 0, 0, 0] = -2.5e300
+        return QuantumHomomorphism(K2, K2, 1, assignment)
+    part = np.zeros((4, 4))
+    for i, j, x in ((0, 2, 1e200), (2, 1, 1e200), (0, 3, 1e200), (3, 1, -1e200)):
+        part[i, j] = part[j, i] = x
+    return QuantumHomomorphism(graphs.generate("empty", 1), graphs.generate("complete", 2), 4,
+                               np.stack([part, np.eye(4) - part])[None])
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_qverify_overflowing_certificate_fails_without_warnings(tmp_path, capsys, d):
+    # numpy's overflow and invalid-value warnings would print before the
+    # record; tier-1 turns them into errors
+    path = tmp_path / "cert.json"
+    save_certificate(path, _near_overflow_certificate(d))
+    code, record, err = run_cli(capsys, "qverify", str(path))
+    assert (code, err, record["status"]) == (3, "", "failed")
+    witness = record["report"]["witness"]
+    assert (witness["vertex"], witness["part"], witness["condition"]) == (0, 0, "idempotent")
+
+
 def _malformed(mutate):
     data = certificate_to_json(_c5_certificate())
     mutate(data)
@@ -821,7 +849,7 @@ def test_report_matches_values_computed_apart(capsys):
     expected.update(spectral_lower_bound=params.spectral_lower_bound(G), one_homogeneous=True,
                     bipartite=False, chromatic=params.chromatic_number(G))
     assert list(record["params"].items()) == list(expected.items())
-    assert record["identities"] == [c.as_dict() for c in chain_checks(G, sdp.SolverConfig())]
+    assert record["identities"] == [c.as_dict() for c in chain_checks(G, params.GraphFacts(G, sdp.SolverConfig()))]
     assert record["status"] == "ok"
 
 

@@ -1,6 +1,3 @@
-import io
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,15 +7,11 @@ from vecchrom import graphs
 from vecchrom.colorings import (
     ClassicalColoring,
     VectorColoring,
-    coloring_from_json,
-    coloring_to_json,
     extract_coloring,
-    load_coloring,
     modular_coloring,
-    save_coloring,
     verify_coloring,
 )
-from vecchrom.errors import DomainError, FeasibilityError, ParseError
+from vecchrom.errors import DomainError, FeasibilityError
 from vecchrom.identities import _cartesian_witness, _lift
 from vecchrom.params import chi_vec, chromatic_coloring, chromatic_number, theta_bar
 from vecchrom.sdp import SolverConfig
@@ -170,10 +163,14 @@ def test_nonfinite_vectors_rejected(value):
     vectors[1, 0] = value
     with pytest.raises(DomainError, match="finite"):
         VectorColoring(vectors, 3.0, True)
-    data = coloring_to_json(simplex_coloring(3))
-    data["vectors"][2][1] = float(value)
-    with pytest.raises(DomainError, match="finite"):
-        coloring_from_json(data)
+
+
+def test_vector_coloring_refuses_a_non_finite_k():
+    # k = inf would make the edge target -0.0, which any obtuse vectors meet
+    vectors = simplex_coloring(3).vectors
+    for k in (float("1e400"), np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            VectorColoring(vectors, k, True)
 
 
 # --- extraction -----------------------------------------------------------------
@@ -408,74 +405,3 @@ def test_modular_mismatch():
         modular_coloring(
             ClassicalColoring(np.array([0, 1]), 2), ClassicalColoring(np.array([0]), 3)
         )
-
-
-# --- file format -------------------------------------------------------------------
-
-def test_coloring_json_roundtrip(tmp_path):
-    c = simplex_coloring(4)
-    path = tmp_path / "coloring.json"
-    save_coloring(path, c)
-    back = load_coloring(path)
-    assert back.k == c.k and back.strict == c.strict
-    assert np.array_equal(back.vectors, c.vectors)
-    data = coloring_to_json(c)
-    assert set(data) == {"k", "strict", "dim", "vectors"}
-    again = coloring_from_json(data)
-    assert np.array_equal(again.vectors, c.vectors)
-    streamed = io.StringIO()
-    json.dump(data, streamed)
-    assert path.read_text(encoding="utf-8") == streamed.getvalue()
-
-
-@pytest.mark.parametrize("text, message", [
-    (b'{"k": 2, "dim": 1, "strict": true, "vectors": [[1.0], [-1.0]]}\xff', "is not UTF-8 text"),
-    (b"{ nope", "is not valid JSON"),
-    (b'{"vectors": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "cannot be decoded"),
-], ids=["not-utf8", "not-json", "nested-100000"])
-def test_undecodable_coloring_file_is_a_parse_error(tmp_path, text, message):
-    path = tmp_path / "coloring.json"
-    path.write_bytes(text)
-    with pytest.raises(ParseError, match=f"^vector coloring {message}"):
-        load_coloring(path)
-
-
-@pytest.mark.parametrize("mutate", [
-    lambda d: d.pop("k"),
-    lambda d: d.update(k="three"),
-    lambda d: d.update(dim=None),
-    lambda d: d["vectors"][0].__setitem__(0, "x"),
-    lambda d: d["vectors"].__setitem__(0, [1.0]),  # ragged rows
-    lambda d: d.update(strict="false"),
-    lambda d: d.update(strict=0),
-    lambda d: d.update(strict=None),
-    lambda d: d.update(k="3"),
-    lambda d: d.update(k=True),
-    lambda d: d.update(k=None),
-    lambda d: d.update(dim="2"),
-    lambda d: d.update(dim=2.0),
-])
-def test_coloring_from_json_malformed_is_a_parse_error(mutate):
-    data = coloring_to_json(simplex_coloring(3))
-    mutate(data)
-    with pytest.raises(ParseError):
-        coloring_from_json(data)
-    with pytest.raises(ParseError):
-        coloring_from_json([1, 2])
-
-
-def test_coloring_from_json_refuses_a_non_finite_k():
-    # k = inf would make the edge target -0.0, which any obtuse vectors meet
-    text = json.dumps(coloring_to_json(simplex_coloring(3)))
-    for k in ("1e400", "-1e400", "NaN", "Infinity"):
-        data = json.loads(text.replace('"k": 3.0', f'"k": {k}'))
-        assert not np.isfinite(data["k"])  # json reads 1e400 as inf
-        with pytest.raises(DomainError, match="finite"):
-            coloring_from_json(data)
-
-
-def test_coloring_from_json_takes_integer_k_and_keeps_strict_false():
-    data = coloring_to_json(simplex_coloring(3))
-    data.update(k=3, strict=False)
-    c = coloring_from_json(data)
-    assert c.k == 3.0 and isinstance(c.k, float) and c.strict is False

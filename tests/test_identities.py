@@ -6,21 +6,15 @@ import pytest
 from conftest import random_graph
 from vecchrom import graphs, identities, params
 from vecchrom.errors import CapacityError, DimensionError, VecchromError
-from vecchrom.identities import (
-    chain_checks,
-    hedetniemi_checks,
-    product_checks,
-    run_suite,
-    sabidussi_checks,
-    union_checks,
-)
+from vecchrom.identities import chain_checks, run_suite
+from vecchrom.sdp import SolverConfig
 
 SQRT5 = np.sqrt(5.0)
 
 
 def test_sabidussi_k3_k4(cfg, param_cache):
-    checks = sabidussi_checks(
-        graphs.generate("complete", 3), graphs.generate("complete", 4), cfg,
+    checks = run_suite(
+        "sabidussi", graphs.generate("complete", 3), graphs.generate("complete", 4), cfg,
         cache=param_cache,
     )
     by_name = {c.name: c for c in checks}
@@ -31,8 +25,8 @@ def test_sabidussi_k3_k4(cfg, param_cache):
 
 
 def test_hedetniemi_c5_k3(cfg, param_cache):
-    checks = hedetniemi_checks(
-        graphs.generate("cycle", 5), graphs.generate("complete", 3), cfg,
+    checks = run_suite(
+        "hedetniemi", graphs.generate("cycle", 5), graphs.generate("complete", 3), cfg,
         cache=param_cache,
     )
     (check,) = checks
@@ -41,8 +35,8 @@ def test_hedetniemi_c5_k3(cfg, param_cache):
 
 
 def test_products_c5_c5(cfg, param_cache):
-    checks = product_checks(
-        graphs.generate("cycle", 5), graphs.generate("cycle", 5), cfg,
+    checks = run_suite(
+        "products", graphs.generate("cycle", 5), graphs.generate("cycle", 5), cfg,
         cache=param_cache,
     )
     assert len(checks) == 2
@@ -54,18 +48,26 @@ def test_products_c5_c5(cfg, param_cache):
 def test_union_bound(cfg, param_cache):
     G = random_graph(6, seed=201)
     H = random_graph(6, seed=202)
-    (check,) = union_checks(G, H, cfg, cache=param_cache)
+    (check,) = run_suite("union", G, H, cfg, cache=param_cache)
     assert check.passed
     assert check.comparison == "le"
 
 
 def test_union_needs_same_order(cfg):
+    # refused before the SDP cap is checked and before any record is made
+    cache = {}
     with pytest.raises(DimensionError):
-        union_checks(graphs.generate("cycle", 4), graphs.generate("cycle", 5), cfg)
+        run_suite("union", graphs.generate("cycle", 4), graphs.generate("cycle", 5), cfg,
+                  cache=cache)
+    with pytest.raises(DimensionError):
+        run_suite("union", graphs.generate("empty", 130), graphs.generate("empty", 131), cfg,
+                  cache=cache)
+    assert cache == {}
 
 
 def test_chain_checks(cfg, param_cache):
-    checks = chain_checks(graphs.generate("petersen"), cfg, cache=param_cache)
+    G = graphs.generate("petersen")
+    checks = chain_checks(G, identities._facts(G, cfg, param_cache, params.CHROMATIC_CAP_DEFAULT))
     assert all(c.passed for c in checks)
     names = [c.name for c in checks]
     assert any("spectral" in n for n in names)
@@ -83,14 +85,16 @@ def test_run_suite_dispatch(cfg, param_cache):
 
 
 def test_capacity_guard(cfg):
-    big = graphs.generate("empty", 40)
-    with pytest.raises(CapacityError):
-        sabidussi_checks(big, big, cfg, sdp_cap=100)
+    big, cache = graphs.generate("empty", 40), {}
+    for suite in ("sabidussi", "hedetniemi", "products"):
+        with pytest.raises(CapacityError):
+            run_suite(suite, big, big, cfg, cache=cache, sdp_cap=100)
+    assert cache == {}
 
 
 def test_identity_check_serialization(cfg, param_cache):
-    checks = hedetniemi_checks(
-        graphs.generate("complete", 2), graphs.generate("complete", 3), cfg,
+    checks = run_suite(
+        "hedetniemi", graphs.generate("complete", 2), graphs.generate("complete", 3), cfg,
         cache=param_cache,
     )
     data = checks[0].as_dict()
@@ -174,6 +178,36 @@ def test_cache_records_follow_the_chromatic_cap(cfg):
         run_suite("sabidussi", C5, K3, cfg, cache=cache, chromatic_cap=3)
     assert all(c.passed for c in run_suite("sabidussi", C5, K3, cfg, cache=cache))
     assert cache[C5.key()].cap == params.CHROMATIC_CAP_DEFAULT
+
+
+def test_cache_records_follow_the_solver_settings():
+    # C5 with a pendant vertex is solved, so its value depends on gap_tol:
+    # a record made at 1e-1 is not reused at 1e-9
+    G = graphs.graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
+    loose, tight = SolverConfig(gap_tol=1e-1), SolverConfig(gap_tol=1e-9)
+    cache = {}
+    (wide,) = run_suite("hedetniemi", G, K3, loose, cache=cache)
+    (shared,) = run_suite("hedetniemi", G, K3, tight, cache=cache)
+    (fresh,) = run_suite("hedetniemi", G, K3, tight)
+    assert shared.as_dict() == fresh.as_dict() != wide.as_dict()
+    low, up = shared.detail["interval"]
+    assert low <= SQRT5 <= up and up - low <= 1e-8
+    assert cache[G.key()].cfg == tight
+
+
+@pytest.mark.parametrize("suite", identities.SUITES)
+def test_run_suite_makes_one_record_per_graph(cfg, monkeypatch, suite):
+    # without a cache, a pair of equal graphs is searched once per call
+    calls = []
+    setup = params._search_setup
+
+    def counting(G, cap):
+        calls.append(G.key())
+        return setup(G, cap)
+
+    monkeypatch.setattr(params, "_search_setup", counting)
+    assert all(c.passed for c in run_suite(suite, C5, C5, cfg))
+    assert calls == [C5.key()]
 
 
 @pytest.mark.parametrize("pair", [(C5, K3), (PETERSEN, C5), "stiff"])
@@ -297,7 +331,7 @@ def test_wrong_identity_fails(cfg, param_cache, pair):
     # the certified interval of the Cartesian product refutes the claim
     # that it equals the factor minimum
     G, H = PAIRS[pair]
-    for check in sabidussi_checks(G, H, cfg, cache=param_cache)[:2]:
+    for check in run_suite("sabidussi", G, H, cfg, cache=param_cache)[:2]:
         low, up = check.detail["interval"]
         assert identities._check(check.name, low, up, max(check.detail["factors"]),
                                  check.tolerance).passed

@@ -20,7 +20,6 @@ from vecchrom.quantum import (
     ADJ_TOL,
     QuantumHomReport,
     QuantumHomomorphism,
-    certificate_from_json,
     certificate_to_json,
     classical_embedding,
     compose_classical,
@@ -196,6 +195,19 @@ def test_nonfinite_certificate_fails_with_finite_witness(value, where):
     assert not verify_quantum_hom(_tuple(bad, rep.witness["index"][0])).ok
 
 
+def test_nan_residual_fails_with_a_named_witness(monkeypatch):
+    # with the entry scan switched off, a NaN entry reaches the residuals,
+    # and the residual tests fail it on their own
+    q = classical_embedding(C5, K3, COL5)
+    arr = q.assignment.copy()
+    arr[3, 2, 0, 0] = np.nan
+    monkeypatch.setattr(quantum, "_nonfinite_witness", lambda A: None)
+    rep = verify_quantum_hom(QuantumHomomorphism(q.source, q.target, q.d, arr))
+    assert not rep.ok
+    assert (rep.witness["vertex"], rep.witness["part"]) == (3, 2)
+    assert rep.witness["condition"] == "hermitian" and np.isnan(rep.witness["residual"])
+
+
 def test_random_rank_one_replacement_fails_on_edge():
     rng = np.random.default_rng(3)
     q = tensor_with_identity(classical_embedding(C5, K3, COL5), 2)
@@ -369,6 +381,13 @@ def test_certificate_graph_reference(tmp_path):
     assert np.array_equal(back.source.adj, C5.adj)
 
 
+def _load(tmp_path, data) -> QuantumHomomorphism:
+    """The certificate of a file holding ``data``, through both decode routes."""
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    return load_certificate(path)
+
+
 def test_certificate_validation_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -378,24 +397,24 @@ def test_certificate_validation_errors(tmp_path):
     data = certificate_to_json(q)
     data["d"] = 2  # now the declared shape disagrees
     with pytest.raises(ValidationError):
-        certificate_from_json(data)
+        _load(tmp_path, data)
     with pytest.raises(ParseError):
-        certificate_from_json({"d": 1})
+        _load(tmp_path, {"d": 1})
 
 
 @pytest.mark.parametrize("entry", [[True, 0.0], [0.0, False], [1, 0], [1.0, 0.0]])
-def test_certificate_entries_must_be_numbers_not_booleans(entry):
+def test_certificate_entries_must_be_numbers_not_booleans(tmp_path, entry):
     # JSON true would otherwise read as 1.0 and pass the check
     data = certificate_to_json(classical_embedding(C4, K2, [0, 1, 0, 1]))
     data["assignment"][0][0][0][0] = entry
     if isinstance(entry[0], bool) or isinstance(entry[1], bool):
         with pytest.raises(ParseError, match="must be numbers"):
-            certificate_from_json(data)
+            _load(tmp_path, data)
     else:
-        assert verify_quantum_hom(certificate_from_json(data)).ok
+        assert verify_quantum_hom(_load(tmp_path, data)).ok
 
 
-def test_certificate_assignment_shapes_and_raggedness():
+def test_certificate_assignment_shapes_and_raggedness(tmp_path):
     data = certificate_to_json(classical_embedding(C4, K2, [0, 1, 0, 1]))
     for raw, error in (([], ValidationError), (5, ValidationError),
                        ([[[[[1.0, 0.0]]]], 3], ParseError),
@@ -404,7 +423,7 @@ def test_certificate_assignment_shapes_and_raggedness():
                        ([[[[[10**400, 0.0]]]]], ParseError)):
         data["assignment"] = raw
         with pytest.raises(error):
-            certificate_from_json(data)
+            _load(tmp_path, data)
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -425,13 +444,13 @@ def test_load_certificate_restores_the_garbage_collector(tmp_path, collecting):
 
 
 @pytest.mark.parametrize("d", [0, -1])
-def test_certificate_declaring_dimension_below_one_is_refused(monkeypatch, d):
+def test_certificate_declaring_dimension_below_one_is_refused(tmp_path, monkeypatch, d):
     data = certificate_to_json(classical_embedding(C4, K2, [0, 1, 0, 1]))
     data["d"] = d
     # refused before the source graph or the assignment array is built
     monkeypatch.setattr(quantum, "_source_graph", lambda *args: pytest.fail("graph built"))
     with pytest.raises(ValidationError, match="d >= 1"):
-        certificate_from_json(data)
+        _load(tmp_path, data)
 
 
 # --- batched code against loop references ---------------------------------------------
