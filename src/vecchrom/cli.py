@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -340,8 +341,21 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _strict(value):
+    """``value`` with each non-finite float replaced by the string of the
+    token json.dumps would write ("NaN", "Infinity" or "-Infinity"), so
+    that records are strict JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
 def _emit(record: dict, out: str | None):
-    text = json.dumps(record, indent=2, sort_keys=False)
+    text = json.dumps(_strict(record), indent=2, sort_keys=False, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

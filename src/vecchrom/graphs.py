@@ -40,6 +40,9 @@ OMEGA_CAP_DEFAULT = 10
 #: adjacency is allocated.
 MAX_ORDER = 4096
 
+#: Side of the square tiles in which a graph's symmetry is checked.
+SYMMETRY_TILE = 256
+
 GENERATOR_FAMILIES = ("complete", "cycle", "path", "empty", "petersen", "omega")
 
 
@@ -69,12 +72,17 @@ class Graph:
             raise DimensionError(
                 f"adjacency shape {adj.shape} does not match n={self.n}"
             )
-        if adj.size and not np.array_equal(adj, adj.T):
+        # each square tile on or above the diagonal against its mirror
+        # tile: no n x n temporary, and each transpose stays in cache
+        t = SYMMETRY_TILE
+        if not all((adj[i:i + t, j:j + t] == adj[j:j + t, i:i + t].T).all()
+                   for i in range(0, self.n, t) for j in range(i, self.n, t)):
             raise ValidationError("adjacency matrix must be symmetric")
         if adj.size and adj.diagonal().any():
             raise ValidationError("self-loops are not allowed")
-        adj = adj.copy()
-        adj.setflags(write=False)
+        if adj.flags.writeable or not adj.flags.owndata:  # another holder could change it
+            adj = adj.copy()
+            adj.setflags(write=False)
         object.__setattr__(self, "adj", adj)
 
     @cached_property
@@ -141,9 +149,11 @@ def graph_from_edges(n: int, edges, label: str = "") -> Graph:
 
 
 def _adjacency(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The n x n adjacency of in-range, loop-free edges (u[i], v[i])."""
+    """The read-only n x n adjacency of in-range, loop-free edges
+    (u[i], v[i]), which a graph holds without a copy."""
     adj = np.zeros((n, n), dtype=bool)
     adj[np.concatenate((u, v)), np.concatenate((v, u))] = True
+    adj.setflags(write=False)
     return adj
 
 

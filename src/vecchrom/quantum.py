@@ -30,9 +30,10 @@ from .graphs import (Graph, ProductKind, decode_json, graph_from_edges, generate
 from .colorings import ClassicalColoring, modular_coloring
 
 ADJ_TOL = 1e-7
-#: Complex entries per block of edges gathered by the adjacency check
-#: (1 MiB), so that its working memory does not grow with the edge count.
-GATHER_ENTRIES = 1 << 16
+#: Complex entries per block of vertices or edges that the tuple and
+#: adjacency checks gather (256 KiB), so that their working memory does not
+#: grow with the certificate.
+GATHER_ENTRIES = 1 << 14
 
 
 def _maxnorms(X: np.ndarray) -> np.ndarray:
@@ -88,7 +89,8 @@ class QuantumHomReport:
 
 def _check_tuples(A: np.ndarray, tol: float):
     """Structural check of every tuple of a finite (vertices, colors, d, d)
-    array, each condition batched over the vertices.
+    array, each condition batched over blocks of vertices that hold at
+    most ``GATHER_ENTRIES`` complex entries (at least one vertex).
 
     Returns the maxima of the hermitian, idempotent, sum-to-identity and
     orthogonality residuals (the last over color pairs v < w, at 10x tol),
@@ -96,14 +98,19 @@ def _check_tuples(A: np.ndarray, tol: float):
     per part, then the sum, then the first orthogonality pair in lex
     order.  The vertex and witness are None when every tuple passes.
     """
-    count, d = A.shape[1], A.shape[2]
-    herm = _maxnorms(A - A.conj().swapaxes(-1, -2))
-    idem = _maxnorms(A @ A - A)
-    sums = _maxnorms(A.sum(axis=1) - np.eye(d))
+    n, count, d = A.shape[:3]
     pairs = list(itertools.combinations(range(count), 2))
-    ortho = np.zeros((A.shape[0], len(pairs)))
-    for k, (v, w) in enumerate(pairs):
-        ortho[:, k] = np.maximum(_maxnorms(A[:, v] @ A[:, w]), _maxnorms(A[:, w] @ A[:, v]))
+    herm, idem = np.zeros((n, count)), np.zeros((n, count))
+    sums, ortho = np.zeros(n), np.zeros((n, len(pairs)))
+    step = max(1, GATHER_ENTRIES // max(1, count * d * d))
+    for s in range(0, n, step):
+        B = A[s:s + step]
+        herm[s:s + step] = _maxnorms(B - B.conj().swapaxes(-1, -2))
+        idem[s:s + step] = _maxnorms(B @ B - B)
+        sums[s:s + step] = _maxnorms(B.sum(axis=1) - np.eye(d))
+        for k, (v, w) in enumerate(pairs):
+            ortho[s:s + step, k] = np.maximum(_maxnorms(B[:, v] @ B[:, w]),
+                                              _maxnorms(B[:, w] @ B[:, v]))
     ortho_tol = 10.0 * tol
     part_bad = ~(herm <= tol) | ~(idem <= tol)
     pair_bad = ~(ortho <= ortho_tol)
@@ -300,16 +307,38 @@ def tensor_with_identity(q: QuantumHomomorphism, k: int) -> QuantumHomomorphism:
 #    "graph": {"n": int, "edges": [[u, v], ...]} or a path string,
 #    "assignment": per vertex, per color, d x d row-major entries [re, im]}
 
+#: Numbers :func:`save_certificate` formats and writes at once (about
+#: 80 KB of text), so that its working memory does not grow with the file.
+WRITE_ENTRIES = 1 << 12
+#: Bytes of an assignment's text that the flat decode of
+#: :func:`load_certificate` reads at once, for its skeleton and for each
+#: ``json.loads`` of numbers.
+DECODE_BYTES = 1 << 16
 
-def certificate_to_json(q: QuantumHomomorphism) -> dict:
-    n_colors = _complete_order(q.target)
-    assignment = np.stack((q.assignment.real, q.assignment.imag), axis=-1).tolist()
-    return {
-        "d": int(q.d),
-        "n_colors": int(n_colors),
-        "graph": {"n": int(q.source.n), "edges": np.column_stack(q.source.edge_index).tolist()},
-        "assignment": assignment,
-    }
+
+def _entry_template(shape: tuple[int, ...]) -> str:
+    """The json.dumps text of nested lists of the given shape, with %r in
+    the place of each entry."""
+    template = "%r"
+    for count in reversed(shape):
+        template = "[" + ", ".join([template] * count) + "]"
+    return template
+
+
+def _write_rows(fh, rows: np.ndarray, template: str) -> None:
+    """Write a 2-d array as json.dumps writes the list of its rows, each
+    row spelt by ``template``, ``WRITE_ENTRIES`` numbers at a time: %r is
+    the float repr json uses, and its nan and inf become json's NaN and
+    Infinity (no other token holds those letters)."""
+    step = max(1, WRITE_ENTRIES // max(1, rows.shape[1]))
+    fh.write("[")
+    for s in range(0, len(rows), step):
+        block = rows[s:s + step]
+        text = ", ".join([template] * len(block)) % tuple(block.ravel().tolist())
+        if not np.isfinite(block).all():
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        fh.write(", " + text if s else text)
+    fh.write("]")
 
 
 def _json_int(value, what: str) -> int:
@@ -438,50 +467,76 @@ def _flat_decode(text: str) -> dict | None:
     the skeleton of an array with no empty axis: no byte but brackets,
     commas and number bytes, no x run next to a bracket on its wrong
     side, and its brackets and commas those of the shape they imply.
-    The blanked text's json.loads then proves that every entry slot
-    holds one number token, and ``np.fromiter`` builds the array.  The
-    rest of the document, which alone can hold the placeholder, must
-    decode to an object whose "assignment" is the placeholder: so the
-    array is the one json keeps.  Never raises: what it declines, json
-    decodes or refuses."""
+    Then the text is cut at commas into pieces of about ``DECODE_BYTES``,
+    each with its brackets blanked: json.loads of each piece as a list,
+    and a total count equal to the shape's, prove that every entry slot
+    holds one number token, and ``np.fromiter`` fills the array piece by
+    piece.  Both passes read the text a block at a time.  The rest of the
+    document, which alone can hold the placeholder, must decode to an
+    object whose "assignment" is the placeholder: so the array is the one
+    json keeps.  Never raises: what it declines, json decodes or refuses."""
     at = text.rfind('"assignment"')
     key = _ASSIGNMENT.match(text, at) if at >= 0 else None
     if key is None:
         return None
     depth, start = key.group(1).count("["), key.start(1)
-    if depth > _MAX_DEPTH:
-        return None
     close = text.find("]" * depth, start)
-    span = text[start:close + depth]
-    if close < 0 or not span.isascii():
+    if depth > _MAX_DEPTH or close < 0:
         return None
-    head, tail, span = text[:start], text[close + depth:], span.encode("ascii")
-    tokens = span.translate(_TOKENS, _JSON_SPACE)
-    codes = np.frombuffer(tokens, dtype=np.uint8)
-    number = codes == ord("x")
-    if (b"?" in tokens or (number[:-1] & (codes[1:] == ord("["))).any()
-            or ((codes[:-1] == ord("]")) & number[1:]).any()):
-        return None
-    shape = _skeleton_shape(tokens.translate(None, b"x"), depth)
+    end = close + depth
+    pieces, last = [], b""  # last: the final token byte of the blocks so far
+    for s in range(start, end, DECODE_BYTES):
+        block = text[s:min(s + DECODE_BYTES, end)]
+        if not block.isascii():
+            return None
+        tokens = last + block.encode("ascii").translate(_TOKENS, _JSON_SPACE)
+        codes = np.frombuffer(tokens, dtype=np.uint8)
+        number = codes == ord("x")
+        if (b"?" in tokens or (number[:-1] & (codes[1:] == ord("["))).any()
+                or ((codes[:-1] == ord("]")) & number[1:]).any()):
+            return None
+        pieces.append(tokens[len(last):].translate(None, b"x"))
+        last = tokens[-1:]
+    shape = _skeleton_shape(b"".join(pieces), depth)
+    head, tail = text[:start], text[end:]
     if shape is None or any(_PLACEHOLDER in part or "\\u2603" in part for part in (head, tail)):
         return None
+    array = np.empty(shape).ravel()
+    filled, at = 0, start
     try:
-        values = json.loads(b"[" + span.translate(_BLANK_BRACKETS) + b"]")
-        array = np.fromiter(values, dtype=float, count=len(values)).reshape(shape)
+        while at <= end:
+            cut = text.find(",", at + DECODE_BYTES, end)
+            cut = end if cut < 0 else cut
+            piece = text[at:cut].encode("ascii").translate(_BLANK_BRACKETS)
+            values = json.loads(b"[" + piece + b"]")
+            if filled + len(values) > array.size:
+                return None
+            array[filled:filled + len(values)] = np.fromiter(values, dtype=float,
+                                                             count=len(values))
+            filled, at = filled + len(values), cut + 1
         data = json.loads(head + '"\\u2603"' + tail)
     except (OverflowError, RecursionError, ValueError):
         return None
-    if type(data) is not dict or data.get("assignment") != _PLACEHOLDER:
+    if filled != array.size or type(data) is not dict or data.get("assignment") != _PLACEHOLDER:
         return None
-    data["assignment"] = array
+    data["assignment"] = array.reshape(shape)
     return data
 
 
 def save_certificate(path, q: QuantumHomomorphism) -> None:
-    # one json.dumps call: json.dump streams through the pure-Python encoder
-    text = json.dumps(certificate_to_json(q))
+    """Write ``q`` as a certificate file.  The text is json.dumps of the
+    file's object; the edges and the assignment are streamed a block of
+    rows at a time, the assignment as its [re, im] float view."""
+    n_colors = _complete_order(q.target)
+    edges = np.column_stack(q.source.edge_index)
+    entries = q.assignment.view(float).reshape(q.source.n, 2 * n_colors * q.d * q.d)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(f'{{"d": {int(q.d)}, "n_colors": {n_colors}, '
+                 f'"graph": {{"n": {int(q.source.n)}, "edges": ')
+        _write_rows(fh, edges, _entry_template((2,)))
+        fh.write('}, "assignment": ')
+        _write_rows(fh, entries, _entry_template((n_colors, q.d, q.d, 2)))
+        fh.write("}")
 
 
 def load_certificate(path) -> QuantumHomomorphism:
@@ -498,4 +553,5 @@ def load_certificate(path) -> QuantumHomomorphism:
     finally:
         if collecting:
             gc.enable()
+    del text  # the graph and the certificate are built without it
     return _certificate(data, os.path.dirname(os.fspath(path)), decoded)

@@ -50,6 +50,17 @@ def solve_with_raised_witness_edge(problem, cfg=None):
     return dataclasses.replace(sol, certificate=M)
 
 
+def certificate_dict(q):
+    """The object a certificate file of ``q`` holds, as the nested lists
+    json.dumps writes: the file's text is json.dumps of it."""
+    return {
+        "d": int(q.d),
+        "n_colors": int(q.target.n),
+        "graph": {"n": int(q.source.n), "edges": np.column_stack(q.source.edge_index).tolist()},
+        "assignment": np.stack((q.assignment.real, q.assignment.imag), axis=-1).tolist(),
+    }
+
+
 @pytest.fixture
 def no_spectral_pin(monkeypatch):
     """Switch the spectral pin off, so that regular graphs the clique and

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import solve_with_raised_witness_edge
+from conftest import certificate_dict, solve_with_raised_witness_edge
 from vecchrom import cli, graphs, identities, params, sdp
 from vecchrom.cli import main, resolve_graph
 from vecchrom.identities import chain_checks
@@ -16,7 +16,6 @@ from vecchrom.errors import DomainError, ParseError, ValidationError
 from vecchrom.colorings import ClassicalColoring
 from vecchrom.quantum import (
     QuantumHomomorphism,
-    certificate_to_json,
     classical_embedding,
     quantum_sabidussi,
     save_certificate,
@@ -595,7 +594,7 @@ def test_qverify_unusable_qtol_is_refused_before_loading(tmp_path, capsys, monke
 
 
 def test_qverify_mutated_fails_named_condition(tmp_path, capsys):
-    data = certificate_to_json(_c5_certificate())
+    data = certificate_dict(_c5_certificate())
     data["assignment"][2][0][0][0][0] += 0.01
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -669,8 +668,44 @@ def test_qverify_overflowing_certificate_fails_without_warnings(tmp_path, capsys
     assert (witness["vertex"], witness["part"], witness["condition"]) == (0, 0, "idempotent")
 
 
+def _refuse_constant(token):
+    raise ValueError(f"bare {token} token: not strict JSON")
+
+
+def _nonfinite_certificate_texts():
+    """(name, file text) of certificates whose residuals come out NaN or
+    infinite: NaN and infinite entries, and finite ones that overflow."""
+    data = certificate_dict(_c5_certificate())
+    data["assignment"][4][2][0][0][0] = np.inf
+    yield "inf", json.dumps(data)
+    data["assignment"] = np.full(np.shape(data["assignment"]), np.nan).tolist()
+    yield "nan", json.dumps(data)
+    for d in (1, 4):
+        yield f"overflow-d{d}", json.dumps(certificate_dict(_near_overflow_certificate(d)))
+
+
+def test_qverify_records_are_strict_json(tmp_path, capsys):
+    # a non-finite residual is the string json.dumps spells it with, on
+    # stdout and in --out files alike
+    for name, text in _nonfinite_certificate_texts():
+        path, out = tmp_path / f"{name}.json", tmp_path / "record.json"
+        path.write_text(text)
+        assert main(["qverify", str(path)]) == 3
+        printed = capsys.readouterr().out
+        assert main(["qverify", str(path), "--out", str(out)]) == 3
+        for record_text in (printed, out.read_text()):
+            record = json.loads(record_text, parse_constant=_refuse_constant)
+            assert record["status"] == "failed"
+            report = record["report"]
+            residuals = [report[key] for key in ("hermitian", "idempotent", "sum_to_identity",
+                                                 "orthogonality", "adjacency")]
+            assert set(residuals) & {"Infinity", "NaN"}, name
+            assert all(isinstance(r, float) or r in ("Infinity", "-Infinity", "NaN")
+                       for r in residuals)
+
+
 def _malformed(mutate):
-    data = certificate_to_json(_c5_certificate())
+    data = certificate_dict(_c5_certificate())
     mutate(data)
     return data
 
@@ -717,7 +752,7 @@ def test_qverify_malformed_certificate_is_a_parse_error(tmp_path, capsys, data):
 def _c5_text(assignment=None, n=None):
     """The C_5 certificate's JSON text, with its assignment or its graph.n
     replaced by the given text."""
-    data = certificate_to_json(_c5_certificate())
+    data = certificate_dict(_c5_certificate())
     if assignment is not None:
         data["assignment"] = "@assignment"
     if n is not None:
@@ -734,7 +769,7 @@ _DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
     pytest.param(b'\xff\xfe{"d": 1}', 1, "error: certificate is not UTF-8", id="not-utf8"),
     pytest.param(_c5_text(assignment="[" * 100_000 + "1.0" + "]" * 100_000), 1,
                  "error: certificate cannot be decoded", id="nested-100000"),
-    pytest.param(_c5_text(assignment=json.dumps(certificate_to_json(_c5_certificate())[
+    pytest.param(_c5_text(assignment=json.dumps(certificate_dict(_c5_certificate())[
                      "assignment"]).replace("1.0", "9" * 5000, 1)), 1,
                  "error: certificate cannot be decoded", id="entry-5000-digits",
                  marks=_DIGIT_LIMIT),
@@ -764,7 +799,7 @@ def test_param_non_utf8_graph_file_is_a_parse_error(tmp_path, capsys):
 def test_qverify_missing_files_exit_as_usage_errors(tmp_path, capsys):
     code, record, err = run_cli(capsys, "qverify", str(tmp_path / "absent.json"))
     assert (code, record) == (1, None) and err.startswith("error:")
-    data = certificate_to_json(_c5_certificate())
+    data = certificate_dict(_c5_certificate())
     data["graph"] = "absent.txt"
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(data))
@@ -777,7 +812,7 @@ def test_declared_order_above_cap_is_refused(tmp_path, capsys):
     graph.write_text("1000000 0\n")
     code, record, err = run_cli(capsys, "param", str(graph), "--which", "spectral")
     assert (code, record) == (1, None) and "order cap" in err
-    data = certificate_to_json(_c5_certificate())
+    data = certificate_dict(_c5_certificate())
     data["graph"] = {"n": 10**6, "edges": []}
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(data))

@@ -6,6 +6,7 @@ import json
 import random
 import re
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import certificate_dict
 from vecchrom import graphs, quantum
 from vecchrom.errors import DimensionError, DomainError, ParseError, ValidationError
 from vecchrom.graphs import generate, is_homomorphism, product
@@ -20,7 +22,6 @@ from vecchrom.quantum import (
     ADJ_TOL,
     QuantumHomReport,
     QuantumHomomorphism,
-    certificate_to_json,
     classical_embedding,
     compose_classical,
     conjugate,
@@ -371,7 +372,7 @@ def test_certificate_graph_reference(tmp_path):
     gpath = tmp_path / "c5.txt"
     graphs.save_graph(gpath, C5)
     q = classical_embedding(C5, K3, COL5)
-    data = certificate_to_json(q)
+    data = certificate_dict(q)
     data["graph"] = "c5.txt"
     import json
 
@@ -394,7 +395,7 @@ def test_certificate_validation_errors(tmp_path):
     with pytest.raises(ParseError):
         load_certificate(bad)
     q = classical_embedding(C4, K2, [0, 1, 0, 1])
-    data = certificate_to_json(q)
+    data = certificate_dict(q)
     data["d"] = 2  # now the declared shape disagrees
     with pytest.raises(ValidationError):
         _load(tmp_path, data)
@@ -405,7 +406,7 @@ def test_certificate_validation_errors(tmp_path):
 @pytest.mark.parametrize("entry", [[True, 0.0], [0.0, False], [1, 0], [1.0, 0.0]])
 def test_certificate_entries_must_be_numbers_not_booleans(tmp_path, entry):
     # JSON true would otherwise read as 1.0 and pass the check
-    data = certificate_to_json(classical_embedding(C4, K2, [0, 1, 0, 1]))
+    data = certificate_dict(classical_embedding(C4, K2, [0, 1, 0, 1]))
     data["assignment"][0][0][0][0] = entry
     if isinstance(entry[0], bool) or isinstance(entry[1], bool):
         with pytest.raises(ParseError, match="must be numbers"):
@@ -415,7 +416,7 @@ def test_certificate_entries_must_be_numbers_not_booleans(tmp_path, entry):
 
 
 def test_certificate_assignment_shapes_and_raggedness(tmp_path):
-    data = certificate_to_json(classical_embedding(C4, K2, [0, 1, 0, 1]))
+    data = certificate_dict(classical_embedding(C4, K2, [0, 1, 0, 1]))
     for raw, error in (([], ValidationError), (5, ValidationError),
                        ([[[[[1.0, 0.0]]]], 3], ParseError),
                        ([[[[[1.0]]]], [[[[1.0, 0.0]]]]], ParseError),
@@ -445,7 +446,7 @@ def test_load_certificate_restores_the_garbage_collector(tmp_path, collecting):
 
 @pytest.mark.parametrize("d", [0, -1])
 def test_certificate_declaring_dimension_below_one_is_refused(tmp_path, monkeypatch, d):
-    data = certificate_to_json(classical_embedding(C4, K2, [0, 1, 0, 1]))
+    data = certificate_dict(classical_embedding(C4, K2, [0, 1, 0, 1]))
     data["d"] = d
     # refused before the source graph or the assignment array is built
     monkeypatch.setattr(quantum, "_source_graph", lambda *args: pytest.fail("graph built"))
@@ -571,7 +572,7 @@ def _loop_tensor_with_identity(q, k):
 
 
 def _loop_certificate_json(q):
-    data = certificate_to_json(q)
+    data = certificate_dict(q)
     data["assignment"] = [
         [[[[float(x.real), float(x.imag)] for x in row] for row in q.assignment[u, v]]
          for v in range(q.target.n)]
@@ -767,6 +768,70 @@ def test_saved_certificate_text_matches_streamed_json(tmp_path):
         assert path.read_text(encoding="utf-8") == reference.getvalue()
 
 
+# save_certificate streams its text a block of rows at a time; json.dumps of
+# the file's object (conftest.certificate_dict) is the reference.
+
+_WRITER_ENTRIES = [0.0, -0.0, 1.0, -0.5, 0.1, 2.5e-8, 1e300, -1e300, 5e-324, -5e-324,
+                   float("nan"), float("inf"), float("-inf")]
+
+
+@settings(max_examples=60)
+@given(d=st.integers(1, 2), chunk=st.integers(1, 3), offset=st.sampled_from([-1, 0, 1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_saved_certificate_text_is_json_dumps(cert_path, d, chunk, offset, seed):
+    # blocks of `chunk` vertices, and chunk - 1, chunk or chunk + 1 vertices
+    rng = random.Random(seed)
+    n = chunk + offset
+    pairs = list(itertools.combinations(range(n), 2))
+    source = graphs.graph_from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+    parts = [complex(rng.choice(_WRITER_ENTRIES), rng.choice(_WRITER_ENTRIES))
+             for _ in range(n * 3 * d * d)]
+    q = QuantumHomomorphism(source, K3, d, np.array(parts).reshape(n, 3, d, d))
+    with mock.patch.object(quantum, "WRITE_ENTRIES", chunk * 2 * 3 * d * d):
+        save_certificate(cert_path, q)
+    assert cert_path.read_text(encoding="utf-8") == json.dumps(certificate_dict(q))
+
+
+@pytest.mark.parametrize("q", [
+    pytest.param(QuantumHomomorphism(generate("empty", 0), K3, 2, np.zeros((0, 3, 2, 2))),
+                 id="no-vertex"),
+    pytest.param(QuantumHomomorphism(C4, generate("complete", 0), 1, np.zeros((4, 0, 1, 1))),
+                 id="no-color"),
+])
+def test_saved_certificate_of_empty_arrays_is_json_dumps(tmp_path, q):
+    path = tmp_path / "cert.json"
+    save_certificate(path, q)
+    assert path.read_text(encoding="utf-8") == json.dumps(certificate_dict(q))
+
+
+def test_certificate_save_and_load_memory_is_bounded(tmp_path):
+    # a d = 4 quantum 3-coloring of C35 [] C35: 1,225 vertices, 4,900 edges,
+    # about 1.2 MB of text.  One json.dumps of the nested lists peaked at
+    # about 11x the file's size, and a decode of the whole assignment at 8x;
+    # the streamed text peaks below the file's size, and the load holds the
+    # text (1x) and the certificate (2x: adjacency and assignment) besides
+    # its chunks and skeleton
+    C35 = product("cartesian", C5, C7)
+    q35 = conjugate(tensor_with_identity(classical_embedding(
+        C35, K3, (COL5[:, None] + COL7[None, :]).ravel() % 3), 2), _random_unitary(2, 51))
+    q = quantum_sabidussi(q35, q35)
+    path = tmp_path / "cert.json"
+    tracemalloc.start()
+    try:
+        save_certificate(path, q)
+        _, save_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = load_certificate(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert q.source.n == 1225 and size > 10**6
+    assert save_peak < 1.0 * size
+    assert load_peak < 5.0 * size
+    assert back.assignment.tobytes() == q.assignment.tobytes()
+
+
 # --- the flat decode of certificate files against the json route ---------------------
 #
 # load_certificate decodes the assignment array of a file without its nested
@@ -811,7 +876,7 @@ def cert_path(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(ORACLE_CERTIFICATES))
 def test_flat_decode_is_bit_identical_on_oracle_certificates(cert_path, name):
     q = ORACLE_CERTIFICATES[name]
-    shape, data, adj, d, n_colors = _assert_routes_agree(cert_path, json.dumps(certificate_to_json(q)), True)
+    shape, data, adj, d, n_colors = _assert_routes_agree(cert_path, json.dumps(certificate_dict(q)), True)
     assert (shape, data, adj, d, n_colors) == (q.assignment.shape, q.assignment.tobytes(),
                                                q.source.adj.tobytes(), q.d, q.target.n)
 
@@ -871,9 +936,27 @@ def test_flat_decode_agrees_with_json_route(cert_path, text):
     _assert_routes_agree(cert_path, text)
 
 
+@settings(max_examples=100)
+@given(_certificate_texts(), st.sampled_from([1, 2, 5, 16]))
+def test_flat_decode_in_small_pieces_agrees_with_json_route(cert_path, text, size):
+    # pieces of a few bytes: every block and cut boundary falls in a number
+    # token, at a comma, between brackets, or in whitespace
+    with mock.patch.object(quantum, "DECODE_BYTES", size):
+        _assert_routes_agree(cert_path, text)
+
+
+@pytest.mark.parametrize("size", [1, 7, 64])
+def test_flat_decode_in_small_pieces_is_bit_identical(cert_path, monkeypatch, size):
+    monkeypatch.setattr(quantum, "DECODE_BYTES", size)
+    for q in ORACLE_CERTIFICATES.values():
+        outcome = _assert_routes_agree(cert_path, json.dumps(certificate_dict(q)), True)
+        assert outcome == (q.assignment.shape, q.assignment.tobytes(), q.source.adj.tobytes(),
+                           q.d, q.target.n)
+
+
 @pytest.mark.parametrize("separators", [(", ", ": "), (",", ":")])
 def test_flat_decode_takes_compact_files_in_any_key_order(cert_path, separators):
-    members = certificate_to_json(ORACLE_CERTIFICATES["d2_conjugated"])
+    members = certificate_dict(ORACLE_CERTIFICATES["d2_conjugated"])
     for keys in itertools.permutations(members):
         text = json.dumps({key: members[key] for key in keys}, separators=separators)
         _assert_routes_agree(cert_path, text, True)
@@ -919,7 +1002,7 @@ def test_flat_decode_takes_what_json_keeps(cert_path, text):
                  id="1MB-ragged"),
 ])
 def test_absurd_certificates_fail_fast(cert_path, members):
-    data = certificate_to_json(classical_embedding(C4, K2, [0, 1, 0, 1]))
+    data = certificate_dict(classical_embedding(C4, K2, [0, 1, 0, 1]))
     data.update(members)
     text = json.dumps(data)
     start = time.perf_counter()
