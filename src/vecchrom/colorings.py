@@ -51,10 +51,6 @@ class VectorColoring:
         return self.vectors.shape[0]
 
     @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
     def edge_target(self) -> float:
         return -1.0 / (self.k - 1.0)
 

@@ -50,7 +50,7 @@ from .certificates import dual_form_bound, eigenvalue_bound, witness_bound
 from .colorings import ClassicalColoring, modular_coloring
 from .errors import CapacityError, DimensionError, VecchromError
 from .graphs import Graph, generate, is_homomorphism, product, union
-from .params import CHROMATIC_CAP_DEFAULT, GraphFacts, spectral_lower_bound
+from .params import CHROMATIC_CAP_DEFAULT, GraphFacts
 from .sdp import SolverConfig
 
 IDENTITY_TOL_DEFAULT = 1e-3
@@ -276,33 +276,15 @@ def _chain(G: Graph, H: Graph, facts, tol: float, sdp_cap: int) -> list[Identity
 
 def chain_checks(G: Graph, facts: GraphFacts, tol: float = 1e-4) -> list[IdentityCheck]:
     """Sandwich chain for one graph from its record (which a graph of
-    another label may have made): average-degree bound, chi_vec,
-    theta_bar, and (within the record's chromatic cap) the chromatic
-    number."""
+    another label may have made): average-degree bound (with an edge),
+    chi_vec, theta_bar, and (within the record's cap) the chromatic number."""
     cv, tb = facts.param("chi_vec").value, facts.param("theta_bar").value
-    chi = facts.chromatic_number() if G.n <= facts.cap else None
-    return sandwich_checks(G, spectral_bound(facts), cv, tb, chi, tol)
-
-
-def spectral_bound(facts: GraphFacts) -> float | None:
-    """The average-degree bound 1 - (2e/n)/tau of a graph with an edge,
-    else None.  A regular graph takes tau from its record's Hoffman pair,
-    the same eigendecomposition, and 2e/n is its degree exactly."""
-    if facts.hoffman is not None:
-        degree, tau = facts.hoffman[:2]
-        return 1.0 - degree / tau
-    return spectral_lower_bound(facts.G) if facts.G.edge_count else None
-
-
-def sandwich_checks(G: Graph, lb: float | None, cv: float, tb: float, chi: int | None,
-                    tol: float = 1e-4) -> list[IdentityCheck]:
-    """The chain checks of :func:`chain_checks` from values already computed;
-    the spectral bound ``lb`` and the chromatic number ``chi`` may be None."""
     label = G.label or f"n{G.n}"
     checks = [_check(f"chi_vec <= theta_bar [{label}]", cv, cv, tb, tol, "le")]
-    if lb is not None:
+    if (lb := facts.spectral_bound) is not None:
         checks.insert(0, _check(f"spectral bound <= chi_vec [{label}]", lb, lb, cv, tol, "le"))
-    if chi is not None:
+    if G.n <= facts.cap:
+        chi = facts.chromatic_number()
         checks.append(_check(f"theta_bar <= chi [{label}]", tb, tb, float(chi), 2 * tol, "le"))
     return checks
 

@@ -148,13 +148,14 @@ class GraphFacts:
     """One graph's facts, each computed once, on first use, at the
     record's solver settings and chromatic cap: the neighbour lists and
     maximum clique of :func:`_search_setup`, the colorings searched from
-    that clique by number of colors, Hoffman's pair, and the theta-bar and
-    chi-vec ``results`` with their witnesses.  ``hits`` and ``misses``
-    count the parameter lookups answered and computed."""
+    that clique by number of colors, Hoffman's pair, the spectral bound,
+    and the theta-bar and chi-vec ``results`` (or failed solves' errors).
+    ``hits`` and ``misses`` count the parameter lookups answered and computed."""
 
     def __init__(self, G: Graph, cfg: SolverConfig | None = None, cap: int = CHROMATIC_CAP_DEFAULT):
         self.G, self.cfg, self.cap = G, cfg or SolverConfig(), cap
         self.results: dict[str, ParamResult] = {}
+        self._failures: dict[str, tuple] = {}  # which -> (ConvergenceError, its traceback)
         self.hits = self.misses = 0
         self._colorings: dict[int, np.ndarray | None] = {}
 
@@ -177,13 +178,31 @@ class GraphFacts:
             return None
         return int(degrees[0]), *_hoffman_pair(self.G, int(degrees[0]))
 
+    @functools.cached_property
+    def spectral_bound(self) -> float | None:
+        """The average-degree bound 1 - (2e/n)/tau of a graph with an edge,
+        else None; on a regular graph 1 - k/tau, from the Hoffman pair."""
+        if self.G.edge_count == 0:
+            return None
+        if self.hoffman is not None:
+            degree, tau = self.hoffman[:2]
+            return 1.0 - degree / tau
+        return spectral_lower_bound(self.G)
+
     def param(self, which: str) -> ParamResult:
-        """The "theta_bar" or "chi_vec" result."""
-        if which in self.results:
+        """The "theta_bar" or "chi_vec" result; a failed solve raises its
+        :class:`ConvergenceError` again at each lookup, with no new solve."""
+        if which in self.results or which in self._failures:
             self.hits += 1
         else:
-            self.results[which] = _sdp_param(self, _BUILDERS[which])
             self.misses += 1
+            try:
+                self.results[which] = _sdp_param(self, _BUILDERS[which])
+            except ConvergenceError as exc:
+                self._failures[which] = exc, exc.__traceback__
+        if which in self._failures:
+            exc, tb = self._failures[which]
+            raise exc.with_traceback(tb)  # the solve's traceback, not one grown per lookup
         return self.results[which]
 
     def chromatic_coloring(self, limit: int | None = None) -> np.ndarray:

@@ -820,6 +820,32 @@ def test_declared_order_above_cap_is_refused(tmp_path, capsys):
     assert (code, record) == (3, None) and "order cap" in err
 
 
+def test_certificate_with_no_vertex_round_trips_through_qverify(tmp_path, capsys):
+    # its assignment is written [], with no trailing axes
+    path = tmp_path / "cert.json"
+    save_certificate(path, QuantumHomomorphism(graphs.generate("empty", 0),
+                                               graphs.generate("complete", 3), 2,
+                                               np.zeros((0, 3, 2, 2))))
+    code, record, _ = run_cli(capsys, "qverify", str(path))
+    assert (code, record["status"]) == (0, "ok")
+    assert record["certificate"]["d"] == 2 and record["certificate"]["n_colors"] == 3
+
+
+@pytest.mark.parametrize("d, n_colors, message", [
+    (2**31, 3, "exceed the largest array"),
+    (1, 10**9, "order cap"),
+    (1, -1, "nonnegative"),
+])
+def test_certificate_with_no_vertex_and_absurd_sizes_is_refused(tmp_path, capsys, d, n_colors,
+                                                                message):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"d": d, "n_colors": n_colors, "graph": {"n": 0, "edges": []},
+                                "assignment": []}))
+    code, record, err = run_cli(capsys, "qverify", str(path))
+    assert (code, record) == (3, None)
+    assert err.startswith("validation error:") and message in err
+
+
 def test_qverify_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ nope")
@@ -834,7 +860,6 @@ def test_report_record(capsys):
     assert code == 0
     params = record["params"]
     assert abs(params["theta_bar"]["value"] - 2.23607) <= 1e-4
-    assert params["one_homogeneous"] is True
     assert params["bipartite"] is False
     assert params["chromatic"] == 3
     assert all(c["passed"] for c in record["identities"])
@@ -881,11 +906,23 @@ def test_report_matches_values_computed_apart(capsys):
     for which in ("theta-bar", "chi-vec"):
         _, apart, _ = run_cli(capsys, "param", "cycle:5", "--which", which)
         expected[which.replace("-", "_")] = apart["result"]
-    expected.update(spectral_lower_bound=params.spectral_lower_bound(G), one_homogeneous=True,
-                    bipartite=False, chromatic=params.chromatic_number(G))
+    expected.update(spectral_lower_bound=params.spectral_lower_bound(G), bipartite=False,
+                    chromatic=params.chromatic_number(G))
     assert list(record["params"].items()) == list(expected.items())
     assert record["identities"] == [c.as_dict() for c in chain_checks(G, params.GraphFacts(G, sdp.SolverConfig()))]
     assert record["status"] == "ok"
+
+
+def test_report_runs_no_one_homogeneity_test(capsys, monkeypatch):
+    # the test runs behind param --which onehom only
+    def refuse(G):
+        raise AssertionError("report ran the 1-homogeneity test")
+
+    monkeypatch.setattr(params, "one_homogeneous_check", refuse)
+    monkeypatch.setattr(cli, "one_homogeneous_check", refuse)
+    code, record, _ = run_cli(capsys, "report", "cycle:5")
+    assert (code, record["status"]) == (0, "ok")
+    assert "one_homogeneous" not in record["params"]
 
 
 def test_report_solver_failure_keeps_theta_bar_partial(capsys, unpinned_graph):
@@ -899,8 +936,8 @@ def test_report_solver_failure_keeps_theta_bar_partial(capsys, unpinned_graph):
 
 def test_report_omega_family(capsys):
     # the orthogonality graphs: odd n is edgeless (value 1), omega:2 is
-    # bipartite, and omega:4 is 1-homogeneous with theta-bar equal to the
-    # closed form 4 of param --which spectral
+    # bipartite, and omega:4 has theta-bar equal to the closed form 4 of
+    # param --which spectral
     records = {}
     for n in (1, 2, 3, 4):
         code, records[n], _ = run_cli(capsys, "report", f"omega:{n}")
@@ -909,7 +946,6 @@ def test_report_omega_family(capsys):
         assert records[n]["graphs"][0]["m"] == 0
         assert records[n]["params"]["theta_bar"]["value"] == 1.0
     assert records[2]["params"]["bipartite"] is True
-    assert records[4]["params"]["one_homogeneous"] is True
     assert records[4]["params"]["theta_bar"]["value"] == pytest.approx(4.0)
     code, record, _ = run_cli(capsys, "param", "omega:4", "--which", "spectral")
     assert code == 0

@@ -51,7 +51,7 @@ def _simplex_gram(n):
 
 def test_simplex_two_points():
     c = simplex_coloring(2)
-    assert c.dim == 1
+    assert c.vectors.shape == (2, 1)
     assert np.allclose(sorted(c.vectors.ravel()), [-1.0, 1.0])
     assert abs(float(c.vectors[0] @ c.vectors[1]) + 1.0) <= 1e-12
 
@@ -65,7 +65,7 @@ def test_simplex_three_points_at_120_degrees():
 
 def test_simplex_six_points():
     c = simplex_coloring(6)
-    assert c.dim == 5
+    assert c.vectors.shape == (6, 5)
     gram = c.vectors @ c.vectors.T
     off = gram[~np.eye(6, dtype=bool)]
     assert np.abs(off + 0.2).max() <= 1e-10

@@ -1,4 +1,5 @@
 import sys
+import traceback
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
@@ -92,6 +93,48 @@ def test_non_optimal_solve_reports_its_checked_partial():
     assert partial.upper == witness_bound(G, partial.primal_certificate, False)
     assert partial.gap > 1.0
     assert err.value.residual == max(partial.residuals) + partial.gap
+
+
+def test_failed_solve_is_kept_in_the_record(monkeypatch):
+    # C5 with a pendant vertex: no pin reaches it, and five iterations
+    # fail; the second lookup raises the same error with no solve, and a
+    # record under other settings solves again
+    G = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
+    calls = []
+    solve = params.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(params, "solve", counting_solve)
+    facts = params.GraphFacts(G, SolverConfig(max_iter=5))
+    with pytest.raises(ConvergenceError) as first:
+        facts.param("theta_bar")
+    with pytest.raises(ConvergenceError) as second:
+        facts.param("theta_bar")
+    assert second.value is first.value
+    assert len(traceback.extract_tb(second.tb)) == len(traceback.extract_tb(first.tb))
+    assert (len(calls), facts.hits, facts.misses) == (1, 1, 1)
+    assert params.GraphFacts(G).param("theta_bar").method == "sdp"
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("G, expected", [
+    (graphs.generate("empty", 3), None),
+    (graphs.generate("cycle", 5), "hoffman"),
+    (star(3), "average degree"),
+])
+def test_record_spectral_bound(G, expected):
+    facts = params.GraphFacts(G)
+    if expected is None:
+        assert facts.spectral_bound is None
+    elif expected == "hoffman":
+        degree, tau = facts.hoffman[:2]
+        assert facts.spectral_bound == 1.0 - degree / tau
+    else:
+        assert facts.hoffman is None
+        assert facts.spectral_bound == spectral_lower_bound(G)
 
 
 @pytest.mark.parametrize("param", [theta_bar, chi_vec])

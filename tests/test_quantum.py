@@ -694,6 +694,41 @@ def test_batched_verifier_matches_loop_on_mutations(name, kind):
             assert u in rep.witness["edge"]
 
 
+def test_orthogonality_witness_is_first_failing_pair():
+    # at tol 1 the structural checks run at 0.1 and orthogonality at 1:
+    # scalar parts 1.09 and -1.18/13 are idempotent within 0.1, thirteen
+    # of the latter bring two of the former to the sum 1, and only the
+    # product 1.09^2 of those two breaks orthogonality
+    parts = np.full(15, -1.18 / 13)
+    parts[[3, 7]] = 1.09
+    A = np.zeros((4, 15, 1, 1), dtype=complex)
+    A[:, 0] = 1.0
+    A[1, :, 0, 0] = A[3, :, 0, 0] = parts
+    q = QuantumHomomorphism(generate("empty", 4), generate("complete", 15), 1, A)
+    rep = verify_quantum_hom(q, tol=1.0)
+    assert rep.witness == {"scope": "tuple", "condition": "orthogonality", "pair": [3, 7],
+                           "residual": 1.09 * 1.09, "vertex": 1}
+    _assert_same_report(rep, _loop_verify_quantum_hom(q, 1.0))
+
+
+def test_many_colors_verify_in_bounded_memory():
+    # one vertex, d = 1 and 2,048 colors: about two million color pairs,
+    # whose residuals are kept as one maximum per vertex; the peak is the
+    # scan of the target's 4 MB adjacency for its non-adjacent pairs
+    count = 2048
+    A = np.zeros((1, count, 1, 1), dtype=complex)
+    A[0, 0] = 1.0
+    q = QuantumHomomorphism(K1, generate("complete", count), 1, A)
+    tracemalloc.start()
+    try:
+        rep = verify_quantum_hom(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.orthogonality == 0.0
+    assert peak < 2 * count * count
+
+
 @pytest.mark.parametrize("kind", ["categorical", "cartesian", "strong", "disjunctive",
                                   "lexicographic"])
 def test_product_qhom_bit_identical_to_kron_loop(kind):

@@ -24,6 +24,7 @@ UNBOUND = [
     "vecchrom.cli.theta_bar",
     "vecchrom.cli.chi_vec",
     "vecchrom.identities.spectral_vector_chromatic",
+    "vecchrom.identities.spectral_lower_bound",
     "vecchrom.identities.chromatic_number",
     "vecchrom.identities.proper_coloring",
     "vecchrom.identities.cached_param",
