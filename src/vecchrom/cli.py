@@ -68,7 +68,7 @@ from .params import (
     spectral_lower_bound,
     spectral_vector_chromatic,
 )
-from .quantum import load_certificate, verify_quantum_hom
+from .quantum import ADJ_TOL, load_certificate, verify_quantum_hom
 from .sdp import SolverConfig
 
 EXIT_OK = 0
@@ -287,9 +287,9 @@ def build_parser() -> _Parser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="write the JSON record to this file")
     solver = argparse.ArgumentParser(add_help=False, parents=[out])
-    solver.add_argument("--gap-tol", dest="gap_tol", type=float, default=1e-5,
+    solver.add_argument("--gap-tol", dest="gap_tol", type=float, default=SolverConfig.gap_tol,
                         help="solver duality-gap tolerance")
-    solver.add_argument("--max-iter", dest="max_iter", type=int, default=50000)
+    solver.add_argument("--max-iter", dest="max_iter", type=int, default=SolverConfig.max_iter)
     solver.add_argument("--cap", type=int, default=SDP_CAP_DEFAULT,
                         help="vertex cap for SDP solves and certificate matrices")
     solver.add_argument("--chromatic-cap", dest="chromatic_cap", type=int,
@@ -318,7 +318,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("qverify", parents=[out], help="check a certificate file")
     p.add_argument("certificate")
-    p.add_argument("--qtol", type=float, default=1e-7,
+    p.add_argument("--qtol", type=float, default=ADJ_TOL,
                    help="adjacency tolerance (structural checks run at a tenth)")
     p.set_defaults(func=cmd_qverify)
 

@@ -174,7 +174,9 @@ def generate(family: str, size: int = 0) -> Graph:
         raise DomainError(f"{family} size {size} exceeds the order cap {MAX_ORDER}")
 
     if family == "complete":
-        adj = ~np.eye(size, dtype=bool)
+        adj = np.ones((size, size), dtype=bool)
+        np.fill_diagonal(adj, False)
+        adj.setflags(write=False)  # the graph keeps it without a copy
         return Graph(size, adj, f"K_{size}")
     if family == "empty":
         return Graph(size, np.zeros((size, size), dtype=bool), f"empty_{size}")
@@ -221,12 +223,9 @@ def product(kind: ProductKind | str, G: Graph, H: Graph) -> Graph:
         raise DomainError(
             f"{kind.value} product order {G.n * H.n} exceeds the order cap {MAX_ORDER}"
         )
-    a = G.adj.astype(np.uint8)
-    b = H.adj.astype(np.uint8)
-    ig = np.eye(G.n, dtype=np.uint8)
-    ih = np.eye(H.n, dtype=np.uint8)
-    jg = np.ones((G.n, G.n), dtype=np.uint8)
-    jh = np.ones((H.n, H.n), dtype=np.uint8)
+    a, b = G.adj, H.adj
+    ig, ih = np.eye(G.n, dtype=bool), np.eye(H.n, dtype=bool)
+    jg, jh = np.ones((G.n, G.n), dtype=bool), np.ones((H.n, H.n), dtype=bool)
 
     if kind is ProductKind.CATEGORICAL:
         adj = np.kron(a, b)
@@ -246,7 +245,7 @@ def product(kind: ProductKind | str, G: Graph, H: Graph) -> Graph:
     # loopless factors leave every product diagonal false already; the
     # Graph validator double-checks
     label = f"({G.label}){sym}({H.label})" if G.label and H.label else ""
-    return Graph(G.n * H.n, adj.astype(bool), label)
+    return Graph(G.n * H.n, adj, label)
 
 
 def union(G: Graph, H: Graph) -> Graph:

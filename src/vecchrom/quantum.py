@@ -15,7 +15,6 @@ classical embedding work.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import json
 import os
@@ -162,7 +161,13 @@ def verify_quantum_hom(q: QuantumHomomorphism, tol: float = ADJ_TOL) -> QuantumH
         return QuantumHomReport(False, inf, inf, inf, inf, inf, witness)
     struct_tol = tol / 10.0
     e0, e1 = q.source.edge_index  # Graph.edges() order
-    pairs = np.argwhere(~q.target.adj)
+    # found in blocks of rows of at most GATHER_ENTRIES entries, in row-major
+    # order: a complete target's n x n negation would dwarf its n pairs
+    n = q.target.n
+    rows = max(1, GATHER_ENTRIES // max(1, n))
+    pairs = np.concatenate([np.zeros((0, 2), dtype=np.intp)]
+                           + [np.argwhere(~q.target.adj[s:s + rows]) + (s, 0)
+                              for s in range(0, n, rows)])
     residual = np.zeros((len(e0), len(pairs)))
     step = max(1, GATHER_ENTRIES // max(1, q.d * q.d))
     # finite entries near the float range overflow in the products, and
@@ -247,7 +252,8 @@ def compose_classical(q: QuantumHomomorphism, H: Graph, f) -> QuantumHomomorphis
 
 
 def _complete_order(H: Graph) -> int:
-    if H.edge_count != H.n * (H.n - 1) // 2:
+    # a graph is loopless, so n(n - 1) nonzeros make it complete; no edge index is built
+    if np.count_nonzero(H.adj) != H.n * (H.n - 1):
         raise DomainError("target must be a complete graph")
     return H.n
 
@@ -428,10 +434,7 @@ def _certificate(data: dict, base_dir: str | None, decoded: bool) -> QuantumHomo
 #: The placeholder's value, a snowman; a text that holds it, raw or
 #: escaped, is left to json.
 _PLACEHOLDER = "\u2603"
-_ASSIGNMENT = re.compile(r'"assignment"\s*:\s*(\[[\s\[]*)')
-#: Deepest array the flat decode takes, which bounds its skeleton search
-#: (numpy 1 holds at most 32 axes).
-_MAX_DEPTH = 32
+_ASSIGNMENT = re.compile(r'"assignment"\s*:\s*\[')
 _JSON_SPACE = b" \t\n\r"
 #: The bytes of JSON number tokens, NaN and Infinity included.
 _NUMBER_BYTES = b"0123456789+-.eEINafinty"
@@ -441,62 +444,45 @@ _TOKENS = bytes(c if c in b"[]," else ord("x") if c in _NUMBER_BYTES else ord("?
 _BLANK_BRACKETS = bytes(ord(" ") if c in b"[]" else c for c in range(256))
 
 
-def _skeleton_shape(skeleton: bytes, depth: int) -> tuple[int, ...] | None:
-    """The shape of the array whose brackets and commas are ``skeleton``,
-    with no axis empty, or None when no array has them.
-
-    The first list at each nesting level is read off the skeleton, which
-    starts with ``depth`` brackets: the list at level j closes at the
-    first run of depth - j + 1 closing brackets.  Its length gives the
-    axis, and the canonical skeleton of the shape, whose length is
-    checked before it is built, must equal ``skeleton``."""
-    shape, inner = [], 0  # inner: length of the first list one level down
-    for level in range(depth, 0, -1):
-        run = depth - level + 1
-        close = skeleton.find(b"]" * run)
-        if close < 0:
-            return None
-        length = close + run - (level - 1)
-        count, rest = divmod(length - 1, inner + 1)
-        if count < 1 or rest:
-            return None
-        shape.append(count)
-        inner = length
-    if inner != len(skeleton):
-        return None
-    canonical = b""
-    for count in shape:
-        canonical = b"[" + b",".join([canonical] * count) + b"]"
-    return tuple(reversed(shape)) if canonical == skeleton else None
-
-
 def _flat_decode(text: str) -> dict | None:
     """``json.loads(text)``, with the top-level "assignment" array as a
     float64 array, or None when this decode cannot prove it gives that.
 
     The array's text runs from the last ``"assignment":`` key's opening
-    brackets to the first run of as many closing ones.  With whitespace
-    deleted and the bytes of each number token reduced to x, it must be
-    the skeleton of an array with no empty axis: no byte but brackets,
-    commas and number bytes, no x run next to a bracket on its wrong
-    side, and its brackets and commas those of the shape they imply.
-    Then the text is cut at commas into pieces of about ``DECODE_BYTES``,
-    each with its brackets blanked: json.loads of each piece as a list,
-    and a total count equal to the shape's, prove that every entry slot
-    holds one number token, and ``np.fromiter`` fills the array piece by
-    piece.  Both passes read the text a block at a time.  The rest of the
-    document, which alone can hold the placeholder, must decode to an
-    object whose "assignment" is the placeholder: so the array is the one
-    json keeps.  Never raises: what it declines, json decodes or refuses."""
+    bracket to the first run of five closing ones, as a certificate's
+    assignment has five axes.  The rest of the document, which alone can
+    hold the placeholder, must decode to an object whose "assignment" is
+    the placeholder, so the array is the one json keeps, and whose "d"
+    and "n_colors" are positive integers.  With whitespace deleted and
+    the bytes of each number token reduced to x, the array's text must be
+    one or more rows of the layout :func:`save_certificate` writes for
+    those sizes, with empty entries: no byte but brackets, commas and
+    number bytes, no x run next to a bracket on its wrong side, and its
+    brackets and commas those of the rows.  Then the text is cut at
+    commas into pieces of about ``DECODE_BYTES``, each with its brackets
+    blanked: json.loads of each piece as a list, and a total count equal
+    to the rows', prove that every entry slot holds one number token, and
+    ``np.fromiter`` fills the array piece by piece.  Both passes read the
+    text a block at a time.  Never raises: what it declines, json decodes
+    or refuses."""
     at = text.rfind('"assignment"')
     key = _ASSIGNMENT.match(text, at) if at >= 0 else None
-    if key is None:
+    close = text.find("]]]]]", key.end()) if key else -1
+    if close < 0:
         return None
-    depth, start = key.group(1).count("["), key.start(1)
-    close = text.find("]" * depth, start)
-    if depth > _MAX_DEPTH or close < 0:
+    start, end = key.end() - 1, close + 5
+    head, tail = text[:start], text[end:]
+    if any(_PLACEHOLDER in part or "\\u2603" in part for part in (head, tail)):
         return None
-    end = close + depth
+    try:
+        data = json.loads(head + '"\\u2603"' + tail)
+    except (RecursionError, ValueError):
+        return None
+    if type(data) is not dict or data.get("assignment") != _PLACEHOLDER:
+        return None
+    d, n_colors = data.get("d"), data.get("n_colors")
+    if type(d) is not int or type(n_colors) is not int or min(d, n_colors) < 1:
+        return None
     pieces, last = [], b""  # last: the final token byte of the blocks so far
     for s in range(start, end, DECODE_BYTES):
         block = text[s:min(s + DECODE_BYTES, end)]
@@ -510,11 +496,16 @@ def _flat_decode(text: str) -> dict | None:
             return None
         pieces.append(tokens[len(last):].translate(None, b"x"))
         last = tokens[-1:]
-    shape = _skeleton_shape(b"".join(pieces), depth)
-    head, tail = text[:start], text[end:]
-    if shape is None or any(_PLACEHOLDER in part or "\\u2603" in part for part in (head, tail)):
+    skeleton = b"".join(pieces)
+    # each [re, im] pair is at least four bytes of a row: "[,]" and the
+    # comma or bracket after it; so the row is not built for absurd sizes
+    if 4 * n_colors * d * d > len(skeleton):
         return None
-    array = np.empty(shape).ravel()
+    row = _entry_template((n_colors, d, d, 2)).replace("%r", "").replace(" ", "").encode()
+    rows, rest = divmod(len(skeleton) - 1, len(row) + 1)
+    if rest or skeleton != b"[" + b",".join([row] * rows) + b"]":
+        return None
+    array = np.empty(rows * n_colors * d * d * 2)
     filled, at = 0, start
     try:
         while at <= end:
@@ -527,12 +518,11 @@ def _flat_decode(text: str) -> dict | None:
             array[filled:filled + len(values)] = np.fromiter(values, dtype=float,
                                                              count=len(values))
             filled, at = filled + len(values), cut + 1
-        data = json.loads(head + '"\\u2603"' + tail)
-    except (OverflowError, RecursionError, ValueError):
+    except (OverflowError, ValueError):
         return None
-    if filled != array.size or type(data) is not dict or data.get("assignment") != _PLACEHOLDER:
+    if filled != array.size:
         return None
-    data["assignment"] = array.reshape(shape)
+    data["assignment"] = array.reshape(rows, n_colors, d, d, 2)
     return data
 
 
@@ -554,17 +544,9 @@ def save_certificate(path, q: QuantumHomomorphism) -> None:
 
 def load_certificate(path) -> QuantumHomomorphism:
     text = read_text(path, "certificate")
-    # the decoded lists hold no cycles, so the cyclic collector is paused
-    # while they are made: its passes over them would find nothing
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        data = _flat_decode(text)
-        decoded = data is not None
-        if not decoded:
-            data = decode_json(text, "certificate")
-    finally:
-        if collecting:
-            gc.enable()
+    data = _flat_decode(text)
+    decoded = data is not None
+    if not decoded:
+        data = decode_json(text, "certificate")
     del text  # the graph and the certificate are built without it
     return _certificate(data, os.path.dirname(os.fspath(path)), decoded)
