@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import stat
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -429,7 +431,10 @@ def write_edge_list(G: Graph) -> str:
 
 
 def read_text(path, what: str) -> str:
-    """The UTF-8 text of a file; bytes that are not UTF-8 raise ParseError."""
+    """The UTF-8 text of a regular file; a device, FIFO or directory, or
+    bytes that are not UTF-8, raise ParseError."""
+    if not stat.S_ISREG(os.stat(path).st_mode):  # a missing file raises FileNotFoundError
+        raise ParseError(f"{what} {os.fspath(path)!r} is not a regular file")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import re
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, ParseError, ValidationError
 from .graphs import (Graph, ProductKind, decode_json, graph_from_edges, generate, is_homomorphism,
-                     load_graph, product, read_text)
+                     product, read_text)
 from .colorings import ClassicalColoring, modular_coloring
 
 ADJ_TOL = 1e-7
@@ -319,7 +318,7 @@ def tensor_with_identity(q: QuantumHomomorphism, k: int) -> QuantumHomomorphism:
 # Certificate file format (coloring certificates; the target is the
 # complete graph on n_colors vertices):
 #   {"d": int, "n_colors": int,
-#    "graph": {"n": int, "edges": [[u, v], ...]} or a path string,
+#    "graph": {"n": int, "edges": [[u, v], ...]} (inline only),
 #    "assignment": per vertex, per color, d x d row-major entries [re, im]}
 
 #: Numbers :func:`save_certificate` formats and writes at once (about
@@ -362,14 +361,9 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _source_graph(spec, base_dir: str | None) -> Graph:
-    if isinstance(spec, str):
-        path = spec
-        if base_dir is not None and not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        return load_graph(path)
+def _source_graph(spec) -> Graph:
     if not isinstance(spec, dict) or "n" not in spec:
-        raise ParseError('malformed certificate: graph must be a path or an {"n", "edges"} object')
+        raise ParseError('malformed certificate: graph must be an {"n", "edges"} object')
     edges = spec.get("edges", [])
     if (not isinstance(edges, list) or set(map(type, edges)) - {list}
             or set(map(len, edges)) - {2}):
@@ -402,7 +396,7 @@ def _number_array(raw) -> tuple[tuple[int, ...], np.ndarray]:
         raise ParseError("malformed certificate: assignment entries must be numbers")
 
 
-def _certificate(data: dict, base_dir: str | None, decoded: bool) -> QuantumHomomorphism:
+def _certificate(data: dict, decoded: bool) -> QuantumHomomorphism:
     """The certificate a decoded file holds, checked in order; ``decoded``
     says that the assignment is a float array from :func:`_flat_decode`."""
     try:
@@ -414,7 +408,7 @@ def _certificate(data: dict, base_dir: str | None, decoded: bool) -> QuantumHomo
         raise ParseError(f"malformed certificate: {exc}")
     if d < 1:
         raise ValidationError(f"certificate declares dimension d = {d}, expected d >= 1")
-    source = _source_graph(graph_spec, base_dir)
+    source = _source_graph(graph_spec)
     shape, entries = (raw.shape, raw) if decoded else _number_array(raw)
     expected = (source.n, n_colors, d, d, 2)
     if shape != expected and not (source.n == 0 and shape == (0,)):  # no vertex is [] in JSON
@@ -549,4 +543,4 @@ def load_certificate(path) -> QuantumHomomorphism:
     if not decoded:
         data = decode_json(text, "certificate")
     del text  # the graph and the certificate are built without it
-    return _certificate(data, os.path.dirname(os.fspath(path)), decoded)
+    return _certificate(data, decoded)

@@ -51,8 +51,9 @@ produce identical iterate sequences.
 
 from __future__ import annotations
 
+import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,10 +91,10 @@ def _log_solve(message: str, *args, **fields):
 class SolverConfig:
     """Tunables for :func:`solve`.
 
-    ``tol`` bounds the reported affine/cone/entrywise residuals at
-    termination, ``gap_tol`` the reported duality gap.  Solves stop on
-    ``gap_tol``: every reported point is rounded to exact feasibility, so
-    its residuals are at rounding level by construction.
+    ``tol`` bounds the reported trace residual at termination, ``gap_tol``
+    the reported duality gap.  Solves stop on ``gap_tol``: every reported
+    point is rounded to exact feasibility, so its trace residual is at
+    rounding level by construction.
     """
 
     tol: float = 1e-7
@@ -101,8 +102,13 @@ class SolverConfig:
     max_iter: int = 50000
 
     def __post_init__(self):
+        if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
+                   for t in (self.tol, self.gap_tol)):
+            raise DomainError("tolerances must be real numbers")
         if not (self.tol > 0 and self.gap_tol > 0):  # NaN compares False
             raise DomainError("tolerances must be positive")
+        if not isinstance(self.max_iter, numbers.Integral) or isinstance(self.max_iter, bool):
+            raise DomainError("the iteration count must be an integer")
         if self.max_iter <= 0:
             raise DomainError("the iteration count must be positive")
 
@@ -143,7 +149,7 @@ class SdpSolution:
     objective: float
     dual_objective: float
     gap: float
-    residuals: tuple  # (affine, cone, entrywise)
+    residuals: tuple  # (trace, cone, entrywise); entrywise is 0.0 by construction
     iterations: int
     status: str
     certificate: np.ndarray  # primal witness of dual_objective
@@ -323,7 +329,7 @@ def solve(problem: SdpProblem, cfg: SolverConfig | None = None) -> SdpSolution:
     V = np.zeros((n, n))
     accel = _Anderson(n)
 
-    best = None  # (score, X, obj, dual, gap, residuals, iteration, certificate)
+    best = score = None  # the best check so far, and its residual plus gap
     status = MAX_ITER
     it = checks = 0
     try:
@@ -336,56 +342,34 @@ def solve(problem: SdpProblem, cfg: SolverConfig | None = None) -> SdpSolution:
             if _is_check(it) or it == cfg.max_iter:
                 checks += 1
                 X_rep = _feasible_point(X)
-                aff_res = max(abs(float(np.trace(X_rep)) - 1.0),
-                              float(np.abs(X_rep[~pattern]).max(initial=0.0)))
-                box_res = max(0.0, -float(X_rep.min())) if problem.nonneg else 0.0
+                # off the pattern, and for chi-vec below 0, the rounded point is
+                # 0 by construction: only its trace is measured (its cone at return)
+                trace_res = abs(float(np.trace(X_rep)) - 1.0)
                 obj = float(X_rep.sum())
                 dual, certificate = _structural_dual_bound(problem, rho * (Z - V_in))
                 gap = abs(obj - dual)
-
-                # the cone residual is 0 by construction; re-measured at return
-                score = max(aff_res, box_res) + gap
-                current = (score, X_rep, obj, dual, gap,
-                           (aff_res, 0.0, box_res), it, certificate)
-                if max(aff_res, box_res) <= cfg.tol and gap <= cfg.gap_tol:
+                converged = trace_res <= cfg.tol and gap <= cfg.gap_tol
+                if converged or best is None or trace_res + gap < score:
+                    best = SdpSolution(X_rep, obj, dual, gap, (trace_res, 0.0, 0.0), it,
+                                       OPTIMAL, certificate)
+                    score = trace_res + gap
+                if converged:
                     status = OPTIMAL
-                    best = current
                     break
-                if best is None or score < best[0]:
-                    best = current
 
             # accelerated from the first check on, so solves that stop
             # there run the plain iteration
             if it >= EARLY_CHECK_EVERY:
                 V = accel.next_point(V)
-        cone_final = max(0.0, -float(np.linalg.eigvalsh(best[1])[0]))
+        cone = max(0.0, -float(np.linalg.eigvalsh(best.X)[0]))
     except np.linalg.LinAlgError as exc:
         _log_solve("solve %s: eigensolver failed at iteration %d after %d checks",
                    problem.label, it, checks, status=MAX_ITER, iterations=it, checks=checks)
         raise ConvergenceError(
             f"eigensolver failed at iteration {it}: {exc}",
-            residual=None if best is None else best[0],
-            partial=None if best is None else _solution(best, it, MAX_ITER),
+            residual=score,
+            partial=None if best is None else replace(best, iterations=it, status=MAX_ITER),
         ) from exc
-    solution = _solution(best, it, status, cone_final)
-    _log_solve("solve %s: %s after %d iterations and %d checks", problem.label, status,
-               solution.iterations, checks, status=status, iterations=solution.iterations,
-               checks=checks)
-    return solution
-
-
-def _solution(best, it: int, status: str, cone: float | None = None) -> SdpSolution:
-    """The recorded best iterate; ``cone`` replaces its cone residual."""
-    _, X, obj, dual, gap, residuals, at_iter, certificate = best
-    if cone is not None:
-        residuals = (residuals[0], cone, residuals[2])
-    return SdpSolution(
-        X=X,
-        objective=obj,
-        dual_objective=dual,
-        gap=gap,
-        residuals=residuals,
-        iterations=it if status != OPTIMAL else at_iter,
-        status=status,
-        certificate=certificate,
-    )
+    _log_solve("solve %s: %s after %d iterations and %d checks", problem.label, status, it,
+               checks, status=status, iterations=it, checks=checks)
+    return replace(best, residuals=(best.residuals[0], cone, 0.0), status=status, iterations=it)

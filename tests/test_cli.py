@@ -1,6 +1,8 @@
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -804,7 +806,50 @@ def test_qverify_missing_files_exit_as_usage_errors(tmp_path, capsys):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(data))
     code, record, err = run_cli(capsys, "qverify", str(path))
-    assert (code, record) == (1, None) and "absent.txt" in err
+    assert (code, record) == (1, None) and "graph must be" in err
+
+
+def test_certificate_naming_its_graph_file_is_refused(tmp_path, capsys):
+    # the graph is inline only: a path string is refused, also when it
+    # names a graph file beside the certificate
+    graphs.save_graph(tmp_path / "c5.txt", graphs.generate("cycle", 5))
+    data = certificate_dict(_c5_certificate())
+    data["graph"] = "c5.txt"
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code, record, err = run_cli(capsys, "qverify", str(path))
+    assert (code, record) == (1, None) and "graph must be" in err
+
+
+def _cli_in_bounded_process(*argv):
+    """Exit code and stderr of the CLI in a child process limited to 1 GB of
+    address space and 10 s, so that a read that never ends fails there."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "vecchrom.cli", *argv], env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=10)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("command", [["param", "--which", "chromatic"], ["qverify"]])
+@pytest.mark.parametrize("kind", ["device", "fifo"])
+def test_files_that_are_not_regular_are_refused(tmp_path, command, kind):
+    # /dev/zero never ends and a FIFO without a writer blocks the open
+    if kind == "device":
+        path = "/dev/zero"
+        if not os.path.exists(path):
+            pytest.skip("no /dev/zero")
+    else:
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no os.mkfifo")
+        path = str(tmp_path / "fifo")
+        os.mkfifo(path)
+    code, err = _cli_in_bounded_process(*command, path)
+    assert code == 1 and "is not a regular file" in err
 
 
 def test_declared_order_above_cap_is_refused(tmp_path, capsys):

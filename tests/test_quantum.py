@@ -367,20 +367,6 @@ def test_certificate_roundtrip_bit_exact(tmp_path):
     assert verify_quantum_hom(back).ok
 
 
-def test_certificate_graph_reference(tmp_path):
-    gpath = tmp_path / "c5.txt"
-    graphs.save_graph(gpath, C5)
-    q = classical_embedding(C5, K3, COL5)
-    data = certificate_dict(q)
-    data["graph"] = "c5.txt"
-    import json
-
-    cpath = tmp_path / "cert.json"
-    cpath.write_text(json.dumps(data))
-    back = load_certificate(cpath)
-    assert np.array_equal(back.source.adj, C5.adj)
-
-
 def _load(tmp_path, data) -> QuantumHomomorphism:
     """The certificate of a file holding ``data``, through both decode routes."""
     path = tmp_path / "cert.json"

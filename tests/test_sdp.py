@@ -4,8 +4,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
 
-from conftest import random_graph
+from conftest import random_graph, small_graph
 from vecchrom import graphs, params, sdp
 from vecchrom.certificates import dual_form_bound, witness_bound
 from vecchrom.errors import ConvergenceError, DomainError
@@ -198,6 +199,19 @@ def test_gap_certificate_on_every_solve():
             assert sol.status == OPTIMAL
             assert sol.gap <= CFG.gap_tol
             assert abs(sol.objective - sol.dual_objective) == sol.gap
+
+
+@pytest.mark.parametrize("max_iter", [7, 60])
+@pytest.mark.parametrize("builder", [build_theta_bar, build_chi_vec])
+@given(G=small_graph())
+def test_rounded_iterate_is_exactly_zero_off_the_pattern(builder, max_iter, G):
+    # the solver measures only the trace residual: the pattern residual and,
+    # for chi-vec, the sign residual are 0 by construction
+    sol = solve(builder(G), SolverConfig(max_iter=max_iter))
+    pattern = G.adj | np.eye(G.n, dtype=bool)
+    assert np.all(sol.X[~pattern] == 0.0) and sol.residuals[2] == 0.0
+    if builder is build_chi_vec:
+        assert sol.X.min() >= 0.0
 
 
 def test_edge_monotonicity_of_theta():
@@ -436,6 +450,20 @@ def test_solver_config_validation():
         SolverConfig(tol=float("nan"))
     with pytest.raises(DomainError):
         SolverConfig(gap_tol=float("nan"))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iter", 100.0), ("max_iter", "100"), ("max_iter", True), ("max_iter", None),
+    ("gap_tol", "1e-5"), ("gap_tol", True), ("tol", None), ("tol", 1e-7 + 0j),
+])
+def test_solver_config_refuses_values_of_the_wrong_type(field, value):
+    with pytest.raises(DomainError):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_takes_numpy_scalars():
+    cfg = SolverConfig(gap_tol=np.float32(1e-3), max_iter=np.int64(7))
+    assert solve(build_theta_bar(graphs.generate("cycle", 5)), cfg).iterations <= 7
 
 
 def test_problem_validation():
