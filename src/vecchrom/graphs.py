@@ -21,7 +21,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice, takewhile
 
 import numpy as np
 
@@ -342,35 +341,20 @@ def erdos_renyi(n: int, p: float = 0.5, *, seed=None, rng=None, label: str = "")
 _COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
-def _is_integer(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
-
-
-def _first(mask: np.ndarray) -> int:
-    """Index of the first true entry of a boolean array, or its length."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else len(mask)
-
-
 def parse_edge_list(text: str, label: str = "") -> Graph:
     """Parse the edge-list text format into a graph.
 
-    The text is split into lines and tokens once, and the edge lines are
-    checked as arrays.  The error raised is the one the first offending
-    line gives, each line checked in the order: two fields, integers, no
-    more edges than the header promised, no self-loop, endpoints in range.
+    The lines are read in order and the first offending line raises,
+    each edge line checked in the order: two fields, integers, no more
+    edges than the header promised, no self-loop, endpoints in range.
     """
-    lines = list(map(str.split, _COMMENT.sub(" ", text).splitlines()))
-    counts = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
-    filled = np.flatnonzero(counts)
-    if not filled.size:
+    lines = enumerate(_COMMENT.sub(" ", text).splitlines(), start=1)
+    for lineno, line in lines:
+        fields = line.split()
+        if fields:
+            break
+    else:
         raise ParseError("empty graph file", line=1)
-    lineno, rows = int(filled[0]) + 1, filled[1:]  # rows: edge lines, 0-based
-    fields = lines[lineno - 1]
     if len(fields) != 2:
         raise ParseError(f"line {lineno}: expected header 'n m'", line=lineno)
     try:
@@ -385,43 +369,31 @@ def parse_edge_list(text: str, label: str = "") -> Graph:
             line=lineno,
         )
 
-    # edge lines before `paired` have two fields, those before `integral`
-    # two integers
-    paired = _first(counts[rows] != 2)
-    tokens = list(islice(chain.from_iterable(lines[lineno:]), 2 * paired))
-    try:
-        values = list(map(int, tokens))
-    except ValueError:
-        values = list(map(int, takewhile(_is_integer, tokens)))
-    integral = len(values) // 2
-    try:
-        ends = np.array(values[:2 * integral], dtype=np.int64)
-    except OverflowError:  # an endpoint beyond int64, which no order reaches
-        ends = np.array(values[:2 * integral], dtype=object)
-    u, v = ends[0::2], ends[1::2]
-    # the first failure of each check, as (edge line, check); a check
-    # that finds none reports a line that an earlier check fails or that
-    # does not exist
-    k, check = min((paired, 0), (integral, 1), (m, 2), (_first(u == v), 3),
-                   (_first((u < 0) | (u >= n) | (v < 0) | (v >= n)), 4))
-    if k < len(rows):
-        lineno = int(rows[k]) + 1
-        if check == 0:
+    ends = []  # the endpoints of the edge lines read so far, flat
+    for lineno, line in lines:  # the lines after the header
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 2:
             raise ParseError(f"line {lineno}: expected edge 'u v'", line=lineno)
-        if check == 1:
+        try:
+            a, b = int(fields[0]), int(fields[1])
+        except ValueError:
             raise ParseError(f"line {lineno}: edge endpoints must be integers", line=lineno)
-        if check == 2:
+        if len(ends) == 2 * m:
             raise ParseError(f"line {lineno}: more than {m} edges listed", line=lineno)
-        a, b = values[2 * k], values[2 * k + 1]
-        if check == 3:
+        if a == b:
             raise ValidationError(f"line {lineno}: self-loop at vertex {a}", line=lineno)
-        raise ValidationError(
-            f"line {lineno}: endpoint out of range for n={n}: ({a}, {b})",
-            line=lineno,
-        )
-    if len(rows) != m:
-        raise ParseError(f"header promised {m} edges but {len(rows)} were listed")
-    return Graph(n, _adjacency(n, u, v), label)
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValidationError(
+                f"line {lineno}: endpoint out of range for n={n}: ({a}, {b})",
+                line=lineno,
+            )
+        ends += a, b
+    if len(ends) != 2 * m:
+        raise ParseError(f"header promised {m} edges but {len(ends) // 2} were listed")
+    ends = np.array(ends, dtype=np.intp)
+    return Graph(n, _adjacency(n, ends[0::2], ends[1::2]), label)
 
 
 def write_edge_list(G: Graph) -> str:

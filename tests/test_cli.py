@@ -65,6 +65,13 @@ def test_parse_graph_file_errors(tmp_path):
         graphs.load_graph(path)
 
 
+@pytest.mark.parametrize("spec", ["cycle:x", "nosuchgraph"])
+def test_param_unknown_graph_spec_is_a_usage_error(capsys, spec):
+    code, record, err = run_cli(capsys, "param", spec, "--which", "chromatic")
+    assert (code, record) == (1, None)
+    assert spec in err
+
+
 def test_resolve_graph_specs():
     assert resolve_graph("petersen").n == 10
     assert resolve_graph("complete:4").edge_count == 6
@@ -292,6 +299,34 @@ def test_param_lapack_failure_exits_as_solver_failure(capsys, monkeypatch, unpin
     assert code == 2
     assert record["status"] == "solver_failure"
     assert record["result"] is None  # failed before the first check
+
+
+@pytest.mark.parametrize("failing_call, iterations, value", [
+    (8, 8, 1.216429062205281),  # after the first check: its values are reported
+    (3, None, None),            # before it: nothing is
+])
+def test_param_lapack_failure_mid_solve_reports_the_partial_result(
+        capsys, monkeypatch, failing_call, iterations, value):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def failing_eigh(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    # a cap of 0 leaves the path unpinned, so its value is solved
+    code, record, _ = run_cli(capsys, "param", "path:5", "--which", "theta-bar",
+                              "--chromatic-cap", "0")
+    assert code == 2 and record["status"] == "solver_failure"
+    result = record["result"]
+    if iterations is None:
+        assert result is None
+    else:
+        assert result["method"] == "sdp" and result["iterations"] == iterations
+        assert result["value"] == pytest.approx(value, rel=1e-9)
 
 
 def test_spectral_pin_lapack_failure_exits_as_solver_failure(capsys, monkeypatch):

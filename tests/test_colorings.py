@@ -11,7 +11,7 @@ from vecchrom.colorings import (
     modular_coloring,
     verify_coloring,
 )
-from vecchrom.errors import DomainError, FeasibilityError
+from vecchrom.errors import DimensionError, DomainError, FeasibilityError
 from vecchrom.identities import _cartesian_witness, _lift
 from vecchrom.params import chi_vec, chromatic_coloring, chromatic_number, theta_bar
 from vecchrom.sdp import SolverConfig
@@ -163,6 +163,19 @@ def test_nonfinite_vectors_rejected(value):
     vectors[1, 0] = value
     with pytest.raises(DomainError, match="finite"):
         VectorColoring(vectors, 3.0, True)
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: VectorColoring(np.ones(3), 2.0, True), DomainError, "2-d"),
+    (lambda: ClassicalColoring(np.zeros(2, dtype=int), 0), DomainError, "positive"),
+    (lambda: ClassicalColoring(np.array([0, 2]), 2), DomainError, "outside"),
+    (lambda: ClassicalColoring(np.array([-1, 0]), 2), DomainError, "outside"),
+    (lambda: verify_coloring(graphs.generate("cycle", 5), simplex_coloring(3)),
+     DimensionError, "covers 3 vertices"),
+])
+def test_malformed_colorings_are_refused(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_vector_coloring_refuses_a_non_finite_k():

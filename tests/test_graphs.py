@@ -78,6 +78,7 @@ def test_complete_one_vertex():
 def test_named_families():
     assert generate("cycle", 5).edge_count == 5
     assert generate("cycle", 2).edge_count == 1
+    assert [generate("cycle", n).edge_count for n in (0, 1)] == [0, 0]
     assert generate("path", 4).edge_count == 3
     assert generate("empty", 6).edge_count == 0
     P = generate("petersen")
@@ -285,6 +286,20 @@ def test_graph_validation():
     assert not generate("complete", 3).adj.flags.writeable
 
 
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: Graph(-1, np.zeros((0, 0), dtype=bool)), DomainError, "nonnegative"),
+    (lambda: Graph(2, np.zeros((3, 3), dtype=bool)), DimensionError, "shape"),
+    (lambda: graph_from_edges(-1, []), DomainError, "nonnegative"),
+    (lambda: is_homomorphism(generate("path", 2), generate("complete", 2), [0]),
+     DimensionError, "one target vertex"),
+    (lambda: is_homomorphism(generate("path", 2), generate("complete", 2), [0, 2]),
+     DomainError, "outside"),
+])
+def test_malformed_arguments_are_refused(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 # --- edge-list format -------------------------------------------------------
 
 def test_parse_simple_graphs():
@@ -331,6 +346,13 @@ def test_order_cap_applies_before_allocation():
                match="SDP cap")
 
 
+def test_parse_memory_is_proportional_to_the_file():
+    # the parser keeps the lines and one list of endpoints, not a string
+    # per token: omega_8's 64 KB of text peaks near 0.7 MB
+    text = write_edge_list(generate("omega", 8))
+    assert _peak_bytes(lambda: parse_edge_list(text)) < 20 * len(text)
+
+
 def test_parse_self_loop_line_number():
     with pytest.raises(ValidationError) as err:
         parse_edge_list("2 1\n0 0")
@@ -370,12 +392,12 @@ def test_roundtrip_property(G):
     assert np.array_equal(parse_edge_list(write_edge_list(G)).adj, G.adj)
 
 
-# --- bulk edge-list parser against a line-by-line reference -------------------
+# --- edge-list parser against a reference -------------------------------------
 
 def _reference_parse_edge_list(text, label=""):
-    """Line-by-line edge-list parser, one line and one token at a time: the
-    reference the bulk parser must match graph for graph and error for
-    error."""
+    """Edge-list parser that cuts comments with str.split and stores each
+    edge as it reads it: the reference parse_edge_list must match graph for
+    graph and error for error."""
     header = None
     n = m = 0
     adj = None

@@ -460,6 +460,11 @@ def test_one_homogeneous_petersen_constants():
     assert consts[2] == (3, 0)  # degree 3, adjacent vertices share no neighbor
 
 
+def test_one_homogeneous_empty_graph():
+    rep = one_homogeneous_check(graphs.generate("empty", 0))
+    assert (rep.is_one_homogeneous, rep.constants) == (True, [(0, 1, 0)])
+
+
 def test_one_homogeneous_path_fails_at_degree():
     rep = one_homogeneous_check(graphs.generate("path", 3))
     assert not rep.is_one_homogeneous

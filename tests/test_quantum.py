@@ -105,6 +105,17 @@ def test_distinct_part_orthogonality_checked_independently():
     assert not rep.ok
 
 
+@pytest.mark.parametrize("build, error, match", [
+    (lambda q: pad_colors(q, 4), DomainError, "complete"),
+    (lambda q: conjugate(q, np.eye(2)), DimensionError, "unitary shape"),
+    (lambda q: tensor_with_identity(q, 0), DomainError, "at least 1"),
+])
+def test_malformed_constructions_are_refused(build, error, match):
+    q = classical_embedding(K2, C4, [0, 1])  # d = 1, and C4 is not complete
+    with pytest.raises(error, match=match):
+        build(q)
+
+
 # --- adjacency in the measurement graph ----------------------------------------
 
 def test_indicator_tuples_adjacency():
@@ -328,6 +339,7 @@ def test_quantum_sabidussi_color_mismatch_and_padding():
     q2 = classical_embedding(C4, K2, [0, 1, 0, 1])
     with pytest.raises(DomainError):
         quantum_sabidussi(q1, q2)
+    assert pad_colors(q2, 2) is q2
     padded = pad_colors(q2, 3)
     assert verify_quantum_hom(padded).ok
     combined = quantum_sabidussi(q1, padded)
