@@ -43,7 +43,6 @@ from .params import (
     OneHomReport,
     ParamResult,
     chi_vec,
-    chromatic_coloring,
     chromatic_number,
     one_homogeneous_check,
     spectral_lower_bound,

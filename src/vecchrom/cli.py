@@ -40,6 +40,7 @@ from .errors import (
     ParseError,
     ValidationError,
     VecchromError,
+    _check_tolerance,
 )
 from .graphs import (
     GENERATOR_FAMILIES,
@@ -185,12 +186,6 @@ def cmd_param(args) -> tuple[dict, int]:
         record["result"] = asdict(one_homogeneous_check(G))
     record["status"] = "ok"
     return record, EXIT_OK
-
-
-def _check_tolerance(flag: str, value: float):
-    """Refuse a tolerance no residual can be checked against."""
-    if not 0.0 <= value < float("inf"):  # NaN compares False
-        raise DomainError(f"{flag} must be finite and nonnegative, got {value}")
 
 
 def _verify_pairs(args):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FeasibilityError
+from .errors import DimensionError, DomainError, FeasibilityError, _check_tolerance
 from .graphs import Graph, _integer_array
 from .linalg import eig_sym
 
@@ -88,14 +88,16 @@ def verify_coloring(G: Graph, c: VectorColoring, tol: float = 1e-6) -> ColoringR
 
     Strict colorings must hit -1/(k-1) exactly (within tol) on every
     edge; non-strict ones must stay at or below it.  Failures come back
-    in the report with the worst edge, never as exceptions.
+    in the report with the worst edge, never as exceptions; a NaN,
+    infinite or negative ``tol`` raises :class:`DomainError`.
     """
+    _check_tolerance("tol", tol)
     if c.n != G.n:
         raise DimensionError(f"coloring covers {c.n} vertices, graph has {G.n}")
     norms = np.linalg.norm(c.vectors, axis=1) if c.n else np.array([])
     worst_norm = float(np.abs(norms - 1.0).max()) if c.n else 0.0
     gram = c.vectors @ c.vectors.T if c.n else np.zeros((0, 0))
-    # the edges in G.edges() order, so argmax picks the first worst edge
+    # the edges in edge_index order, so argmax picks the first worst edge
     e0, e1 = G.edge_index
     res = gram[e0, e1] - c.edge_target
     res = np.abs(res) if c.strict else np.maximum(res, 0.0)
@@ -114,6 +116,7 @@ def extract_coloring(M, lam: float, tol: float = 1e-6, *, strict: bool = True) -
     tol; the Gram vectors, scaled back to unit norm, then color every
     graph whose primal program M solved.
     """
+    _check_tolerance("tol", tol)
     M = np.asarray(M, dtype=float)
     if not M.size:
         raise DomainError("cannot extract a coloring from an empty matrix")

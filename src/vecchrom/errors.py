@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the tolerance check
+that raises one."""
 
 
 class VecchromError(Exception):
@@ -56,3 +57,9 @@ class LimitExceededError(VecchromError):
     def __init__(self, message, limit):
         super().__init__(message)
         self.limit = limit
+
+
+def _check_tolerance(name: str, value: float):
+    """Refuse a tolerance no residual can be checked against."""
+    if not 0.0 <= value < float("inf"):  # NaN compares False
+        raise DomainError(f"{name} must be finite and nonnegative, got {value}")

@@ -102,17 +102,12 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edge_index[0])
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Edges as sorted (u, v) pairs with u < v."""
-        u, v = self.edge_index
-        return list(zip(u.tolist(), v.tolist()))
-
     def degrees(self) -> np.ndarray:
         return self.adj.sum(axis=1).astype(int)
 
-    def adjacency(self, dtype=float) -> np.ndarray:
-        """A writable copy of the adjacency matrix in the given dtype."""
-        return self.adj.astype(dtype)
+    def adjacency(self) -> np.ndarray:
+        """A writable float copy of the adjacency matrix."""
+        return self.adj.astype(float)
 
     def key(self) -> tuple:
         """Hashable canonical identity, suitable for memo dictionaries."""
@@ -308,22 +303,20 @@ def is_homomorphism(G: Graph, H: Graph, f) -> tuple[bool, tuple | None]:
     e0, e1 = G.edge_index
     failing = np.flatnonzero(~H.adj[f[e0], f[e1]])
     if failing.size:
-        i = failing[0]  # the first in edges() order
+        i = failing[0]  # the first in edge_index order
         return False, (int(e0[i]), int(e1[i]))
     return True, None
 
 
-def erdos_renyi(n: int, p: float = 0.5, *, seed=None, rng=None, label: str = "") -> Graph:
-    """G(n, p) sample from a seeded generator (deterministic given seed)."""
+def erdos_renyi(n: int, p: float = 0.5, *, rng=None, label: str = "") -> Graph:
+    """G(n, p) sample drawn from ``np.random.default_rng(rng)``: a seed or a Generator."""
     if n < 0:
         raise DomainError("vertex count must be nonnegative")
     if n > MAX_ORDER:
         raise DomainError(f"vertex count {n} exceeds the order cap {MAX_ORDER}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     adj = np.zeros((n, n), dtype=bool)
     iu = np.triu_indices(n, k=1)
-    draws = rng.random(len(iu[0])) < p
+    draws = np.random.default_rng(rng).random(len(iu[0])) < p
     adj[iu] = draws
     adj |= adj.T
     return Graph(n, adj, label or f"gnp_{n}")

@@ -48,7 +48,7 @@ import numpy as np
 
 from .certificates import dual_form_bound, eigenvalue_bound, witness_bound
 from .colorings import ClassicalColoring, modular_coloring
-from .errors import CapacityError, DimensionError, VecchromError
+from .errors import CapacityError, DimensionError, VecchromError, _check_tolerance
 from .graphs import Graph, generate, is_homomorphism, product, union
 from .params import CHROMATIC_CAP_DEFAULT, GraphFacts
 from .sdp import SolverConfig
@@ -302,6 +302,7 @@ def run_suite(suite: str, G: Graph, H: Graph, cfg: SolverConfig | None = None,
     comes from ``cache`` (a dict from :meth:`Graph.key` to its
     :class:`~vecchrom.params.GraphFacts`), or from one cache made for this
     call, so that a graph is searched and solved once per call."""
+    _check_tolerance("tol", tol)
     if suite not in _SUITES:
         raise VecchromError(f"unknown suite {suite!r}; choose from {SUITES}")
     cache = {} if cache is None else cache

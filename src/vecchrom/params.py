@@ -181,13 +181,12 @@ class GraphFacts:
     @functools.cached_property
     def spectral_bound(self) -> float | None:
         """The average-degree bound 1 - (2e/n)/tau of a graph with an edge,
-        else None; on a regular graph 1 - k/tau, from the Hoffman pair."""
+        else None; tau from the Hoffman pair on a regular graph (whose 2e/n
+        is exactly its degree), else from one eigendecomposition."""
         if self.G.edge_count == 0:
             return None
-        if self.hoffman is not None:
-            degree, tau = self.hoffman[:2]
-            return 1.0 - degree / tau
-        return spectral_lower_bound(self.G)
+        tau = self.hoffman[1] if self.hoffman else float(eig_sym(self.G.adjacency())[0][0])
+        return 1.0 - (2.0 * self.G.edge_count / self.G.n) / tau
 
     def param(self, which: str) -> ParamResult:
         """The "theta_bar" or "chi_vec" result; a failed solve raises its
@@ -206,7 +205,14 @@ class GraphFacts:
         return self.results[which]
 
     def chromatic_coloring(self, limit: int | None = None) -> np.ndarray:
-        """See :func:`chromatic_coloring`."""
+        """A proper coloring with the fewest colors, exactly 0..chi-1: the
+        first that deterministic backtracking finds, from the clique number
+        of colors up.
+
+        Raises :class:`LimitExceededError` before searching any number of
+        colors above ``limit`` and :class:`CapacityError` above the
+        record's vertex cap or the search depth.
+        """
         k = len(self.search[1])
         while limit is None or k <= limit:
             if (colors := self.coloring(k)) is not None:
@@ -267,30 +273,27 @@ def _sdp_param(facts: GraphFacts, builder) -> ParamResult:
                            result if result.gap < np.inf else None) from failure
 
 
-def theta_bar(G: Graph, cfg: SolverConfig | None = None, *, want_primal: bool = False,
-              chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> ParamResult:
+def theta_bar(G: Graph, cfg: SolverConfig | None = None, *,
+              want_primal: bool = False) -> ParamResult:
     """Strict vector chromatic number (Lovasz theta of the complement);
-    pinned without a solve on graphs of at most ``chromatic_cap`` vertices
+    pinned without a solve on graphs within the default chromatic cap
     where a maximum clique and a coloring agree, and on regular graphs of
     any order whose spectral certificates close within ``cfg.gap_tol``."""
-    result = GraphFacts(G, cfg, chromatic_cap).param("theta_bar")
+    result = GraphFacts(G, cfg).param("theta_bar")
     return result if want_primal else replace(result, primal_certificate=None)
 
 
-def chi_vec(G: Graph, cfg: SolverConfig | None = None, *, want_primal: bool = False,
-            chromatic_cap: int = CHROMATIC_CAP_DEFAULT) -> ParamResult:
+def chi_vec(G: Graph, cfg: SolverConfig | None = None, *, want_primal: bool = False) -> ParamResult:
     """Vector chromatic number, pinned as :func:`theta_bar` is."""
-    result = GraphFacts(G, cfg, chromatic_cap).param("chi_vec")
+    result = GraphFacts(G, cfg).param("chi_vec")
     return result if want_primal else replace(result, primal_certificate=None)
 
 
 def spectral_lower_bound(G: Graph) -> float:
-    """Average-degree bound 1 - (2e/n)/tau; requires at least one edge."""
-    e = G.edge_count
-    if e == 0:
+    """The record's average-degree bound 1 - (2e/n)/tau; requires an edge."""
+    if (bound := GraphFacts(G).spectral_bound) is None:
         raise DomainError("spectral lower bound needs at least one edge")
-    tau = float(eig_sym(G.adjacency())[0][0])
-    return 1.0 - (2.0 * e / G.n) / tau
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -560,19 +563,6 @@ def _search_setup(G: Graph, cap: int):
     return neighbours, _max_clique(masks, G.n)
 
 
-def chromatic_coloring(G: Graph, limit: int | None = None, *,
-                       cap: int = CHROMATIC_CAP_DEFAULT) -> np.ndarray:
-    """A proper coloring with the fewest colors, exactly 0..chi-1: the
-    first that deterministic backtracking finds, from the clique number
-    of colors up.
-
-    Raises :class:`LimitExceededError` before searching any number of
-    colors above ``limit`` and :class:`CapacityError` above the vertex
-    cap or the search depth.
-    """
-    return GraphFacts(G, cap=cap).chromatic_coloring(limit)
-
-
 def chromatic_number(G: Graph, limit: int | None = None, *, cap: int = CHROMATIC_CAP_DEFAULT) -> int:
-    """Exact chromatic number: the color count of :func:`chromatic_coloring`."""
+    """Exact chromatic number: the color count of :meth:`GraphFacts.chromatic_coloring`."""
     return GraphFacts(G, cap=cap).chromatic_number(limit)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParseError, ValidationError
+from .errors import DimensionError, DomainError, ParseError, ValidationError, _check_tolerance
 from .graphs import (Graph, ProductKind, decode_json, graph_from_edges, generate, is_homomorphism,
                      product, read_text)
 from .colorings import ClassicalColoring, modular_coloring
@@ -150,16 +150,17 @@ def verify_quantum_hom(q: QuantumHomomorphism, tol: float = ADJ_TOL) -> QuantumH
     pairs (v, w), v = w included, each batched over the source edges in
     both orders, in blocks of at most ``GATHER_ENTRIES`` entries.  A
     tuple failure is the witness when there is one; otherwise the first
-    failing edge in ``Graph.edges()`` order and, within it, the first
+    failing edge in ``edge_index`` order and, within it, the first
     pair in row-major order.
     """
+    _check_tolerance("tol", tol)
     A = q.assignment
     witness = _nonfinite_witness(A)
     if witness is not None:
         inf = float("inf")
         return QuantumHomReport(False, inf, inf, inf, inf, inf, witness)
     struct_tol = tol / 10.0
-    e0, e1 = q.source.edge_index  # Graph.edges() order
+    e0, e1 = q.source.edge_index
     # found in blocks of rows of at most GATHER_ENTRIES entries, in row-major
     # order: a complete target's n x n negation would dwarf its n pairs
     n = q.target.n

@@ -26,7 +26,7 @@ def star(k: int) -> Graph:
 
 
 def random_graph(n: int, seed: int, p: float = 0.5) -> Graph:
-    return graphs.erdos_renyi(n, p, seed=seed, label=f"gnp_{n}_s{seed}")
+    return graphs.erdos_renyi(n, p, rng=seed, label=f"gnp_{n}_s{seed}")
 
 
 @st.composite

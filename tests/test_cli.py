@@ -856,34 +856,55 @@ def test_certificate_naming_its_graph_file_is_refused(tmp_path, capsys):
     assert (code, record) == (1, None) and "graph must be" in err
 
 
-def _cli_in_bounded_process(*argv):
-    """Exit code and stderr of the CLI in a child process limited to 1 GB of
-    address space and 10 s, so that a read that never ends fails there."""
+# runs each argv of the JSON list in argv[1] through the CLI, in this one
+# process, and prints the exit codes and standard errors as a JSON list
+_CLI_CASES = """
+import contextlib, io, json, sys
+from vecchrom.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        results.append([main(argv), err.getvalue()])
+print(json.dumps(results))
+"""
+
+_NOT_REGULAR_COMMANDS = [["param", "--which", "chromatic"], ["qverify"]]
+
+
+@pytest.fixture(scope="module")
+def not_regular_runs(tmp_path_factory):
+    """(command, kind) -> (exit code, stderr) of the CLI on /dev/zero
+    (which never ends) and on a FIFO without a writer (which blocks the
+    open), all run in one child process limited to 1 GB of address space
+    and 10 s, so that a read that never ends fails there; a kind the
+    platform lacks is left out."""
     resource = pytest.importorskip("resource")
+    paths = {}
+    if os.path.exists("/dev/zero"):
+        paths["device"] = "/dev/zero"
+    if hasattr(os, "mkfifo"):
+        paths["fifo"] = str(tmp_path_factory.mktemp("fifo") / "fifo")
+        os.mkfifo(paths["fifo"])
+    cases = [(tuple(command), kind) for kind in paths for command in _NOT_REGULAR_COMMANDS]
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-m", "vecchrom.cli", *argv], env=env,
+    argvs = [[*command, paths[kind]] for command, kind in cases]
+    done = subprocess.run([sys.executable, "-c", _CLI_CASES, json.dumps(argvs)], env=env,
                           preexec_fn=limit, capture_output=True, text=True, timeout=10)
-    return done.returncode, done.stderr
+    assert done.returncode == 0, done.stderr
+    return dict(zip(cases, map(tuple, json.loads(done.stdout))))
 
 
-@pytest.mark.parametrize("command", [["param", "--which", "chromatic"], ["qverify"]])
+@pytest.mark.parametrize("command", _NOT_REGULAR_COMMANDS)
 @pytest.mark.parametrize("kind", ["device", "fifo"])
-def test_files_that_are_not_regular_are_refused(tmp_path, command, kind):
-    # /dev/zero never ends and a FIFO without a writer blocks the open
-    if kind == "device":
-        path = "/dev/zero"
-        if not os.path.exists(path):
-            pytest.skip("no /dev/zero")
-    else:
-        if not hasattr(os, "mkfifo"):
-            pytest.skip("no os.mkfifo")
-        path = str(tmp_path / "fifo")
-        os.mkfifo(path)
-    code, err = _cli_in_bounded_process(*command, path)
+def test_files_that_are_not_regular_are_refused(not_regular_runs, command, kind):
+    if (tuple(command), kind) not in not_regular_runs:
+        pytest.skip(f"no {kind} on this platform")
+    code, err = not_regular_runs[tuple(command), kind]
     assert code == 1 and "is not a regular file" in err
 
 

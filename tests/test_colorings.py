@@ -13,7 +13,7 @@ from vecchrom.colorings import (
 )
 from vecchrom.errors import DimensionError, DomainError, FeasibilityError
 from vecchrom.identities import _cartesian_witness, _lift
-from vecchrom.params import chi_vec, chromatic_coloring, chromatic_number, theta_bar
+from vecchrom.params import GraphFacts, chi_vec, chromatic_number, theta_bar
 from vecchrom.sdp import SolverConfig
 
 SQRT5 = np.sqrt(5.0)
@@ -109,7 +109,7 @@ def test_rotation_invariance():
 
 def _edge_residuals(G, c):
     gram = c.vectors @ c.vectors.T
-    for u, v in G.edges():
+    for u, v in np.column_stack(G.edge_index).tolist():
         inner = float(gram[u, v])
         yield (u, v), abs(inner - c.edge_target) if c.strict else max(inner - c.edge_target, 0.0)
 
@@ -129,7 +129,7 @@ def test_worst_edge_matches_edge_scan_with_ties():
     rng = np.random.default_rng(11)
     seen_none = seen_tie = 0
     for trial in range(200):
-        G = graphs.erdos_renyi(int(rng.integers(0, 9)), 0.5, seed=trial)
+        G = graphs.erdos_renyi(int(rng.integers(0, 9)), 0.5, rng=trial)
         c = VectorColoring(palette[rng.integers(0, 4, G.n)], float(rng.choice([2, 3, 4])),
                            strict=bool(trial % 2))
         rep = verify_coloring(G, c)
@@ -234,6 +234,21 @@ def test_extract_rejects_bad_inputs():
             extract_coloring(bad, 2.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_verify_coloring_refuses_a_tolerance_it_cannot_check(tol):
+    # every edge residual of five equal vectors on C5 is 1.5, which tol = inf passes
+    same = VectorColoring(np.tile([1.0, 0.0], (5, 1)), 3.0, strict=True)
+    with pytest.raises(DomainError, match="tol must be finite and nonnegative"):
+        verify_coloring(graphs.generate("cycle", 5), same, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_extract_coloring_refuses_a_tolerance_it_cannot_check(tol):
+    # a NaN tolerance skips the diagonal and PSD checks of this wrong diagonal
+    with pytest.raises(DomainError, match="tol must be finite and nonnegative"):
+        extract_coloring(np.diag([1.0, 2.0, 1.0]), 2.0, tol=tol)
+
+
 def test_extract_refuses_an_empty_matrix():
     # refused before the diagonal check reduces over no entries
     for empty in (np.zeros((0, 0)), []):
@@ -302,7 +317,7 @@ def test_tensor_k2_k2_gives_square_coloring():
     rep = verify_coloring(P, combined, tol=1e-9)
     assert rep.ok
     gram = combined.vectors @ combined.vectors.T
-    for u, v in P.edges():
+    for u, v in zip(*P.edge_index):
         assert abs(gram[u, v] + 1.0) <= 1e-12
 
 
@@ -339,8 +354,8 @@ def test_tensor_edge_inner_products_factor():
 def test_tensor_constructive_sabidussi_bound(theta):
     # the coloring extracted from the witness certifies theta(G cart H) <= max
     for seed in range(10):
-        G = graphs.erdos_renyi(5, 0.5, seed=seed, label=f"a{seed}")
-        H = graphs.erdos_renyi(5, 0.5, seed=seed + 10, label=f"b{seed}")
+        G = graphs.erdos_renyi(5, 0.5, rng=seed, label=f"a{seed}")
+        H = graphs.erdos_renyi(5, 0.5, rng=seed + 10, label=f"b{seed}")
         if G.edge_count == 0 or H.edge_count == 0:
             continue
         rg = theta_bar(G, CFG, want_primal=True)
@@ -376,8 +391,8 @@ def test_modular_k2_pair():
 def test_modular_c5_k3():
     G = graphs.generate("cycle", 5)
     H = graphs.generate("complete", 3)
-    gc = ClassicalColoring(chromatic_coloring(G), 3)
-    hc = ClassicalColoring(chromatic_coloring(H), 3)
+    gc = ClassicalColoring(GraphFacts(G).chromatic_coloring(), 3)
+    hc = ClassicalColoring(GraphFacts(H).chromatic_coloring(), 3)
     combined = modular_coloring(gc, hc)
     P = graphs.product("cartesian", G, H)
     ok, witness = graphs.is_homomorphism(P, graphs.generate("complete", 3), combined.colors)
@@ -386,10 +401,10 @@ def test_modular_c5_k3():
 
 def test_modular_reproduces_cartesian_chromatic():
     for seed in range(6):
-        G = graphs.erdos_renyi(6, 0.5, seed=seed + 60)
-        H = graphs.erdos_renyi(7, 0.5, seed=seed + 70)
+        G = graphs.erdos_renyi(6, 0.5, rng=seed + 60)
+        H = graphs.erdos_renyi(7, 0.5, rng=seed + 70)
         # a minimum coloring of the factor with fewer colors is also an m-coloring
-        g_colors, h_colors = chromatic_coloring(G), chromatic_coloring(H)
+        g_colors, h_colors = GraphFacts(G).chromatic_coloring(), GraphFacts(H).chromatic_coloring()
         m = int(max(g_colors.max(), h_colors.max())) + 1
         gc = ClassicalColoring(g_colors, m)
         hc = ClassicalColoring(h_colors, m)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_graph
 from vecchrom import graphs, identities, params
-from vecchrom.errors import CapacityError, DimensionError, VecchromError
+from vecchrom.errors import CapacityError, DimensionError, DomainError, VecchromError
 from vecchrom.identities import chain_checks, run_suite
 from vecchrom.sdp import SolverConfig
 
@@ -82,6 +82,14 @@ def test_run_suite_dispatch(cfg, param_cache):
     with pytest.raises(VecchromError):
         run_suite("nonsense", graphs.generate("complete", 3),
                   graphs.generate("cycle", 4), cfg)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_run_suite_refuses_a_tolerance_it_cannot_check(tol):
+    # tol = inf would pass every certified interval
+    with pytest.raises(DomainError, match="tol must be finite and nonnegative"):
+        run_suite("sabidussi", graphs.generate("cycle", 5), graphs.generate("complete", 3),
+                  tol=tol)
 
 
 def test_capacity_guard(cfg):

@@ -19,7 +19,6 @@ from vecchrom.sdp import SolverConfig, build_chi_vec, build_theta_bar, solve
 from vecchrom.params import (
     CHROMATIC_CAP_DEFAULT,
     chi_vec,
-    chromatic_coloring,
     chromatic_number,
     one_homogeneous_check,
     spectral_lower_bound,
@@ -73,8 +72,8 @@ def test_edgeless_convention_runs_no_search_and_no_eigendecomposition(monkeypatc
 def test_every_result_carries_its_checked_interval(G, cap):
     # a chromatic cap of 0 keeps the clique pin off, so solves are drawn too
     cfg = SolverConfig()
-    for param, nonneg in ((theta_bar, False), (chi_vec, True)):
-        res = param(G, cfg, want_primal=True, chromatic_cap=cap)
+    for which, nonneg in (("theta_bar", False), ("chi_vec", True)):
+        res = params.GraphFacts(G, cfg, cap).param(which)
         assert dual_form_bound(G, res.dual_certificate, nonneg) == res.lower
         assert witness_bound(G, res.primal_certificate, nonneg) == res.upper
         assert res.lower - 1e-9 <= res.value <= res.upper + 1e-9
@@ -134,7 +133,8 @@ def test_record_spectral_bound(G, expected):
         assert facts.spectral_bound == 1.0 - degree / tau
     else:
         assert facts.hoffman is None
-        assert facts.spectral_bound == spectral_lower_bound(G)
+        tau = eig_sym(G.adjacency())[0][0]
+        assert facts.spectral_bound == 1.0 - (2.0 * G.edge_count / G.n) / tau
 
 
 @pytest.mark.parametrize("param", [theta_bar, chi_vec])
@@ -244,7 +244,7 @@ def test_unpinned_graphs_solve_unchanged(param, builder, nonneg, solve_calls, no
 @pytest.mark.parametrize("param, builder, nonneg", PARAMS)
 def test_graphs_above_the_cap_solve(param, builder, nonneg, solve_calls, no_spectral_pin):
     K5 = graphs.generate("complete", 5)
-    res = param(K5, chromatic_cap=4)
+    res = params.GraphFacts(K5, cap=4).param(param.__name__)
     assert res.method == "sdp" and abs(res.value - 5.0) <= 1e-4
     assert len(solve_calls) == 1
 
@@ -776,7 +776,7 @@ def test_chromatic_cap_and_limit():
 def _brute_force_chromatic(G):
     """The least k for which some map of the vertices into range(k) is a
     proper coloring, by scanning all of them."""
-    edges = list(G.edges())
+    edges = np.column_stack(G.edge_index).tolist()
     k = 0
     while not any(all(c[u] != c[v] for u, v in edges)
                   for c in product(range(k), repeat=G.n)):
@@ -792,8 +792,8 @@ def test_chromatic_number_matches_brute_force(G):
     k = _brute_force_chromatic(G)
     assert chromatic_number(G) == chromatic_number(G, limit=k) == k
     # the coloring behind it is proper and uses exactly the colors 0..k-1
-    colors = chromatic_coloring(G)
-    assert all(colors[u] != colors[v] for u, v in G.edges())
+    colors = params.GraphFacts(G).chromatic_coloring()
+    assert all(colors[u] != colors[v] for u, v in zip(*G.edge_index))
     assert sorted(set(colors.tolist())) == list(range(k))
     with pytest.raises(LimitExceededError) as err:
         chromatic_number(G, limit=k - 1)
@@ -816,7 +816,7 @@ def test_chromatic_search_depth_refused_before_search(monkeypatch):
         with pytest.raises(CapacityError, match="search depth"):
             chromatic_number(G, cap=depth + 1)
         with pytest.raises(CapacityError, match="search depth"):
-            chromatic_coloring(G, cap=depth + 1)
+            params.GraphFacts(G, cap=depth + 1).chromatic_coloring()
 
 
 def _search(G, k):
@@ -828,7 +828,7 @@ def test_search_coloring_decides_k_colorability():
     G = graphs.generate("petersen")
     col = _search(G, 3)
     assert col is not None
-    assert all(col[u] != col[v] for u, v in G.edges())
+    assert all(col[u] != col[v] for u, v in zip(*G.edge_index))
     assert _search(G, 2) is None
     # the clique decides the degenerate cases
     K0 = graphs.generate("empty", 0)
@@ -936,6 +936,6 @@ def test_theta_invariant_under_isolated_removal(no_spectral_pin):
     H = graphs.graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
     # a cap of 0 keeps the triangles from the pin, and the regular H is kept
     # from the spectral pin, so both values are solved
-    G_res, H_res = theta_bar(G, tight, chromatic_cap=0), theta_bar(H, tight, chromatic_cap=0)
+    G_res, H_res = (params.GraphFacts(X, tight, 0).param("theta_bar") for X in (G, H))
     assert G_res.method == H_res.method == "sdp"
     assert abs(G_res.value - H_res.value) <= 1e-6

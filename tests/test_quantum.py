@@ -206,6 +206,16 @@ def test_nonfinite_certificate_fails_with_finite_witness(value, where):
     assert not verify_quantum_hom(_tuple(bad, rep.witness["index"][0])).ok
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_verify_refuses_a_tolerance_it_cannot_check(tol):
+    # color 0 of K3 at every vertex of C5 breaks every edge, yet tol = inf passes it
+    assignment = np.zeros((5, 3, 1, 1), dtype=complex)
+    assignment[:, 0] = 1.0
+    q = QuantumHomomorphism(C5, K3, 1, assignment)
+    with pytest.raises(DomainError, match="tol must be finite and nonnegative"):
+        verify_quantum_hom(q, tol=tol)
+
+
 def test_nan_residual_fails_with_a_named_witness(monkeypatch):
     # with the entry scan switched off, a NaN entry reaches the residuals,
     # and the residual tests fail it on their own
@@ -504,7 +514,7 @@ def _loop_verify_quantum_hom(q, tol=ADJ_TOL):
             witness["scope"] = "tuple"
             witness["vertex"] = u
     H = q.target
-    for u, u2 in q.source.edges():
+    for u, u2 in np.column_stack(q.source.edge_index).tolist():
         for v in range(H.n):
             for w in range(H.n):
                 if H.adj[v, w]:
