@@ -122,7 +122,7 @@ def extract_coloring(M, lam: float, tol: float = 1e-6, *, strict: bool = True) -
         raise DomainError("cannot extract a coloring from an empty matrix")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {M.shape}")
-    if lam <= 1.0 + tol:
+    if not 1.0 + tol < lam < np.inf:
         raise DomainError(f"degenerate target value lam = {lam}")
     diag = np.diag(M)
     dev = float(np.abs(diag - (lam - 1.0)).max())

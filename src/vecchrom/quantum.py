@@ -85,10 +85,9 @@ class QuantumHomReport:
     witness: dict | None
 
 
-def _pair_residuals(B: np.ndarray, v: int) -> np.ndarray:
-    """The larger max-norm of the two products of color v with each color
-    w > v, per vertex of a (vertices, colors, d, d) block."""
-    X, Y = B[:, v:v + 1], B[:, v + 1:]
+def _pair_residuals(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The larger max-norm of the two products XY and YX, per broadcast
+    pair of blocks."""
     return np.maximum(_maxnorms(X @ Y), _maxnorms(Y @ X))
 
 
@@ -98,12 +97,12 @@ def _check_tuples(A: np.ndarray, tol: float):
     most ``GATHER_ENTRIES`` complex entries (at least one vertex).
 
     Returns the maxima of the hermitian, idempotent, sum-to-identity and
-    orthogonality residuals (the last over color pairs v < w, at 10x tol),
-    the first failing vertex and its witness: hermitian before idempotent
-    per part, then the sum, then the first orthogonality pair in lex
-    order.  The vertex and witness are None when every tuple passes.
-    Orthogonality keeps one maximum per vertex; the witness's pair is
-    found again on the failing vertex alone.
+    orthogonality residuals (the last over color pairs v < w, at 10x tol)
+    and the first failing vertex's witness, the vertex its last key:
+    hermitian before idempotent per part, then the sum, then the first
+    orthogonality pair in lex order; None when no residual fails (NaN
+    fails).  Orthogonality keeps one maximum per vertex; the witness's
+    pair is found again on the failing vertex alone.
     """
     n, count, d = A.shape[:3]
     herm, idem = np.zeros((n, count)), np.zeros((n, count))
@@ -115,13 +114,14 @@ def _check_tuples(A: np.ndarray, tol: float):
         idem[s:s + step] = _maxnorms(B @ B - B)
         sums[s:s + step] = _maxnorms(B.sum(axis=1) - np.eye(d))
         for v in range(count - 1):  # np.maximum and max keep a NaN residual
-            ortho[s:s + step] = np.maximum(ortho[s:s + step], _pair_residuals(B, v).max(axis=1))
+            pair = _pair_residuals(B[:, v:v + 1], B[:, v + 1:]).max(axis=1)
+            ortho[s:s + step] = np.maximum(ortho[s:s + step], pair)
     ortho_tol = 10.0 * tol
     part_bad = ~(herm <= tol) | ~(idem <= tol)
     failing = np.flatnonzero(part_bad.any(axis=1) | ~(sums <= tol) | ~(ortho <= ortho_tol))
     maxima = tuple(float(r.max(initial=0.0)) for r in (herm, idem, sums, ortho))
     if not failing.size:
-        return maxima, None, None
+        return maxima, None
     u = int(failing[0])
     if part_bad[u].any():
         v = int(np.flatnonzero(part_bad[u])[0])
@@ -132,19 +132,20 @@ def _check_tuples(A: np.ndarray, tol: float):
         witness = {"scope": "tuple", "condition": "sum_to_identity", "residual": float(sums[u])}
     else:
         for v in range(count - 1):
-            residuals = _pair_residuals(A[u:u + 1], v)[0]
+            residuals = _pair_residuals(A[u:u + 1, v:v + 1], A[u:u + 1, v + 1:])[0]
             if (bad := np.flatnonzero(~(residuals <= ortho_tol))).size:
                 break
         witness = {"scope": "tuple", "condition": "orthogonality", "pair": [v, v + 1 + int(bad[0])],
                    "residual": float(residuals[bad[0]])}
-    return maxima, u, witness
+    witness["vertex"] = u
+    return maxima, witness
 
 
 def verify_quantum_hom(q: QuantumHomomorphism, tol: float = ADJ_TOL) -> QuantumHomReport:
     """Full certificate check: every tuple is a valid measurement
     (structural tolerance tol/10) and every source edge maps to adjacent
-    tuples (tolerance tol).  A NaN or infinite entry fails the check with
-    infinite residuals.
+    tuples (tolerance tol); ``ok`` means that no witness was found.  A NaN
+    or infinite entry fails the check with infinite residuals.
 
     The adjacency products run in a loop over the target's non-adjacent
     pairs (v, w), v = w included, each batched over the source edges in
@@ -173,13 +174,11 @@ def verify_quantum_hom(q: QuantumHomomorphism, tol: float = ADJ_TOL) -> QuantumH
     # finite entries near the float range overflow in the products, and
     # their residuals come out inf or NaN, which every test below fails
     with np.errstate(over="ignore", invalid="ignore"):
-        (herm, idem, sums, ortho), u, witness = _check_tuples(A, struct_tol)
+        (herm, idem, sums, ortho), witness = _check_tuples(A, struct_tol)
         for k, (v, w) in enumerate(pairs):
             for s in range(0, len(e0), step):
-                X, Y = A[e0[s:s + step], v], A[e1[s:s + step], w]
-                residual[s:s + step, k] = np.maximum(_maxnorms(X @ Y), _maxnorms(Y @ X))
-    if witness is not None:
-        witness["vertex"] = u
+                residual[s:s + step, k] = _pair_residuals(A[e0[s:s + step], v],
+                                                          A[e1[s:s + step], w])
     adjacency = float(residual.max(initial=0.0))
     if not adjacency <= tol and witness is None:
         e, k = np.argwhere(~(residual <= tol))[0]
@@ -190,14 +189,7 @@ def verify_quantum_hom(q: QuantumHomomorphism, tol: float = ADJ_TOL) -> QuantumH
             "pair": [int(x) for x in pairs[k]],
             "residual": float(residual[e, k]),
         }
-    ok = (
-        herm <= struct_tol
-        and idem <= struct_tol
-        and sums <= struct_tol
-        and ortho <= 10 * struct_tol
-        and adjacency <= tol
-    )
-    return QuantumHomReport(ok, herm, idem, sums, ortho, adjacency, witness)
+    return QuantumHomReport(witness is None, herm, idem, sums, ortho, adjacency, witness)
 
 
 def classical_embedding(G: Graph, H: Graph, f) -> QuantumHomomorphism:
@@ -397,9 +389,9 @@ def _number_array(raw) -> tuple[tuple[int, ...], np.ndarray]:
         raise ParseError("malformed certificate: assignment entries must be numbers")
 
 
-def _certificate(data: dict, decoded: bool) -> QuantumHomomorphism:
-    """The certificate a decoded file holds, checked in order; ``decoded``
-    says that the assignment is a float array from :func:`_flat_decode`."""
+def _certificate(data: dict) -> QuantumHomomorphism:
+    """The certificate a decoded file holds, checked in order; its assignment
+    is a float array from :func:`_flat_decode` or json's nested lists."""
     try:
         d = _json_int(data["d"], "d")
         n_colors = _json_int(data["n_colors"], "n_colors")
@@ -410,7 +402,7 @@ def _certificate(data: dict, decoded: bool) -> QuantumHomomorphism:
     if d < 1:
         raise ValidationError(f"certificate declares dimension d = {d}, expected d >= 1")
     source = _source_graph(graph_spec)
-    shape, entries = (raw.shape, raw) if decoded else _number_array(raw)
+    shape, entries = (raw.shape, raw) if isinstance(raw, np.ndarray) else _number_array(raw)
     expected = (source.n, n_colors, d, d, 2)
     if shape != expected and not (source.n == 0 and shape == (0,)):  # no vertex is [] in JSON
         raise ValidationError(
@@ -448,18 +440,19 @@ def _flat_decode(text: str) -> dict | None:
     assignment has five axes.  The rest of the document, which alone can
     hold the placeholder, must decode to an object whose "assignment" is
     the placeholder, so the array is the one json keeps, and whose "d"
-    and "n_colors" are positive integers.  With whitespace deleted and
-    the bytes of each number token reduced to x, the array's text must be
-    one or more rows of the layout :func:`save_certificate` writes for
-    those sizes, with empty entries: no byte but brackets, commas and
-    number bytes, no x run next to a bracket on its wrong side, and its
-    brackets and commas those of the rows.  Then the text is cut at
-    commas into pieces of about ``DECODE_BYTES``, each with its brackets
-    blanked: json.loads of each piece as a list, and a total count equal
-    to the rows', prove that every entry slot holds one number token, and
-    ``np.fromiter`` fills the array piece by piece.  Both passes read the
-    text a block at a time.  Never raises: what it declines, json decodes
-    or refuses."""
+    and "n_colors" are positive integers.  The array's text is read once,
+    cut at commas into pieces of about ``DECODE_BYTES``, so that no token
+    spans two pieces.  Each piece gives its skeleton, with whitespace
+    deleted and the bytes of each number token reduced to x, and its
+    numbers: json.loads of the piece as a list, its brackets blanked,
+    written into an array of one float per comma and one more.  The
+    skeleton must be one or more rows of the layout :func:`save_certificate`
+    writes for those sizes, with empty entries: no byte but brackets,
+    commas and number bytes, no x run next to a bracket on its wrong
+    side, and its brackets and commas those of the rows.  Then a count of
+    numbers equal to the array's size proves that every entry slot holds
+    one number token.  Never raises: what it declines, json decodes or
+    refuses."""
     at = text.rfind('"assignment"')
     key = _ASSIGNMENT.match(text, at) if at >= 0 else None
     close = text.find("]]]]]", key.end()) if key else -1
@@ -478,46 +471,36 @@ def _flat_decode(text: str) -> dict | None:
     d, n_colors = data.get("d"), data.get("n_colors")
     if type(d) is not int or type(n_colors) is not int or min(d, n_colors) < 1:
         return None
-    pieces, last = [], b""  # last: the final token byte of the blocks so far
-    for s in range(start, end, DECODE_BYTES):
-        block = text[s:min(s + DECODE_BYTES, end)]
-        if not block.isascii():
-            return None
-        tokens = last + block.encode("ascii").translate(_TOKENS, _JSON_SPACE)
-        codes = np.frombuffer(tokens, dtype=np.uint8)
-        number = codes == ord("x")
-        if (b"?" in tokens or (number[:-1] & (codes[1:] == ord("["))).any()
-                or ((codes[:-1] == ord("]")) & number[1:]).any()):
-            return None
-        pieces.append(tokens[len(last):].translate(None, b"x"))
-        last = tokens[-1:]
-    skeleton = b"".join(pieces)
-    # each [re, im] pair is at least four bytes of a row: "[,]" and the
-    # comma or bracket after it; so the row is not built for absurd sizes
-    if 4 * n_colors * d * d > len(skeleton):
+    # a row holds 2 n_colors d^2 numbers, each of at least three bytes, as
+    # in "[x,x],": so the array, one float per comma and one more, is at
+    # most 8/3 of the text, and the row is not built for absurd sizes
+    size, per_row = text.count(",", start, end) + 1, 2 * n_colors * d * d
+    if 3 * size > end - start or per_row > size:
         return None
-    row = _entry_template((n_colors, d, d, 2)).replace("%r", "").replace(" ", "").encode()
-    rows, rest = divmod(len(skeleton) - 1, len(row) + 1)
-    if rest or skeleton != b"[" + b",".join([row] * rows) + b"]":
-        return None
-    array = np.empty(rows * n_colors * d * d * 2)
-    filled, at = 0, start
-    try:
+    array, filled, skeleton, at = np.empty(size), 0, [], start
+    try:  # a byte that is not ASCII raises UnicodeEncodeError, a ValueError
         while at <= end:
             cut = text.find(",", at + DECODE_BYTES, end)
             cut = end if cut < 0 else cut
-            piece = text[at:cut].encode("ascii").translate(_BLANK_BRACKETS)
-            values = json.loads(b"[" + piece + b"]")
-            if filled + len(values) > array.size:
+            piece = text[at:cut].encode("ascii")
+            tokens = piece.translate(_TOKENS, _JSON_SPACE)
+            codes = np.frombuffer(tokens, dtype=np.uint8)
+            number = codes == ord("x")
+            if (b"?" in tokens or (number[:-1] & (codes[1:] == ord("["))).any()
+                    or ((codes[:-1] == ord("]")) & number[1:]).any()):
                 return None
-            array[filled:filled + len(values)] = np.fromiter(values, dtype=float,
-                                                             count=len(values))
+            skeleton.append(tokens.translate(None, b"x"))
+            values = json.loads(b"[" + piece.translate(_BLANK_BRACKETS) + b"]")
+            array[filled:filled + len(values)] = np.fromiter(values, float, len(values))
             filled, at = filled + len(values), cut + 1
+            del piece, tokens, codes, number, values  # the next piece reuses their memory
     except (OverflowError, ValueError):
         return None
-    if filled != array.size:
+    skeleton = b",".join(skeleton)  # the list of pieces goes before the rows are built
+    row = _entry_template((n_colors, d, d, 2)).replace("%r", "").replace(" ", "").encode()
+    if filled != size or skeleton != b"[" + b",".join([row] * (size // per_row)) + b"]":
         return None
-    data["assignment"] = array.reshape(rows, n_colors, d, d, 2)
+    data["assignment"] = array.reshape(-1, n_colors, d, d, 2)
     return data
 
 
@@ -538,10 +521,13 @@ def save_certificate(path, q: QuantumHomomorphism) -> None:
 
 
 def load_certificate(path) -> QuantumHomomorphism:
+    """The certificate in the file at ``path``, its assignment read by
+    :func:`_flat_decode` or, where that declines, by json as a whole; both
+    give the same certificate or error.  ParseError: not a regular UTF-8
+    JSON file, or a member missing or mistyped.  ValidationError: d < 1, a
+    bad edge or an assignment shape off the declared sizes.  DomainError:
+    a vertex or color count below 0 or above the order cap."""
     text = read_text(path, "certificate")
-    data = _flat_decode(text)
-    decoded = data is not None
-    if not decoded:
-        data = decode_json(text, "certificate")
+    data = _flat_decode(text) or decode_json(text, "certificate")
     del text  # the graph and the certificate are built without it
-    return _certificate(data, decoded)
+    return _certificate(data)

@@ -219,6 +219,12 @@ def test_extract_from_solved_chivec_primal_petersen():
 def test_extract_rejects_bad_inputs():
     with pytest.raises(DomainError):
         extract_coloring(np.eye(3), 1.0, tol=1e-6)
+    # a value that is not finite leaves no scale for the vectors
+    for lam in (np.inf, np.nan):
+        with pytest.raises(DomainError, match="degenerate target value"):
+            extract_coloring(0.5 * np.eye(3), lam)
+    with pytest.raises(FeasibilityError, match="no significant eigenvalues"):
+        extract_coloring(4 * np.eye(3), 5.0, tol=1.0)
     wrong_diag = np.diag([1.0, 2.0, 1.0])
     with pytest.raises(FeasibilityError) as err:
         extract_coloring(wrong_diag, 2.0, tol=1e-6)

@@ -991,8 +991,8 @@ def test_flat_decode_agrees_with_json_route(cert_path, text):
 @settings(max_examples=100)
 @given(_certificate_texts(), st.sampled_from([1, 2, 5, 16]))
 def test_flat_decode_in_small_pieces_agrees_with_json_route(cert_path, text, size):
-    # pieces of a few bytes: every block and cut boundary falls in a number
-    # token, at a comma, between brackets, or in whitespace
+    # pieces of a few bytes: a cut lands on nearly every comma, so a piece
+    # may begin or end with brackets or whitespace, or hold no number at all
     with mock.patch.object(quantum, "DECODE_BYTES", size):
         _assert_routes_agree(cert_path, text)
 
@@ -1004,6 +1004,12 @@ def test_flat_decode_in_small_pieces_is_bit_identical(cert_path, monkeypatch, si
         outcome = _assert_routes_agree(cert_path, json.dumps(certificate_dict(q)), True)
         assert outcome == (q.assignment.shape, q.assignment.tobytes(), q.source.adj.tobytes(),
                            q.d, q.target.n)
+    # an empty entry: its skeleton is a pair's, and with a cut on its comma
+    # (at size 1) json reads the piece after it, "]" and more brackets, as
+    # no number at all, so only the count of numbers declines it
+    text = json.dumps(certificate_dict(classical_embedding(C4, K2, [0, 1, 0, 1])))
+    cls, _ = _assert_routes_agree(cert_path, text.replace("[1.0, 0.0]", "[1.0, ]", 1), False)
+    assert cls is ParseError
 
 
 @pytest.mark.parametrize("separators", [(", ", ": "), (",", ":")])
