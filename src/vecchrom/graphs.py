@@ -47,6 +47,14 @@ SYMMETRY_TILE = 256
 GENERATOR_FAMILIES = ("complete", "cycle", "path", "empty", "petersen", "omega")
 
 
+def _check_order(n: int, what: str) -> None:
+    """Refuse a declared order n below 0 or above MAX_ORDER, before it is allocated."""
+    if n < 0:
+        raise DomainError(f"{what} must be nonnegative")
+    if n > MAX_ORDER:
+        raise DomainError(f"{what} {n} exceeds the order cap {MAX_ORDER}")
+
+
 class ProductKind(str, Enum):
     """The five graph products."""
 
@@ -124,10 +132,7 @@ def graph_from_edges(n: int, edges, label: str = "") -> Graph:
     Duplicate edges collapse; self-loops and out-of-range endpoints are
     rejected.
     """
-    if n < 0:
-        raise DomainError("vertex count must be nonnegative")
-    if n > MAX_ORDER:
-        raise DomainError(f"vertex count {n} exceeds the order cap {MAX_ORDER}")
+    _check_order(n, "vertex count")
     pairs = list(edges)
     ends = np.asarray(pairs)  # dtype object when an endpoint exceeds int64
     if not ends.size:
@@ -166,8 +171,8 @@ def generate(family: str, size: int = 0) -> Graph:
         raise DomainError(f"unknown graph family {family!r}")
     if size < 0:
         raise DomainError("size must be nonnegative")
-    if family in ("complete", "cycle", "path", "empty") and size > MAX_ORDER:
-        raise DomainError(f"{family} size {size} exceeds the order cap {MAX_ORDER}")
+    if family in ("complete", "cycle", "path", "empty"):
+        _check_order(size, f"{family} size")
 
     if family == "complete":
         adj = np.ones((size, size), dtype=bool)
@@ -176,10 +181,8 @@ def generate(family: str, size: int = 0) -> Graph:
         return Graph(size, adj, f"K_{size}")
     if family == "empty":
         return Graph(size, np.zeros((size, size), dtype=bool), f"empty_{size}")
-    if family == "cycle":
-        if size <= 1:
-            return Graph(size, np.zeros((size, size), dtype=bool), f"C_{size}")
-        edges = [(i, (i + 1) % size) for i in range(size)] if size >= 3 else [(0, 1)]
+    if family == "cycle":  # C_0 and C_1 have no edge, and C_2's two edges collapse
+        edges = [(i, (i + 1) % size) for i in range(size) if size > 1]
         return graph_from_edges(size, edges, f"C_{size}")
     if family == "path":
         edges = [(i, i + 1) for i in range(size - 1)]
@@ -212,32 +215,29 @@ def complement(G: Graph) -> Graph:
     return Graph(G.n, adj, label)
 
 
+#: Each product's label symbol and Kronecker terms (G-side, H-side),
+#: whose union is its adjacency: A and B are the adjacencies of G and H,
+#: I and J a factor's identity and all-ones matrices.  Lexicographic:
+#: u1 ~ u2, or u1 = u2 and v1 ~ v2.
+_PRODUCTS = {
+    ProductKind.CATEGORICAL: ("x", [("A", "B")]),
+    ProductKind.CARTESIAN: ("[]", [("A", "I"), ("I", "B")]),
+    ProductKind.STRONG: ("<>", [("A", "B"), ("A", "I"), ("I", "B")]),
+    ProductKind.DISJUNCTIVE: ("*", [("A", "J"), ("J", "B")]),
+    ProductKind.LEXICOGRAPHIC: ("lex", [("A", "J"), ("I", "B")]),
+}
+
+
 def product(kind: ProductKind | str, G: Graph, H: Graph) -> Graph:
     """One of the five products of G and H, on |V(G)|*|V(H)| vertices."""
     kind = ProductKind(kind)
-    if G.n * H.n > MAX_ORDER:
-        raise DomainError(
-            f"{kind.value} product order {G.n * H.n} exceeds the order cap {MAX_ORDER}"
-        )
-    a, b = G.adj, H.adj
-    ig, ih = np.eye(G.n, dtype=bool), np.eye(H.n, dtype=bool)
-    jg, jh = np.ones((G.n, G.n), dtype=bool), np.ones((H.n, H.n), dtype=bool)
-
-    if kind is ProductKind.CATEGORICAL:
-        adj = np.kron(a, b)
-        sym = "x"
-    elif kind is ProductKind.CARTESIAN:
-        adj = np.kron(a, ih) | np.kron(ig, b)
-        sym = "[]"
-    elif kind is ProductKind.STRONG:
-        adj = np.kron(a, b) | np.kron(a, ih) | np.kron(ig, b)
-        sym = "<>"
-    elif kind is ProductKind.DISJUNCTIVE:
-        adj = np.kron(a, jh) | np.kron(jg, b)
-        sym = "*"
-    else:  # lexicographic: u1 ~ u2, or u1 = u2 and v1 ~ v2
-        adj = np.kron(a, jh) | np.kron(ig, b)
-        sym = "lex"
+    _check_order(G.n * H.n, f"{kind.value} product order")
+    g = {"A": G.adj, "I": np.eye(G.n, dtype=bool), "J": np.ones((G.n, G.n), dtype=bool)}
+    h = {"B": H.adj, "I": np.eye(H.n, dtype=bool), "J": np.ones((H.n, H.n), dtype=bool)}
+    sym, ((x, y), *rest) = _PRODUCTS[kind]
+    adj = np.kron(g[x], h[y])
+    for x, y in rest:  # or-ed in place: one product-sized temporary at a time
+        adj |= np.kron(g[x], h[y])
     # loopless factors leave every product diagonal false already; the
     # Graph validator double-checks
     label = f"({G.label}){sym}({H.label})" if G.label and H.label else ""
@@ -248,8 +248,7 @@ def union(G: Graph, H: Graph) -> Graph:
     """Edge union of two graphs on the same indexed vertex set."""
     if G.n != H.n:
         raise DimensionError(f"union needs equal vertex counts, got {G.n} and {H.n}")
-    if G.n > MAX_ORDER:
-        raise DomainError(f"union order {G.n} exceeds the order cap {MAX_ORDER}")
+    _check_order(G.n, "union order")
     label = f"({G.label})u({H.label})" if G.label and H.label else ""
     return Graph(G.n, G.adj | H.adj, label)
 
@@ -310,10 +309,7 @@ def is_homomorphism(G: Graph, H: Graph, f) -> tuple[bool, tuple | None]:
 
 def erdos_renyi(n: int, p: float = 0.5, *, rng=None, label: str = "") -> Graph:
     """G(n, p) sample drawn from ``np.random.default_rng(rng)``: a seed or a Generator."""
-    if n < 0:
-        raise DomainError("vertex count must be nonnegative")
-    if n > MAX_ORDER:
-        raise DomainError(f"vertex count {n} exceeds the order cap {MAX_ORDER}")
+    _check_order(n, "vertex count")
     adj = np.zeros((n, n), dtype=bool)
     iu = np.triu_indices(n, k=1)
     draws = np.random.default_rng(rng).random(len(iu[0])) < p

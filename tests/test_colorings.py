@@ -167,6 +167,9 @@ def test_nonfinite_vectors_rejected(value):
 
 @pytest.mark.parametrize("build, error, match", [
     (lambda: VectorColoring(np.ones(3), 2.0, True), DomainError, "2-d"),
+    # a norm off by 1e-6 is refused: the bound is 1e-8, not a looser one
+    (lambda: VectorColoring(np.array([[1.0 + 1e-6, 0.0]] * 2), 2.0, True),
+     DomainError, "unit norm"),
     (lambda: ClassicalColoring(np.zeros(2, dtype=int), 0), DomainError, "positive"),
     (lambda: ClassicalColoring(np.array([0, 2]), 2), DomainError, "outside"),
     (lambda: ClassicalColoring(np.array([-1, 0]), 2), DomainError, "outside"),

@@ -140,6 +140,20 @@ def test_sabidussi_builds_cartesian_once(cfg, param_cache, monkeypatch):
     assert kinds.count("cartesian") == 1
 
 
+def test_an_uncertified_interval_fails_even_when_it_fits(monkeypatch):
+    # K3 [] K1 is K3: with the witness refused, the trivial interval
+    # [fiber bound, n] = [3, 3] still fits the maximum 3, and only the
+    # missing certificate fails the check
+    monkeypatch.setattr(identities, "witness_bound", lambda *args: None)
+    checks = run_suite("sabidussi", graphs.generate("complete", 3),
+                       graphs.generate("complete", 1))
+    by_name = {c.name: c for c in checks}
+    for which in ("theta_bar", "chi_vec"):
+        check = by_name[f"{which}(G[]H) = max"]
+        assert check.residual <= check.tolerance and check.detail["rejected"] == ["upper"]
+        assert check.passed is False
+
+
 def test_suites_search_each_graph_once(cfg, monkeypatch):
     # one shared cache over the acceptance pairs: each graph that reaches a
     # search (a factor with an edge, and every factor of the sabidussi and
