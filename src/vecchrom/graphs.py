@@ -127,13 +127,14 @@ class Graph:
 
 
 def graph_from_edges(n: int, edges, label: str = "") -> Graph:
-    """Build a graph from an iterable of (u, v) pairs.
+    """Build a graph from an iterable of (u, v) pairs, or an (m, 2) array
+    of them, which is read without a copy.
 
     Duplicate edges collapse; self-loops and out-of-range endpoints are
     rejected.
     """
     _check_order(n, "vertex count")
-    pairs = list(edges)
+    pairs = edges if isinstance(edges, np.ndarray) else list(edges)
     ends = np.asarray(pairs)  # dtype object when an endpoint exceeds int64
     if not ends.size:
         ends = np.zeros((0, 2), dtype=np.intp)

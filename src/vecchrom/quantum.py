@@ -10,7 +10,10 @@ required to vanish, the conservative reading.
 All checks use only products, adjoints and max-norms; no complex
 eigendecomposition is ever needed.  Zero blocks are legitimate tuple
 parts (rank-0 projectors), which is what makes color padding and the
-classical embedding work.
+classical embedding work.  The verifier skips every product with a zero
+part: the entries are finite by then, so that product is exactly 0 and
+its residual 0.0, and a certificate built from classical embeddings and
+padding runs almost no products at all.
 """
 
 from __future__ import annotations
@@ -91,10 +94,13 @@ def _pair_residuals(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.maximum(_maxnorms(X @ Y), _maxnorms(Y @ X))
 
 
-def _check_tuples(A: np.ndarray, tol: float):
+def _check_tuples(A: np.ndarray, nonzero: np.ndarray, tol: float):
     """Structural check of every tuple of a finite (vertices, colors, d, d)
     array, each condition batched over blocks of vertices that hold at
     most ``GATHER_ENTRIES`` complex entries (at least one vertex).
+    ``nonzero`` marks the parts with a nonzero entry; the idempotence and
+    orthogonality products run only on those, as a product with a zero
+    part has the residual 0.0.
 
     Returns the maxima of the hermitian, idempotent, sum-to-identity and
     orthogonality residuals (the last over color pairs v < w, at 10x tol)
@@ -109,13 +115,15 @@ def _check_tuples(A: np.ndarray, tol: float):
     sums, ortho = np.zeros(n), np.zeros(n)
     step = max(1, GATHER_ENTRIES // max(1, count * d * d))
     for s in range(0, n, step):
-        B = A[s:s + step]
+        B, nz = A[s:s + step], nonzero[s:s + step]
         herm[s:s + step] = _maxnorms(B - B.conj().swapaxes(-1, -2))
-        idem[s:s + step] = _maxnorms(B @ B - B)
+        parts = B[nz]
+        idem[s:s + step][nz] = _maxnorms(parts @ parts - parts)
         sums[s:s + step] = _maxnorms(B.sum(axis=1) - np.eye(d))
-        for v in range(count - 1):  # np.maximum and max keep a NaN residual
-            pair = _pair_residuals(B[:, v:v + 1], B[:, v + 1:]).max(axis=1)
-            ortho[s:s + step] = np.maximum(ortho[s:s + step], pair)
+        for v in np.flatnonzero(nz[:, :-1].any(axis=0)):
+            i, w = np.nonzero(nz[:, v:v + 1] & nz[:, v + 1:])
+            # np.maximum keeps a NaN residual
+            np.maximum.at(ortho, s + i, _pair_residuals(B[i, v], B[i, v + 1 + w]))
     ortho_tol = 10.0 * tol
     part_bad = ~(herm <= tol) | ~(idem <= tol)
     failing = np.flatnonzero(part_bad.any(axis=1) | ~(sums <= tol) | ~(ortho <= ortho_tol))
@@ -148,8 +156,9 @@ def verify_quantum_hom(q: QuantumHomomorphism, tol: float = ADJ_TOL) -> QuantumH
     or infinite entry fails the check with infinite residuals.
 
     The adjacency products run in a loop over the target's non-adjacent
-    pairs (v, w), v = w included, each batched over the source edges in
-    both orders, in blocks of at most ``GATHER_ENTRIES`` entries.  A
+    pairs (v, w), v = w included, each batched over the source edges whose
+    parts at v and w are both nonzero, in both orders, in blocks of at
+    most ``GATHER_ENTRIES`` entries; every other residual is 0.0.  A
     tuple failure is the witness when there is one; otherwise the first
     failing edge in ``edge_index`` order and, within it, the first
     pair in row-major order.
@@ -160,6 +169,8 @@ def verify_quantum_hom(q: QuantumHomomorphism, tol: float = ADJ_TOL) -> QuantumH
     if witness is not None:
         inf = float("inf")
         return QuantumHomReport(False, inf, inf, inf, inf, inf, witness)
+    # the entries are finite, so a product with a zero part is +-0: skipped
+    nonzero = A.any(axis=(-2, -1))
     struct_tol = tol / 10.0
     e0, e1 = q.source.edge_index
     # found in blocks of rows of at most GATHER_ENTRIES entries, in row-major
@@ -174,11 +185,12 @@ def verify_quantum_hom(q: QuantumHomomorphism, tol: float = ADJ_TOL) -> QuantumH
     # finite entries near the float range overflow in the products, and
     # their residuals come out inf or NaN, which every test below fails
     with np.errstate(over="ignore", invalid="ignore"):
-        (herm, idem, sums, ortho), witness = _check_tuples(A, struct_tol)
+        (herm, idem, sums, ortho), witness = _check_tuples(A, nonzero, struct_tol)
         for k, (v, w) in enumerate(pairs):
-            for s in range(0, len(e0), step):
-                residual[s:s + step, k] = _pair_residuals(A[e0[s:s + step], v],
-                                                          A[e1[s:s + step], w])
+            both = np.flatnonzero(nonzero[e0, v] & nonzero[e1, w])
+            for s in range(0, len(both), step):
+                edges = both[s:s + step]
+                residual[edges, k] = _pair_residuals(A[e0[edges], v], A[e1[edges], w])
     adjacency = float(residual.max(initial=0.0))
     if not adjacency <= tol and witness is None:
         e, k = np.argwhere(~(residual <= tol))[0]
@@ -365,7 +377,8 @@ def _source_graph(spec) -> Graph:
     ends = list(itertools.chain.from_iterable(edges))
     if set(map(type, ends)) - {int}:  # bool is not int here
         _json_int(next(e for e in ends if type(e) is not int), "edge endpoint")
-    return graph_from_edges(n, edges)
+    # the flat list gives the nested one's dtype: object when an endpoint exceeds int64
+    return graph_from_edges(n, np.array(ends).reshape(len(edges), 2))
 
 
 def _number_array(raw) -> tuple[tuple[int, ...], np.ndarray]:

@@ -40,6 +40,18 @@ MUTANTS = [
            "UNIT_NORM_TOL = 1e-8", "UNIT_NORM_TOL = 1e-3",
            ("tests/test_colorings.py",),
            "a vector coloring's rows have unit norm within 1e-8"),
+    Mutant("vecchrom/quantum.py",
+           "nonzero = A.any(axis=(-2, -1))", "nonzero = (np.abs(A) > 1e-12).any(axis=(-2, -1))",
+           ("tests/test_quantum.py",),
+           "the quantum verifier skips only the products of a part whose entries are all zero"),
+    Mutant("vecchrom/quantum.py",
+           "ortho_tol = 10.0 * tol", "ortho_tol = 1000.0 * tol",
+           ("tests/test_quantum.py",),
+           "a measurement's parts are orthogonal within 10x the structural tolerance"),
+    Mutant("vecchrom/quantum.py",
+           "struct_tol = tol / 10.0", "struct_tol = tol * 10.0",
+           ("tests/test_quantum.py",),
+           "a measurement's parts are hermitian, idempotent and sum to I within tol / 10"),
 ]
 
 

@@ -410,6 +410,20 @@ def test_certificate_validation_errors(tmp_path):
         _load(tmp_path, {"d": 1})
 
 
+@pytest.mark.parametrize("edges", [[[0, 0]], [[0, 5]], [[1, 2], [3, -1]], [[0, 2**70]],
+                                   [[-2**70, 1]], [[0, 2**63]], [[-1, 2**63]]])
+def test_certificate_edge_errors_are_those_of_graph_from_edges(tmp_path, edges):
+    # the source graph is built from the flat list of endpoints, and refused
+    # as graph_from_edges refuses the nested list: an endpoint beyond int64
+    # reads as an object or a float array there too
+    data = certificate_dict(classical_embedding(C4, K2, [0, 1, 0, 1]))
+    data["graph"]["edges"] = edges
+    with pytest.raises(ValidationError) as nested:
+        graphs.graph_from_edges(4, edges)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(nested.value))}$"):
+        _load(tmp_path, data)
+
+
 @pytest.mark.parametrize("entry", [[True, 0.0], [0.0, False], [1, 0], [1.0, 0.0]])
 def test_certificate_entries_must_be_numbers_not_booleans(tmp_path, entry):
     # JSON true would otherwise read as 1.0 and pass the check
@@ -809,6 +823,133 @@ def test_tensor_with_identity_bit_identical_to_kron_loop():
         for k in (1, 2, 3):
             assert (tensor_with_identity(q, k).assignment.tobytes()
                     == _loop_tensor_with_identity(q, k).tobytes())
+
+
+# --- block-sparse certificates ----------------------------------------------------------
+#
+# The verifier multiplies only parts with a nonzero entry, as a product with
+# a zero part has the residual 0.0; the loop reference multiplies them all.
+
+
+def _sparse_certificates():
+    """Valid certificates with zero parts at seeded colors: oracle
+    certificates padded to five colors and relabelled by a permutation of
+    K_5, and the quantum Sabidussi certificate of two classical ones."""
+    rng = np.random.default_rng(52)
+    K5 = generate("complete", 5)
+    certs = {f"{name}_padded": compose_classical(pad_colors(ORACLE_CERTIFICATES[name], 5), K5,
+                                                 rng.permutation(5))
+             for name in ("d1", "d2_conjugated", "sabidussi_d4")}
+    certs["classical_sabidussi"] = quantum_sabidussi(classical_embedding(C5, K3, COL5),
+                                                     classical_embedding(C7, K3, COL7))
+    return certs
+
+
+SPARSE_CERTIFICATES = _sparse_certificates()
+
+
+def _with_assignment(q, A):
+    return QuantumHomomorphism(q.source, q.target, q.d, A)
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_CERTIFICATES))
+def test_sparse_certificates_match_loop(name):
+    q = SPARSE_CERTIFICATES[name]
+    assert not q.assignment.any(axis=(-2, -1)).all()
+    for tol in (ADJ_TOL, 1e-15):
+        _assert_same_report(verify_quantum_hom(q, tol), _loop_verify_quantum_hom(q, tol))
+    assert verify_quantum_hom(q).ok
+    for kind in sorted(MUTATIONS):
+        for seed in range(2):
+            bad, _ = _mutate(q, kind, seed)
+            for tol in (ADJ_TOL, 1e-2):
+                _assert_same_report(verify_quantum_hom(bad, tol),
+                                    _loop_verify_quantum_hom(bad, tol))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_zero_parts_match_loop(seed):
+    # parts zeroed at random in an oracle certificate (odd seeds swap two
+    # parts first, to break adjacency) and in random entries, whose every
+    # residual maximum is nonzero and compared
+    rng = np.random.default_rng(seed)
+    q = ORACLE_CERTIFICATES[sorted(ORACLE_CERTIFICATES)[seed % 4]]
+    if seed % 2:
+        q, _ = _mutate(q, "adjacency", seed)
+    A = q.assignment.copy()
+    A[rng.random(A.shape[:2]) < 0.4] = 0.0
+    zeroed = _with_assignment(q, A)
+    _assert_same_report(verify_quantum_hom(zeroed), _loop_verify_quantum_hom(zeroed))
+    source = graphs.erdos_renyi(7, 0.5, rng=rng)
+    target = graphs.erdos_renyi(4, 0.5, rng=rng)
+    R = rng.standard_normal((7, 4, 2, 2)) + 1j * rng.standard_normal((7, 4, 2, 2))
+    R[rng.random((7, 4)) < 0.5] = 0.0
+    noisy = QuantumHomomorphism(source, target, 2, R)
+    for tol in (ADJ_TOL, 10.0):
+        _assert_same_report(verify_quantum_hom(noisy, tol), _loop_verify_quantum_hom(noisy, tol))
+
+
+def test_negative_zero_parts_match_loop():
+    q = SPARSE_CERTIFICATES["d2_conjugated_padded"]
+    A = q.assignment.copy()
+    zero = ~A.any(axis=(-2, -1))
+    A[zero] = complex(-0.0, -0.0)
+    A[0, np.flatnonzero(zero[0])[0], 0, 1] = complex(0.0, -0.0)  # mixed signs
+    signed = _with_assignment(q, A)
+    assert np.signbit(signed.assignment[zero].real).any()
+    rep = verify_quantum_hom(signed)
+    _assert_same_report(rep, _loop_verify_quantum_hom(signed))
+    assert rep == verify_quantum_hom(q) and rep.ok
+
+
+def test_subnormal_parts_are_multiplied():
+    # a part of 5e-324 entries is not zero: its residuals are, to the last bit
+    q = SPARSE_CERTIFICATES["d1_padded"]
+    A = q.assignment.copy()
+    zero = ~A.any(axis=(-2, -1))
+    A[zero] = 5e-324
+    tiny = _with_assignment(q, A)
+    rep = verify_quantum_hom(tiny)
+    _assert_same_report(rep, _loop_verify_quantum_hom(tiny))
+    assert rep.ok and rep.idempotent == 5e-324
+    assert rep.orthogonality > 0.0 and rep.adjacency > 0.0
+
+
+def test_tiny_part_meeting_a_huge_part_is_multiplied():
+    # nilpotent parts, so that nothing overflows: T E and E T have the
+    # entry 1e-200 * 1e200 = 1, across the edge (0, 1) at the pair (1, 1)
+    # and within the tuple of vertex 2
+    T = np.array([[0, 0], [1e-200, 0]], dtype=complex)
+    E = np.array([[0, 1e200], [0, 0]], dtype=complex)
+    A = np.zeros((3, 2, 2, 2), dtype=complex)
+    A[0] = np.eye(2), T
+    A[1, 1] = A[2, 1] = E
+    A[2, 0] = T
+    q = QuantumHomomorphism(graphs.graph_from_edges(3, [(0, 1)]), K2, 2, A)
+    rep = verify_quantum_hom(q)
+    _assert_same_report(rep, _loop_verify_quantum_hom(q))
+    assert rep.adjacency == 1.0 and rep.orthogonality == 1.0 and not rep.ok
+
+
+def test_products_with_a_zero_part_are_skipped(monkeypatch):
+    pair_residuals, blocks = quantum._pair_residuals, []
+
+    def counting(X, Y):
+        blocks.append(int(np.prod(np.broadcast_shapes(X.shape[:-2], Y.shape[:-2]))))
+        return pair_residuals(X, Y)
+
+    monkeypatch.setattr(quantum, "_pair_residuals", counting)
+    for q in (classical_embedding(C5, K3, COL5), SPARSE_CERTIFICATES["classical_sabidussi"]):
+        blocks.clear()
+        assert verify_quantum_hom(q).ok and sum(blocks) == 0
+    # every part of a Hadamard coloring is nonzero: every product runs
+    q = _hadamard_coloring(4)
+    blocks.clear()
+    assert verify_quantum_hom(q).ok
+    non_adjacent = np.count_nonzero(~q.target.adj)
+    count = q.target.n
+    assert sum(blocks) == (q.source.edge_count * non_adjacent
+                           + q.source.n * count * (count - 1) // 2)
 
 
 def test_saved_certificate_text_matches_streamed_json(tmp_path):
